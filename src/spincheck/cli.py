@@ -57,9 +57,11 @@ class Command:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        rank = self.params.get("rank")
-        if rank is not None and not 1 <= rank <= MAX_CLI_RANK:
-            raise DomainError(f"rank must lie in 1..{MAX_CLI_RANK}")
+        for key in ("rank", "max_rank"):
+            rank = self.params.get(key)
+            if rank is not None and not 1 <= rank <= MAX_CLI_RANK:
+                raise DomainError(f"{key.replace('_', '-')} must lie in "
+                                  f"1..{MAX_CLI_RANK}")
         n = self.params.get("n")
         if n is not None and not 2 <= n <= MAX_CLI_POWER:
             raise DomainError(f"tensor power must lie in 2..{MAX_CLI_POWER}")

@@ -37,7 +37,8 @@ from itertools import combinations
 from math import comb
 
 from .errors import DomainError, SizeGuardError
-from .linalg import RowReducer, SparseMat, SpanSolver, kernel_basis
+from .linalg import (RowReducer, SparseMat, SpanSolver, kernel_basis,
+                     matrix_rank)
 from .qspin import GeneratorAction, block_lift, spin_rep, tensor_action
 from .report import VerificationReport
 from .scalar import (ONE, ZERO, EvalPoint, Scalar, curly, eval_at_one,
@@ -294,13 +295,6 @@ def lagrange_projections(mat: SparseMat, eigs: list, one) -> list[SparseMat]:
                                    eigs, one)
 
 
-def _matrix_rank(mat: SparseMat) -> int:
-    red = RowReducer()
-    for _, row in sorted(mat.rows.items()):
-        red.add_row(row)
-    return red.rank
-
-
 def spectrum_check(c: InvariantElement) -> VerificationReport:
     """Spectral profile of C on S ox S.
 
@@ -312,9 +306,19 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
     of all projections against quantum dimensions of one-column labels
     (even), the block-swap property (odd), and compatibility with freezing
     trailing coordinate pairs to the rank-r operator.
+
+    Raises SizeGuardError when S ox S is larger than MAX_SYMBOLIC_DIM.
     """
-    rep = VerificationReport("spectrum", {"parity": c.parity, "k": c.k})
     size = c.dim * c.dim
+    if size > MAX_SYMBOLIC_DIM:
+        # the module has dimension 2^(k + extra), extra = 0 (even) or 1 (odd)
+        extra = c.dim.bit_length() - 1 - c.k
+        top = (MAX_SYMBOLIC_DIM.bit_length() - 1) // 2 - extra
+        raise SizeGuardError(
+            f"spectrum check on S ox S of dimension {size} exceeds the "
+            f"symbolic bound {MAX_SYMBOLIC_DIM}; the largest {c.parity} rank "
+            f"accepted is {top}")
+    rep = VerificationReport("spectrum", {"parity": c.parity, "k": c.k})
     eigs = c.eigenvalues()
     ident = SparseMat.identity(size, ONE)
     # the product chain is built once: the all-but-one products serve both
@@ -458,7 +462,7 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
         mult = 1 if c.parity == "even" else 2
         for i, p in enumerate(projs):
             want = mult * comb(N, i)
-            got = _matrix_rank(p)
+            got = matrix_rank(p)
             if got != want:
                 return f"projection {i}: rank {got}, expected {want}"
         return True
@@ -1020,7 +1024,7 @@ def third_power_profile(k: int, parity: str = "even") -> VerificationReport:
         p = p.scale(ONE / denom)
         if p * p != p:
             return "not idempotent"
-        if _matrix_rank(p) != 1:
+        if matrix_rank(p) != 1:
             return "rank != 1"
         Dsq = D * D
         for i in range(N + 1):

@@ -8,6 +8,11 @@ truthiness zero test and ``==`` works: :class:`fractions.Fraction`,
 :class:`spincheck.scalar.Scalar`, :class:`spincheck.scalar.Ext`,
 :class:`spincheck.scalar.Gaussian`.
 
+Products (``A * B`` and :meth:`SparseMat.apply_to`) hand each output entry's
+term pairs to the entry type's ``dot`` when it has one, and otherwise add
+the products one by one.  Over Q(v) that is :meth:`Scalar.dot`, which
+canonicalizes once per output entry instead of after every ``*`` and ``+``.
+
 Row reduction is incremental (:class:`RowReducer`): rows arrive one at a
 time and the reducer reports whether each enlarges the span.  Pivot rows are
 normalized once on insertion, so the inner elimination loop multiplies but
@@ -19,7 +24,9 @@ pass suffices.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
+
+from .errors import DomainError
 
 
 class SparseMat:
@@ -107,7 +114,9 @@ class SparseMat:
         return out
 
     def __add__(self, other: "SparseMat") -> "SparseMat":
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise DomainError(f"cannot add {self.nrows}x{self.ncols} and "
+                              f"{other.nrows}x{other.ncols} matrices")
         out = self.copy()
         for i, r in other.rows.items():
             for j, v in r.items():
@@ -135,19 +144,24 @@ class SparseMat:
     def __mul__(self, other: "SparseMat") -> "SparseMat":
         if not isinstance(other, SparseMat):
             return NotImplemented
-        assert self.ncols == other.nrows, "shape mismatch in matrix product"
+        if self.ncols != other.nrows:
+            raise DomainError(f"cannot multiply {self.nrows}x{self.ncols} by "
+                              f"{other.nrows}x{other.ncols} matrices")
         out = SparseMat(self.nrows, other.ncols)
+        dot = self._dot()
         for i, arow in self.rows.items():
-            acc: dict[int, Any] = {}
+            terms: dict[int, list] = {}
             for k, a in arow.items():
                 brow = other.rows.get(k)
                 if brow is None:
                     continue
                 for j, b in brow.items():
-                    prod = a * b
-                    cur = acc.get(j)
-                    acc[j] = prod if cur is None else cur + prod
-            acc = {j: v for j, v in acc.items() if v}
+                    pairs = terms.get(j)
+                    if pairs is None:
+                        terms[j] = [(a, b)]
+                    else:
+                        pairs.append((a, b))
+            acc = {j: v for j, pairs in terms.items() if (v := dot(pairs))}
             if acc:
                 out.rows[i] = acc
         return out
@@ -174,23 +188,39 @@ class SparseMat:
     def apply_to(self, vec: dict[int, Any]) -> dict[int, Any]:
         """Matrix times column vector (vector = {index: coeff})."""
         acc: dict[int, Any] = {}
+        dot = self._dot()
         for i, r in self.rows.items():
-            total = None
-            for j, v in r.items():
-                x = vec.get(j)
-                if x is None:
-                    continue
-                p = v * x
-                total = p if total is None else total + p
-            if total is not None and total:
+            pairs = [(v, x) for j, v in r.items()
+                     if (x := vec.get(j)) is not None]
+            if pairs and (total := dot(pairs)):
                 acc[i] = total
         return acc
+
+    def _dot(self) -> Callable[[list], Any]:
+        """The entry type's one-pass ``dot`` if it has one, else the
+        term-by-term sum.  The first stored entry decides; entries of
+        another type in the same matrix are left to that ``dot`` to
+        coerce."""
+        for row in self.rows.values():
+            for v in row.values():
+                return getattr(type(v), "dot", _sum_of_products)
+        return _sum_of_products
 
     def commutator(self, other: "SparseMat") -> "SparseMat":
         return self * other - other * self
 
     def __repr__(self) -> str:
         return f"SparseMat({self.nrows}x{self.ncols}, nnz={self.nnz()})"
+
+
+def _sum_of_products(pairs: list) -> Any:
+    """``sum(a * b for a, b in pairs)`` accumulated term by term, for
+    coefficient types without a ``dot`` of their own."""
+    total = None
+    for a, b in pairs:
+        p = a * b
+        total = p if total is None else total + p
+    return total
 
 
 def vec_sub_scaled(vec: dict[int, Any], factor, other: dict[int, Any]) -> None:
@@ -236,8 +266,8 @@ class RowReducer:
         if not row:
             return False
         c = min(row)
-        piv = row[c]
-        self.order.append((c, {j: v / piv for j, v in row.items()}))
+        inv = 1 / row[c]
+        self.order.append((c, {j: v * inv for j, v in row.items()}))
         return True
 
 
@@ -271,9 +301,10 @@ class SpanSolver:
             return False
         c = min(row)
         piv = row[c]
-        tag[len(self.order)] = piv / piv  # the field's one
-        self.order.append((c, {j: v / piv for j, v in row.items()},
-                           {j: v / piv for j, v in tag.items()}))
+        inv = 1 / piv
+        tag[len(self.order)] = piv * inv  # the field's one
+        self.order.append((c, {j: v * inv for j, v in row.items()},
+                           {j: v * inv for j, v in tag.items()}))
         return True
 
     def express(self, vec: dict[int, Any]) -> dict[int, Any] | None:
@@ -295,10 +326,11 @@ class SpanSolver:
         return acc
 
 
-def rank_of_rows(rows: Iterable[dict[int, Any]]) -> int:
+def matrix_rank(mat: SparseMat) -> int:
+    """The rank of ``mat``, reducing its rows in index order."""
     red = RowReducer()
-    for r in rows:
-        red.add_row(r)
+    for _, row in sorted(mat.rows.items()):
+        red.add_row(row)
     return red.rank
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import Iterable
 
 from .errors import DomainError, PoleError
 
@@ -162,6 +163,11 @@ class Scalar:
             return other
         if not other._num:
             return self
+        if self._den == other._den:
+            num = dict(self._num)
+            for e, c in other._num.items():
+                num[e] = num.get(e, _F0) + c
+            return Scalar(num, self._den)
         num = _lmul(self._num, other._den)
         for e, c in _lmul(other._num, self._den).items():
             num[e] = num.get(e, _F0) + c
@@ -222,6 +228,52 @@ class Scalar:
             n >>= 1
         return out
 
+    @staticmethod
+    def dot(pairs: Iterable[tuple]) -> "Scalar":
+        """``sum(a * b for a, b in pairs)``, canonicalized once per group.
+
+        The products stay unreduced.  A product whose other factor has
+        denominator 1 keeps the existing denominator; any other product
+        takes the product of the two.  Terms with equal unreduced
+        denominators sum their numerators directly, so each group is
+        canonicalized once and only the few group sums are added as
+        Scalars.  ``int`` and ``Fraction`` factors are coerced.
+        """
+        groups: dict[tuple, list] = {}    # key -> [den or (den_a, den_b), num]
+        for a, b in pairs:
+            if type(a) is not Scalar:
+                a = _coerce(a)
+            if type(b) is not Scalar:
+                b = _coerce(b)
+            anum, bnum = a._num, b._num
+            if not anum or not bnum:
+                continue
+            aden, bden = a._den, b._den
+            if bden == _UNIT_DEN:
+                key, den = (tuple(aden.items()),), aden
+            elif aden == _UNIT_DEN:
+                key, den = (tuple(bden.items()),), bden
+            else:
+                ka, kb = tuple(aden.items()), tuple(bden.items())
+                if kb < ka:
+                    ka, kb, aden, bden = kb, ka, bden, aden
+                key, den = (ka, kb), (aden, bden)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = group = [den, {}]
+            num = group[1]
+            for ea, ca in anum.items():
+                for eb, cb in bnum.items():
+                    e = ea + eb
+                    cur = num.get(e)
+                    num[e] = ca * cb if cur is None else cur + ca * cb
+        total = ZERO
+        for key, (den, num) in groups.items():
+            if len(key) == 2:
+                den = _lmul(*den)
+            total = total + Scalar(num, den)
+        return total
+
     # inspection ------------------------------------------------------------
 
     @property
@@ -263,6 +315,13 @@ def _as_scalar(x):
     return NotImplemented
 
 
+def _coerce(x) -> Scalar:
+    s = _as_scalar(x)
+    if s is NotImplemented:
+        raise TypeError(f"cannot use {type(x).__name__} as an element of Q(v)")
+    return s
+
+
 def _lmul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     for ea, ca in a.items():
@@ -273,12 +332,24 @@ def _lmul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]
 
 
 def _canonical(num: dict[int, Fraction], den: dict[int, Fraction]):
+    """Reduce num/den to the canonical pair: gcd-free, with the denominator
+    a polynomial of constant term 1.
+
+    A denominator that is a single monomial c*v^b is a unit of the Laurent
+    ring, so the numerator is only shifted by -b and scaled by 1/c, and the
+    polynomial gcd is skipped.
+    """
     num = {e: c for e, c in num.items() if c}
     den = {e: c for e, c in den.items() if c}
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
         return {}, {0: _F1}
+    if len(den) == 1:
+        (b, lead), = den.items()
+        if lead == 1:
+            return ({e - b: c for e, c in num.items()} if b else num), {0: _F1}
+        return {e - b: c / lead for e, c in num.items()}, {0: _F1}
     amin, amax = min(num), max(num)
     bmin, bmax = min(den), max(den)
     npoly = [num.get(amin + i, _F0) for i in range(amax - amin + 1)]
@@ -296,6 +367,7 @@ def _canonical(num: dict[int, Fraction], den: dict[int, Fraction]):
 
 ZERO = Scalar.from_fraction(0)
 ONE = Scalar.from_fraction(1)
+_UNIT_DEN = {0: _F1}     # the denominator of every Laurent polynomial
 
 
 # ---------------------------------------------------------------------------

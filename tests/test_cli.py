@@ -148,11 +148,25 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     ("eigen", "--rank", "9", "--parity", "even"),        # rank guard
     ("verify", "--suite", "coideal", "--rank", "2", "--parity", "odd",
      "--symbolic"),                                      # size guard
+    ("verify", "--suite", "spectrum", "--rank", "3", "--parity", "odd"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code = cli.run(list(argv))
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("max_rank", ["0", "5"])
+def test_all_max_rank_out_of_range_refused_up_front(capsys, monkeypatch,
+                                                    max_rank):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran before --max-rank was checked")
+
+    monkeypatch.setattr(cli, "_verify_reports", no_suite)
+    code, out, err = invoke(capsys, "all", "--max-rank", max_rank)
+    assert code == 2
+    assert out == ""
+    assert "max-rank" in err
 
 
 def test_no_subcommand_prints_usage(capsys):

@@ -272,6 +272,16 @@ def test_coideal_symbolic_size_guard():
         verify_coideal(2, "odd", 3)
 
 
+@pytest.mark.parametrize("build,k,top", [(build_c_odd, 3, 2),
+                                         (build_c_even, 4, 3)])
+def test_spectrum_symbolic_size_guard(build, k, top):
+    # S ox S has dimension 256 here, past the symbolic bound
+    c = build(k)
+    assert c.dim ** 2 > MAX_SYMBOLIC_DIM
+    with pytest.raises(SizeGuardError, match=f"256.*rank accepted is {top}"):
+        spectrum_check(c)
+
+
 def test_coideal_point_size_guard():
     with pytest.raises(SizeGuardError):
         verify_coideal(4, "even", 4, point=EvalPoint.from_q(Fraction(3, 2)))

@@ -1,11 +1,18 @@
 """Sparse exact linear algebra: row reduction, spans, kernels."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spincheck
+from spincheck.errors import DomainError
 from spincheck.linalg import RowReducer, SparseMat, SpanSolver, kernel_basis
+from spincheck.scalar import ZERO, Scalar, curly, qint
 
 ONE = Fraction(1)
 
@@ -134,3 +141,99 @@ def test_add_to_accumulates_and_cancels():
 
 def test_kernel_of_identity_is_trivial():
     assert kernel_basis(SparseMat.identity(4, ONE), ONE) == []
+
+
+def test_shape_mismatch_raises_under_optimize():
+    # python -O strips asserts; the shape checks must still refuse
+    code = ("from fractions import Fraction\n"
+            "from spincheck.errors import DomainError\n"
+            "from spincheck.linalg import SparseMat\n"
+            "a = SparseMat.identity(2, Fraction(1))\n"
+            "b = SparseMat.identity(3, Fraction(1))\n"
+            "for op in (lambda: a + b, lambda: a * b):\n"
+            "    try:\n"
+            "        op()\n"
+            "    except DomainError:\n"
+            "        print('refused')\n"
+            "    else:\n"
+            "        print('accepted')\n")
+    # the child imports the same spincheck as this process
+    src = os.path.dirname(os.path.dirname(spincheck.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["refused", "refused"]
+    with pytest.raises(DomainError):
+        SparseMat.identity(2, ONE) * SparseMat.identity(3, ONE)
+
+
+# ---------------------------------------------------------------------------
+# products over Q(v) against a term-by-term reference
+
+_V = Scalar.v_power
+_ODD = Scalar.from_fraction(1) / curly(Fraction(1, 2))
+_LAGRANGE = Scalar.from_fraction(1) / (qint(3) - qint(1))
+_POOL = [_V(e) for e in (-3, 0, 2, 5)]               # monomials
+_POOL += [_ODD, _ODD * _ODD, _ODD * _ODD * _ODD]     # odd-type denominators
+_POOL += [_LAGRANGE, _LAGRANGE * _V(2), _ODD * _LAGRANGE]
+_POOL += [-x for x in _POOL]                         # so that sums cancel
+_POOL += [Fraction(1, 2), 2]                         # coerced inside Q(v)
+
+q_entries = st.one_of(st.none(), st.sampled_from(_POOL))
+
+
+@st.composite
+def q_matrices(draw, nrows, ncols):
+    m = SparseMat(nrows, ncols)
+    for i in range(nrows):
+        for j in range(ncols):
+            v = draw(q_entries)
+            if v is not None:
+                m.set_entry(i, j, v)
+    return m
+
+
+@st.composite
+def q_products(draw):
+    n, m, p = (draw(st.integers(1, 3)) for _ in range(3))
+    a, b = draw(q_matrices(n, m)), draw(q_matrices(m, p))
+    x = {j: v for j in range(m) if (v := draw(q_entries)) is not None}
+    return a, b, x
+
+
+def _ref_dot(terms) -> Scalar:
+    total = ZERO
+    for a, b in terms:
+        total = total + a * b
+    return total
+
+
+@given(q_products())
+@settings(max_examples=60, deadline=None)
+@example((SparseMat(1, 2, {0: {0: _ODD, 1: _ODD}}),      # cancels in column 0
+          SparseMat(2, 2, {0: {0: _V(3), 1: 2},
+                           1: {0: -_V(3), 1: Fraction(1, 2)}}),
+          {0: _V(3), 1: -_V(3)}))
+def test_scalar_products_match_termwise_reference(case):
+    a, b, x = case
+    want: dict[int, dict[int, Scalar]] = {}
+    for i in range(a.nrows):
+        for j in range(b.ncols):
+            v = _ref_dot((a.entry(i, k), b.entry(k, j)) for k in range(a.ncols)
+                         if a.entry(i, k) is not None
+                         and b.entry(k, j) is not None)
+            if v:
+                want.setdefault(i, {})[j] = v
+    prod = a * b
+    assert prod.rows == want
+    assert all(v for row in prod.rows.values() for v in row.values())
+    img = a.apply_to(x)
+    want_img = {i: v for i in range(a.nrows)
+                if (v := _ref_dot((a.entry(i, j), x[j]) for j in x
+                                  if a.entry(i, j) is not None))}
+    assert img == want_img
+    assert all(img.values())

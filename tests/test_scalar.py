@@ -168,3 +168,10 @@ def test_gaussian_ring_laws(a, b, c, d):
     x, y = Gaussian(a, b), Gaussian(c, d)
     assert x * y == y * x
     assert (x + y) * (x - y) == x * x - y * y
+
+
+def test_monomial_denominator_shifts_and_scales():
+    # 2 v^3 / (4 v^2) = v / 2, reached without a polynomial gcd
+    s = Scalar({3: Fraction(2)}, {2: Fraction(4)})
+    assert s == Scalar.from_fraction(Fraction(1, 2)) * Scalar.v_power(1)
+    assert s.is_laurent_polynomial
