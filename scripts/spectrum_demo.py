@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import argparse
 
-from spincheck.invariant import (build_c_even, build_c_odd, spectrum_check,
-                                 third_power_profile)
+from spincheck.invariant import build_c, spectrum_check, third_power_profile
 from spincheck.scalar import render_q
 from spincheck.weights import RootData, qdimension
 
@@ -29,7 +28,7 @@ def main() -> None:
     args = ap.parse_args()
 
     k = args.rank
-    c = build_c_even(k) if args.parity == "even" else build_c_odd(k)
+    c = build_c(k, args.parity)
     entries = sum(len(rw) for rw in c.mat.rows.values())
     print(f"C ({args.parity}, rank {k}): {c.dim}^2 x {c.dim}^2 matrix, "
           f"{entries} nonzero entries")

@@ -32,11 +32,10 @@ from typing import Any, Callable, TextIO
 from .clifford import (classical_spectrum_check, commuting_family_check,
                        verify_so_relations)
 from .errors import DomainError, SizeGuardError
-from .invariant import (build_c_even, build_c_odd, generator_action_for,
-                        markov_property_check, spectrum_check,
-                        third_power_profile, verify_coideal,
+from .invariant import (build_c, generator_action_for, markov_property_check,
+                        spectrum_check, third_power_profile, verify_coideal,
                         verify_commutation, verify_duality)
-from .qspin import spin_rep, verify_serre
+from .qspin import verify_serre
 from .report import VerificationReport
 from .scalar import EvalPoint, render_q
 from .weights import (PinLabel, RootData, bratteli, classical_dimension,
@@ -119,7 +118,7 @@ def _run_qdim(cmd: Command, log: TextIO) -> tuple[Any, bool]:
 def _run_eigen(cmd: Command, log: TextIO) -> tuple[Any, bool]:
     p = cmd.params
     k, parity = p["rank"], p["parity"]
-    c = build_c_even(k) if parity == "even" else build_c_odd(k)
+    c = build_c(k, parity)
     payload: dict[str, Any] = {
         "parity": parity,
         "rank": k,
@@ -139,13 +138,12 @@ def _log_report(rep: VerificationReport, log: TextIO) -> None:
 
 
 def _verify_reports(suite: str, rank: int | None, parity: str, n: int,
-                    point: EvalPoint | None, symbolic: bool,
+                    point: EvalPoint | None,
                     log: TextIO) -> list[VerificationReport]:
     """Collect the reports for one verify suite.
 
-    ``point`` is an explicit evaluation point; ``symbolic`` forces generic
-    parameters.  When neither is given the suite-specific default applies
-    (symbolic wherever the guards allow).
+    ``point`` is an explicit evaluation point.  Without one the
+    suite-specific default applies (symbolic wherever the guards allow).
     """
     reps: list[VerificationReport] = []
     if suite == "clifford":
@@ -164,7 +162,7 @@ def _verify_reports(suite: str, rank: int | None, parity: str, n: int,
             reps.append(verify_serre(RootData("B", k), odd_doubled=True))
     elif suite in ("commute", "spectrum"):
         k = rank or 2
-        c = build_c_even(k) if parity == "even" else build_c_odd(k)
+        c = build_c(k, parity)
         if suite == "commute":
             reps.append(verify_commutation(c, generator_action_for(c),
                                            point=point))
@@ -172,8 +170,7 @@ def _verify_reports(suite: str, rank: int | None, parity: str, n: int,
             reps.append(spectrum_check(c))
     elif suite == "coideal":
         k = rank or 2
-        reps.append(verify_coideal(k, parity, n,
-                                   point=None if symbolic else point))
+        reps.append(verify_coideal(k, parity, n, point=point))
     elif suite == "duality":
         k = rank or 1
         if point is not None:
@@ -194,7 +191,7 @@ def _verify_reports(suite: str, rank: int | None, parity: str, n: int,
 def _run_verify(cmd: Command, log: TextIO) -> tuple[Any, bool]:
     p = cmd.params
     reps = _verify_reports(p["suite"], p.get("rank"), p["parity"], p["n"],
-                           p.get("point"), p["symbolic"], log)
+                           p.get("point"), log)
     ok = all(r.passed for r in reps)
     return {"reports": [r.as_json() for r in reps], "pass": ok}, ok
 
@@ -207,8 +204,7 @@ def _run_all(cmd: Command, log: TextIO) -> tuple[Any, bool]:
     def batch(suite, **kw):
         reps.extend(_verify_reports(suite, kw.get("rank"),
                                     kw.get("parity", "even"), kw.get("n", 3),
-                                    kw.get("point"), kw.get("symbolic", False),
-                                    log))
+                                    kw.get("point"), log))
 
     batch("clifford")
     for k in range(1, mr + 1):
@@ -253,8 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="spincheck",
         description="exact constructions and identity checks for spin "
                     "tensor-power commutants")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; checks run serially")
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
     b = sub.add_parser("bratteli", help="branching diagram of tensor powers")
@@ -306,7 +300,7 @@ def run(argv: list[str] | None = None) -> int:
 
     params: dict[str, Any] = {}
     for key in ("family", "rank", "levels", "label", "assoc", "parity",
-                "suite", "n", "symbolic", "max_rank"):
+                "suite", "n", "max_rank"):
         if hasattr(ns, key) and getattr(ns, key) is not None:
             params[key] = getattr(ns, key)
     try:

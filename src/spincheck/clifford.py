@@ -66,11 +66,12 @@ class CliffordElement:
     __slots__ = ("ambient", "terms")
 
     def __init__(self, ambient: int, terms: dict[int, Fraction] | None = None):
-        assert ambient >= 0
+        if ambient < 0:
+            raise DomainError(f"ambient dimension {ambient} is negative")
         self.ambient = ambient
         self.terms = {m: c for m, c in (terms or {}).items() if c}
-        if self.terms:
-            assert max(self.terms) < (1 << ambient), "monomial outside ambient algebra"
+        if self.terms and max(self.terms) >= (1 << ambient):
+            raise DomainError(f"monomial outside Cl({ambient})")
 
     @staticmethod
     def zero(ambient: int) -> "CliffordElement":
@@ -95,7 +96,8 @@ class CliffordElement:
             if not 1 <= i <= ambient:
                 raise DomainError(f"index {i} outside Cl({ambient})")
             bit = 1 << (i - 1)
-            assert not mask & bit and (mask < bit), "indices must strictly increase"
+            if mask >= bit:
+                raise DomainError(f"indices {indices} must strictly increase")
             mask |= bit
         return CliffordElement(ambient, {mask: coeff})
 
@@ -111,7 +113,9 @@ class CliffordElement:
         return CliffordElement(self.ambient, {m: -c for m, c in self.terms.items()})
 
     def __add__(self, other: "CliffordElement") -> "CliffordElement":
-        assert self.ambient == other.ambient
+        if self.ambient != other.ambient:
+            raise DomainError(f"adding elements of Cl({self.ambient}) and "
+                              f"Cl({other.ambient})")
         out = dict(self.terms)
         for m, c in other.terms.items():
             cur = out.get(m)
@@ -294,7 +298,8 @@ class IntPolynomial:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        assert not self.coeffs or self.coeffs[-1], "leading coefficient must be nonzero"
+        if self.coeffs and not self.coeffs[-1]:
+            raise DomainError("leading coefficient must be nonzero")
 
     @property
     def degree(self) -> int:

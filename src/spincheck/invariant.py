@@ -41,11 +41,11 @@ from .linalg import (RowReducer, SparseMat, SpanSolver, kernel_basis,
                      matrix_rank)
 from .qspin import GeneratorAction, block_lift, spin_rep, tensor_action
 from .report import VerificationReport
-from .scalar import (ONE, ZERO, EvalPoint, Scalar, curly, eval_at_one,
-                     eval_scalar, qbinom, qint, qpow)
+from .scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint, Scalar,
+                     Specialization, curly, qbinom, qint, qpow)
 from .weights import (RootData, bratteli, centralizer_dims, inner,
                       module_weights, one_column_label, qdimension,
-                      qtrace, spin_label)
+                      qtrace, slot_exponents, spin_label)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -104,44 +104,28 @@ class InvariantElement:
         return [one_column_label(self.rd, r) for r in self.eigen_label_heights()]
 
 
-def build_c_even(k: int) -> InvariantElement:
-    """The invariant operator on S ox S for type D_k."""
+def build_c(k: int, parity: str) -> InvariantElement:
+    """The invariant operator on S ox S: parity 'even' for type D_k, 'odd'
+    for type B_k on the doubled module.
+
+    One flip loop serves both: sign vectors have K coordinates (K = k even,
+    k + 1 odd) and terms j = 1..k flip the visible ones.  The odd operator
+    adds the term that flips the invisible coordinate of both slots and
+    divides the continued coefficient by q^{1/2} + q^{-1/2}.
+    """
+    if parity not in ("even", "odd"):
+        raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
     if k < 1:
         raise DomainError("rank must be at least 1")
-    d = 1 << k
+    odd = parity == "odd"
+    K = k + 1 if odd else k
+    d = 1 << K
+    inv2 = ONE / curly(_HALF) if odd else None
     mat = SparseMat(d * d, d * d)
     for a in range(d):
         for b in range(d):
             col = a * d + b
             prefix = 0  # partial sum of (nu - mu): bit_a - bit_b so far
-            for j in range(1, k + 1):
-                bit = 1 << (k - j)
-                abit = (a >> (k - j)) & 1
-                bbit = (b >> (k - j)) & 1
-                if abit != bbit:
-                    row = (a ^ bit) * d + (b ^ bit)
-                    mat.add_to(row, col, _neg_q_pow(prefix))
-                prefix += abit - bbit
-    return InvariantElement("even", k, RootData("D", k), d, mat)
-
-
-def build_c_odd(k: int) -> InvariantElement:
-    """The invariant operator on the doubled module for type B_k.
-
-    Terms j = 1..k are exactly the even pattern on the visible coordinates;
-    the extra term flips the invisible coordinate of both slots and divides
-    the continued coefficient by q^{1/2} + q^{-1/2}.
-    """
-    if k < 1:
-        raise DomainError("rank must be at least 1")
-    K = k + 1
-    d = 1 << K
-    inv2 = ONE / curly(_HALF)
-    mat = SparseMat(d * d, d * d)
-    for a in range(d):
-        for b in range(d):
-            col = a * d + b
-            prefix = 0
             for j in range(1, k + 1):
                 bit = 1 << (K - j)
                 abit = (a >> (K - j)) & 1
@@ -150,10 +134,22 @@ def build_c_odd(k: int) -> InvariantElement:
                     row = (a ^ bit) * d + (b ^ bit)
                     mat.add_to(row, col, _neg_q_pow(prefix))
                 prefix += abit - bbit
-            # invisible flip, no delta condition
-            row = (a ^ 1) * d + (b ^ 1)
-            mat.add_to(row, col, _neg_q_pow(prefix) * inv2)
-    return InvariantElement("odd", k, RootData("B", k), d, mat)
+            if odd:
+                # invisible flip, no delta condition
+                row = (a ^ 1) * d + (b ^ 1)
+                mat.add_to(row, col, _neg_q_pow(prefix) * inv2)
+    return InvariantElement(parity, k, RootData("B" if odd else "D", k), d,
+                            mat)
+
+
+def build_c_even(k: int) -> InvariantElement:
+    """The invariant operator on S ox S for type D_k."""
+    return build_c(k, "even")
+
+
+def build_c_odd(k: int) -> InvariantElement:
+    """The invariant operator on the doubled module for type B_k."""
+    return build_c(k, "odd")
 
 
 def generator_action_for(c: InvariantElement) -> GeneratorAction:
@@ -167,7 +163,9 @@ def embed_pair_operator(mat: SparseMat, d: int, i: int, n: int) -> SparseMat:
     """Embed a two-slot operator (d^2 x d^2) into slots (i, i+1) of d^{ox n}."""
     if not 1 <= i <= n - 1:
         raise DomainError(f"slot {i} outside 1..{n - 1}")
-    assert mat.nrows == d * d and mat.ncols == d * d
+    if mat.nrows != d * d or mat.ncols != d * d:
+        raise DomainError(f"pair operator is {mat.nrows}x{mat.ncols}, "
+                          f"not {d * d}x{d * d}")
     size = d ** n
     pre = d ** (i - 1)
     post = d ** (n - i - 1)
@@ -182,19 +180,32 @@ def embed_pair_operator(mat: SparseMat, d: int, i: int, n: int) -> SparseMat:
     return out
 
 
-def _field_mat(mat: SparseMat, point) -> SparseMat:
-    """Evaluate a symbolic matrix: EvalPoint, 'classical' (v = 1), or None."""
-    if point is None:
-        return mat
-    if point == "classical":
-        return mat.map_values(eval_at_one)
-    return mat.map_values(lambda s: eval_scalar(s, point))
-
-
 def embed_ci(c: InvariantElement, i: int, n: int, *,
-             point: EvalPoint | str | None = None) -> SparseMat:
+             at: Specialization = SYMBOLIC) -> SparseMat:
     """C_i: the invariant operator on slots (i, i+1) of the n-th power."""
-    return embed_pair_operator(_field_mat(c.mat, point), c.dim, i, n)
+    return embed_pair_operator(c.mat.map_values(at.of), c.dim, i, n)
+
+
+def _restrict_pair_operator(mat: SparseMat, d: int,
+                            lift: list[int]) -> SparseMat | None:
+    """A pair operator on (d x d)-indexed pairs, restricted to the sub-basis
+    whose x-th vector sits at index ``lift[x]`` of each slot; None when the
+    operator leaks out of that sub-basis."""
+    db = len(lift)
+    lifted = {lift[a] * d + lift[b]: a * db + b
+              for a in range(db) for b in range(db)}
+    out = SparseMat(db * db, db * db)
+    for a in range(db):
+        for b in range(db):
+            col_full = lift[a] * d + lift[b]
+            for rfull, rw in mat.rows.items():
+                v = rw.get(col_full)
+                if v is None:
+                    continue
+                if rfull not in lifted:
+                    return None
+                out.set_entry(lifted[rfull], a * db + b, v)
+    return out
 
 
 def csq_block_matrix(c: InvariantElement) -> SparseMat:
@@ -206,27 +217,10 @@ def csq_block_matrix(c: InvariantElement) -> SparseMat:
     """
     if c.parity != "odd":
         raise DomainError("block restriction applies to the odd operator")
-    k = c.k
-    d = c.dim            # 2^{k+1}
-    db = 1 << k
-    csq = c.mat * c.mat
-    lift = [block_lift(x, k) for x in range(db)]
-    out = SparseMat(db * db, db * db)
-    lifted = {lift[a] * d + lift[b]: a * db + b
-              for a in range(db) for b in range(db)}
-    for a in range(db):
-        for b in range(db):
-            col_full = lift[a] * d + lift[b]
-            row_map = {}
-            for rfull, rw in csq.rows.items():
-                v = rw.get(col_full)
-                if v is None:
-                    continue
-                if rfull not in lifted:
-                    raise DomainError("squared operator leaks out of the block")
-                row_map[lifted[rfull]] = v
-            for r, v in row_map.items():
-                out.set_entry(r, a * db + b, v)
+    lift = [block_lift(x, c.k) for x in range(1 << c.k)]
+    out = _restrict_pair_operator(c.mat * c.mat, c.dim, lift)
+    if out is None:
+        raise DomainError("squared operator leaks out of the block")
     return out
 
 
@@ -242,7 +236,8 @@ def verify_commutation(c: InvariantElement, g: GeneratorAction, *,
         "commutation",
         {"parity": c.parity, "k": c.k,
          "point": str(point.q0) if isinstance(point, EvalPoint) else "symbolic"})
-    cmat = _field_mat(c.mat, point)
+    at = SYMBOLIC if point is None else point
+    cmat = c.mat.map_values(at.of)
     gids = []
     for i in range(1, g.nsimple + 1):
         gids += [("E", i), ("F", i), ("K", i), ("Khalf", i)]
@@ -250,7 +245,7 @@ def verify_commutation(c: InvariantElement, g: GeneratorAction, *,
         gids.append(("t", 0))
     for gid in gids:
         name = f"commutes_{gid[0]}{gid[1] if gid[0] != 't' else ''}"
-        G = tensor_action(g, gid, 2, point=point)
+        G = tensor_action(g, gid, 2, at=at)
         rep.record(name, lambda G=G: cmat.commutator(G).is_zero()
                    or "nonzero commutator")
     return rep
@@ -275,6 +270,15 @@ def _shifted_products(mat: SparseMat, eigs: list,
     return prefix[-1], [prefix[i] * suffix[i + 1] for i in range(len(eigs))]
 
 
+def _eigen_product(mat: SparseMat, eigs: list,
+                   ident: SparseMat) -> SparseMat:
+    """prod (mat - e * I) over the eigenvalue list, multiplied left to right."""
+    acc = ident
+    for e in eigs:
+        acc = acc * (mat - ident.scale(e))
+    return acc
+
+
 def _normalized_projections(others: list[SparseMat], eigs: list,
                             one) -> list[SparseMat]:
     """Scale each all-but-one product to its Lagrange projection."""
@@ -286,13 +290,6 @@ def _normalized_projections(others: list[SparseMat], eigs: list,
                 denom = denom * (ei - ej)
         projs.append(others[i].scale(one / denom))
     return projs
-
-
-def lagrange_projections(mat: SparseMat, eigs: list, one) -> list[SparseMat]:
-    """Spectral projections of a matrix annihilated by prod (x - e_j) with
-    distinct e_j."""
-    return _normalized_projections(_shifted_products(mat, eigs, one)[1],
-                                   eigs, one)
 
 
 def spectrum_check(c: InvariantElement) -> VerificationReport:
@@ -471,8 +468,7 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
 
     if c.k >= 2:
         def check_restriction():
-            small = (build_c_even(c.k - 1) if c.parity == "even"
-                     else build_c_odd(c.k - 1))
+            small = build_c(c.k - 1, c.parity)
             return _restriction_matches(c, small) or "restriction mismatch"
 
         rep.record("freezing_restriction", check_restriction)
@@ -483,69 +479,31 @@ def _restriction_matches(big: InvariantElement, small: InvariantElement) -> bool
     """Freeze the leading-complement coordinates: with the last k - r
     coordinate pairs of both slots set to (+, +), the big operator acts as
     the rank-r operator on the remaining coordinates (and does not leak)."""
-    k, r = big.k, small.k
-    d, db = big.dim, small.dim
+    shift = big.k - small.k
     if big.parity == "even":
-        shift = k - r
-        lift = [a << shift for a in range(db)]
+        lift = [a << shift for a in range(small.dim)]
     else:
-        shift = k - r
-        lift = [((a >> 1) << (shift + 1)) | (a & 1) for a in range(db)]
-    lifted_index = {lift[a] * d + lift[b]: a * db + b
-                    for a in range(db) for b in range(db)}
-    for a in range(db):
-        for b in range(db):
-            col_full = lift[a] * d + lift[b]
-            got = {}
-            for rfull, row in big.mat.rows.items():
-                v = row.get(col_full)
-                if v is None:
-                    continue
-                if rfull not in lifted_index:
-                    return False   # leaks out of the frozen subspace
-                got[lifted_index[rfull]] = v
-            want_col = a * db + b
-            want = {rr: row[want_col] for rr, row in small.mat.rows.items()
-                    if want_col in row}
-            if got != want:
-                return False
-    return True
+        lift = [((a >> 1) << (shift + 1)) | (a & 1) for a in range(small.dim)]
+    return _restrict_pair_operator(big.mat, big.dim, lift) == small.mat
 
 
 # ---------------------------------------------------------------------------
 # coideal-type relations among the C_i
 
-def _coideal_generators(k: int, parity: str, n: int,
-                        point) -> tuple[list[SparseMat], int, object]:
-    if parity == "even":
-        c = build_c_even(k)
-        d = c.dim
-    elif parity == "odd":
-        c = build_c_odd(k)
-        d = c.dim
-    else:
-        raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
-    size = d ** n
-    if point is None and size > MAX_SYMBOLIC_DIM:
+def _coideal_generators(k: int, parity: str, n: int, at: Specialization
+                        ) -> tuple[InvariantElement, list[SparseMat], int]:
+    c = build_c(k, parity)
+    size = c.dim ** n
+    if at is SYMBOLIC and size > MAX_SYMBOLIC_DIM:
         raise SizeGuardError(
             f"dimension {size} too large for symbolic work; pass an EvalPoint")
     if size > MAX_POINT_DIM:
         raise SizeGuardError(f"dimension {size} exceeds the size bound")
-    gens = [embed_ci(c, i, n, point=point) for i in range(1, n)]
-    one = ONE if point is None else _F1
-    return gens, size, one
-
-
-def _scalar_at(s: Scalar, point):
-    if point is None:
-        return s
-    if point == "classical":
-        return eval_at_one(s)
-    return eval_scalar(s, point)
+    return c, [embed_ci(c, i, n, at=at) for i in range(1, n)], size
 
 
 def verify_coideal(k: int, parity: str, n: int, *,
-                   point: EvalPoint | str | None = None) -> VerificationReport:
+                   point: EvalPoint | None = None) -> VerificationReport:
     """Relations of the generating family C_1, ..., C_{n-1}.
 
     Both parities: distant commutation and the adjacent cubic relation
@@ -572,8 +530,9 @@ def verify_coideal(k: int, parity: str, n: int, *,
         "coideal",
         {"parity": parity, "k": k, "n": n,
          "point": str(point) if point is not None else "symbolic"})
-    gens, size, one = _coideal_generators(k, parity, n, point)
-    ident = SparseMat.identity(size, one)
+    at = SYMBOLIC if point is None else point
+    c, gens, size = _coideal_generators(k, parity, n, at)
+    ident = SparseMat.identity(size, at.one)
 
     def check_distant():
         for i, j in combinations(range(len(gens)), 2):
@@ -585,7 +544,7 @@ def verify_coideal(k: int, parity: str, n: int, *,
 
     rep.record("distant_commutation", check_distant)
 
-    coeff = _scalar_at(curly(1), point)
+    coeff = at.of(curly(1))
 
     def check_cubic():
         for i in range(len(gens)):
@@ -613,20 +572,7 @@ def verify_coideal(k: int, parity: str, n: int, *,
     if len(gens) >= 2:
         rep.record("minus_variant_distinct", check_minus_variant)
 
-    if parity == "even":
-        eigs = [_scalar_at(qint(j), point) for j in range(k, -k - 1, -1)]
-
-        def check_poly():
-            for idx, a in enumerate(gens):
-                acc = ident
-                for e in eigs:
-                    acc = acc * (a - ident.scale(e))
-                if not acc.is_zero():
-                    return f"eigenvalue product does not vanish for C_{idx + 1}"
-            return True
-
-        rep.record("eigenvalue_product", check_poly)
-    else:
+    if parity == "odd":
         squares = [a * a for a in gens]
 
         def check_distant_squares():
@@ -639,29 +585,23 @@ def verify_coideal(k: int, parity: str, n: int, *,
 
         rep.record("distant_commutation_squares", check_distant_squares)
 
-        eigs = [_scalar_at(qint(Fraction(2 * j + 1, 2)), point)
-                for j in range(k, -k - 2, -1)]
+    eigs = [at.of(e) for e in c.eigenvalues()]
 
-        def check_poly():
-            for idx, a in enumerate(gens):
-                acc = ident
-                for e in eigs:
-                    acc = acc * (a - ident.scale(e))
-                if not acc.is_zero():
-                    return f"eigenvalue product does not vanish for C_{idx + 1}"
-            return True
+    def check_poly():
+        for idx, a in enumerate(gens):
+            if not _eigen_product(a, eigs, ident).is_zero():
+                return f"eigenvalue product does not vanish for C_{idx + 1}"
+        return True
 
-        rep.record("eigenvalue_product", check_poly)
+    rep.record("eigenvalue_product", check_poly)
 
-        sq_eigs = [_scalar_at(qint(Fraction(2 * j - 1, 2)) ** 2, point)
+    if parity == "odd":
+        sq_eigs = [at.of(qint(Fraction(2 * j - 1, 2)) ** 2)
                    for j in range(1, k + 2)]
 
         def check_square_poly():
             for idx, a in enumerate(squares):
-                acc = ident
-                for e in sq_eigs:
-                    acc = acc * (a - ident.scale(e))
-                if not acc.is_zero():
+                if not _eigen_product(a, sq_eigs, ident).is_zero():
                     return f"squared product does not vanish for C_{idx + 1}^2"
             return True
 
@@ -669,11 +609,8 @@ def verify_coideal(k: int, parity: str, n: int, *,
 
         def check_short_product_nonzero():
             # the same product with only k factors must NOT annihilate
-            a = squares[0]
-            acc = ident
-            for e in sq_eigs[:-1]:
-                acc = acc * (a - ident.scale(e))
-            return (not acc.is_zero()) or "k-factor product already vanishes"
+            short = _eigen_product(squares[0], sq_eigs[:-1], ident)
+            return (not short.is_zero()) or "k-factor product already vanishes"
 
         rep.record("short_square_product_nonzero", check_short_product_nonzero)
     return rep
@@ -697,9 +634,9 @@ def _tensor_weights(g: GeneratorAction, n: int) -> list[tuple[Fraction, ...]]:
     return out
 
 
-def commutant_dim_oracle(rd: RootData, n: int, point) -> int:
+def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
     """Dimension of the commutant of the quantum-group module structure on
-    S^{ox n} at an exact evaluation point (or 'classical' for q = 1).
+    S^{ox n} at an exact evaluation point or at CLASSICAL (q = 1).
 
     The unknown matrix is constrained to preserve weights (equivalently, to
     commute with all torus operators), to commute with every Delta^n(E_i)
@@ -707,8 +644,8 @@ def commutant_dim_oracle(rd: RootData, n: int, point) -> int:
     structure -- with t^{ox n}.  The rank of the resulting sparse linear
     system is computed exactly; the result is unknowns minus rank.
     """
-    if point is None:
-        raise DomainError("the oracle needs an EvalPoint or 'classical'")
+    if at is SYMBOLIC:
+        raise DomainError("the oracle needs an EvalPoint or CLASSICAL")
     g = spin_rep(rd, odd_doubled=False)
     d = g.dim
     size = d ** n
@@ -724,12 +661,10 @@ def commutant_dim_oracle(rd: RootData, n: int, point) -> int:
             for v in idxs:
                 unk[(u, v)] = len(unk)
 
-    classical = point == "classical"
     gens: list[SparseMat] = []
     for i in range(1, g.nsimple + 1):
         for kind in ("E", "F"):
-            gens.append(tensor_action(g, (kind, i), n, classical=classical,
-                                      point=None if classical else point))
+            gens.append(tensor_action(g, (kind, i), n, at=at))
 
     red = RowReducer()
     for G in gens:
@@ -769,25 +704,23 @@ def commutant_dim_oracle(rd: RootData, n: int, point) -> int:
     return len(unk) - red.rank
 
 
-def generated_algebra_dim(k: int, parity: str, n: int, point) -> int:
+def generated_algebra_dim(k: int, parity: str, n: int,
+                          at: Specialization) -> int:
     """Dimension of the unital algebra generated by the C_i on the n-th
-    tensor power of the (2^k)-dimensional module, at an exact point.
+    tensor power of the (2^k)-dimensional module, at an EvalPoint or at
+    CLASSICAL.
 
     Even parity uses the operators C_i themselves; odd parity uses the
     squares restricted to the parity block (the C_i swap blocks, their
     squares act on S^{ox n})."""
-    if point is None:
-        raise DomainError("pass an EvalPoint or 'classical'")
+    if at is SYMBOLIC:
+        raise DomainError("pass an EvalPoint or CLASSICAL")
+    c = build_c(k, parity)
     if parity == "even":
-        c = build_c_even(k)
-        pair = _field_mat(c.mat, point)
-        d = c.dim
-    elif parity == "odd":
-        c = build_c_odd(k)
-        pair = _field_mat(csq_block_matrix(c), point)
-        d = 1 << k
+        pair, d = c.mat, c.dim
     else:
-        raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
+        pair, d = csq_block_matrix(c), 1 << k
+    pair = pair.map_values(at.of)
     size = d ** n
     if size > 256:
         raise SizeGuardError(f"dimension {size} too large")
@@ -798,7 +731,7 @@ def generated_algebra_dim(k: int, parity: str, n: int, point) -> int:
                 for u, row in m.rows.items() for v, val in row.items()}
 
     red = RowReducer()
-    ident = SparseMat.identity(size, _F1)
+    ident = SparseMat.identity(size, at.one)
     red.add_row(flatten(ident))
     queue = [ident]
     while queue:
@@ -818,16 +751,19 @@ def verify_duality(k: int, parity: str, n: int,
     """Compare three independent dimension counts on the n-th tensor power:
     the algebra generated by the C_i, the commutant of the quantum-group
     module structure, and the sum of squared multiplicities from the
-    branching diagram."""
+    branching diagram.  ``points`` holds rationals q0 and the string
+    'classical' for q = 1."""
     rep = VerificationReport("duality", {"parity": parity, "k": k, "n": n})
     rd = RootData("D" if parity == "even" else "B", k)
     expected = centralizer_dims(bratteli(rd, n))[n - 1]
     rep.params["branching_dimension"] = expected
     for pt in points:
-        point = pt if pt == "classical" else EvalPoint.from_q(Fraction(pt))
-        tag = "classical" if pt == "classical" else f"q0={pt}"
-        gen_dim = generated_algebra_dim(k, parity, n, point)
-        ora_dim = commutant_dim_oracle(rd, n, point)
+        if pt == "classical":
+            at, tag = CLASSICAL, "classical"
+        else:
+            at, tag = EvalPoint.from_q(Fraction(pt)), f"q0={pt}"
+        gen_dim = generated_algebra_dim(k, parity, n, at)
+        ora_dim = commutant_dim_oracle(rd, n, at)
         rep.add(f"generated_vs_commutant[{tag}]", gen_dim == ora_dim,
                 None if gen_dim == ora_dim
                 else f"generated {gen_dim} != commutant {ora_dim}")
@@ -1018,10 +954,7 @@ def third_power_profile(k: int, parity: str = "even") -> VerificationReport:
         denom = ONE
         for e in eigs[1:]:
             denom = denom * (eigs[0] - e)
-        p = identh
-        for e in eigs[1:]:
-            p = p * (X - identh.scale(e))
-        p = p.scale(ONE / denom)
+        p = _eigen_product(X, eigs[1:], identh).scale(ONE / denom)
         if p * p != p:
             return "not idempotent"
         if matrix_rank(p) != 1:
@@ -1074,9 +1007,7 @@ def markov_property_check(k: int, pairs: int = 20,
                 acc = acc + p.scale(Scalar.from_fraction(coeff))
         return acc
 
-    two_rho = rd.two_rho()
-    wts = module_weights(k)
-    slot_exp = [inner(w, two_rho) for w in wts]
+    slot_exp = slot_exponents(rd)
 
     def lazy_product_trace(b: SparseMat, a: SparseMat) -> Scalar:
         # Tr_q over S^{ox 3} of (b ox 1)(1 ox a): contract the middle slot.

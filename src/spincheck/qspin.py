@@ -28,11 +28,12 @@ Tensor powers use the coproduct with square-root twists,
 
     Delta^n(X) = sum_t K^{1/2} ox ... ox X_(t) ox ... ox K^{-1/2},
 
-built entrywise (no intermediate Kronecker products).  A ``classical`` flag
-replaces this by the Leibniz rule and the torus diagonals H_j = <mu, e_j>,
-giving the undeformed enveloping-algebra action used for q = 1 cross-checks.
-Matrices can be built either symbolically over Q(v) or directly at an exact
-:class:`~spincheck.scalar.EvalPoint`.
+built entrywise (no intermediate Kronecker products).  Every matrix is built
+at a :data:`~spincheck.scalar.Specialization`: symbolically over Q(v), at an
+exact :class:`~spincheck.scalar.EvalPoint`, or at the classical point q = 1.
+There every power of q is 1, so the coproduct becomes the Leibniz rule and K
+the identity: the undeformed enveloping-algebra action used for q = 1
+cross-checks.
 """
 
 from __future__ import annotations
@@ -44,11 +45,10 @@ from itertools import combinations
 from .errors import DomainError
 from .linalg import SparseMat
 from .report import VerificationReport
-from .scalar import (ONE, EvalPoint, Scalar, eval_scalar, qbinom_base, qpow)
-from .weights import RootData, inner, module_weights
+from .scalar import ONE, SYMBOLIC, Specialization, qbinom_base, qpow
+from .weights import RootData, inner
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
@@ -59,10 +59,9 @@ class GeneratorAction:
     ``emap[i]`` (1-based simple-root index i) sends a basis column index to
     its image row under E_i; every E_i column has at most one nonzero entry,
     always with coefficient 1, so a plain dict is the whole matrix.  ``fmap``
-    is the transpose.  ``k_exp[i][b] = <mu_b, alpha_i>`` gives K_i, and
-    ``torus_exp[j][b] = <mu_b, e_j>`` the classical torus.  ``t_perm`` is the
-    flip permutation, or None when the flip does not act on this model (the
-    undoubled type B block).
+    is the transpose.  ``k_exp[i][b] = <mu_b, alpha_i>`` gives K_i.
+    ``t_perm`` is the flip permutation, or None when the flip does not act on
+    this model (the undoubled type B block).
     """
 
     rd: RootData
@@ -72,7 +71,6 @@ class GeneratorAction:
     emap: dict[int, dict[int, int]]
     fmap: dict[int, dict[int, int]]
     k_exp: dict[int, list[Fraction]]
-    torus_exp: dict[int, list[Fraction]]
     t_perm: list[int] | None
 
     @property
@@ -134,15 +132,13 @@ def spin_rep(rd: RootData, odd_doubled: bool = False) -> GeneratorAction:
     fmap = {i: {r: c for c, r in m.items()} for i, m in emap.items()}
     k_exp = {i: [inner(weights[b], simple[i - 1]) for b in range(dim)]
              for i in range(1, len(simple) + 1)}
-    torus_exp = {j: [weights[b][j - 1] for b in range(dim)]
-                 for j in range(1, k + 1)}
     t_perm: list[int] | None
     if rd.family == "B" and not odd_doubled:
         t_perm = None
     else:
         t_perm = [b ^ 1 for b in range(dim)]
     return GeneratorAction(rd, odd_doubled and rd.family == "B", dim,
-                           weights, emap, fmap, k_exp, torus_exp, t_perm)
+                           weights, emap, fmap, k_exp, t_perm)
 
 
 def block_lift(x: int, k: int) -> int:
@@ -152,14 +148,14 @@ def block_lift(x: int, k: int) -> int:
 
 
 def parse_generator_id(gid) -> tuple[str, int]:
-    """Accept 'E1', 'F2', 'K1', 'Khalf2', 'H1', 't' or ('E', 1) style ids."""
+    """Accept 'E1', 'F2', 'K1', 'Khalf2', 't' or ('E', 1) style ids."""
     if isinstance(gid, tuple):
         kind, idx = (gid[0], gid[1]) if len(gid) == 2 else (gid[0], 0)
         return str(kind), int(idx)
     s = str(gid)
     if s == "t":
         return "t", 0
-    for kind in ("Khalf", "E", "F", "K", "H"):
+    for kind in ("Khalf", "E", "F", "K"):
         if s.startswith(kind) and s[len(kind):].isdigit():
             return kind, int(s[len(kind):])
     raise DomainError(f"unknown generator id {gid!r}")
@@ -174,33 +170,18 @@ def _digits(u: int, d: int, n: int) -> list[int]:
 
 
 def tensor_action(g: GeneratorAction, gid, n: int, *,
-                  classical: bool = False,
-                  point: EvalPoint | None = None) -> SparseMat:
-    """Matrix of a generator on the n-fold tensor power.
+                  at: Specialization = SYMBOLIC) -> SparseMat:
+    """Matrix of a generator on the n-fold tensor power, specialized by ``at``.
 
-    Quantum coproduct by default (K^{1/2} twists to the left of the acting
-    slot, K^{-1/2} to the right); ``classical=True`` switches to the Leibniz
-    rule over plain Fractions and accepts the torus ids 'Hj' instead of 'Kj'.
-    With ``point`` the quantum matrix is evaluated at the given exact point
-    instead of staying symbolic.
+    Quantum coproduct: K^{1/2} twists to the left of the acting slot,
+    K^{-1/2} to the right.  Each power of q is mapped through ``at.of``, so
+    at CLASSICAL E and F follow the Leibniz rule and K is the identity.
     """
     if n < 1:
         raise DomainError("need at least one tensor factor")
     kind, i = parse_generator_id(gid)
     d = g.dim
     size = d ** n
-
-    if classical and point is not None:
-        raise DomainError("classical mode has no evaluation point")
-
-    def q_value(exponent: Fraction):
-        if point is None:
-            return qpow(exponent)
-        return eval_scalar(qpow(exponent), point)
-
-    one = _F1 if (classical or point is not None) else ONE
-    if point is not None and point.degree > 1:
-        one = point.one()
 
     # slot-major index arithmetic: slot 1 is the most significant digit
     stride = [d ** (n - t - 1) for t in range(n)]
@@ -212,24 +193,10 @@ def tensor_action(g: GeneratorAction, gid, n: int, *,
         for u in range(size):
             digs = _digits(u, d, n)
             r = sum(g.t_perm[b] * s for b, s in zip(digs, stride))
-            out.set_entry(r, u, one)
-        return out
-
-    if kind == "H":
-        if not classical:
-            raise DomainError("torus ids are classical-only; use K instead")
-        if not 1 <= i <= g.rd.rank:
-            raise DomainError(f"torus index {i} outside 1..{g.rd.rank}")
-        exps = g.torus_exp[i]
-        out = SparseMat(size, size)
-        for u in range(size):
-            e = sum(exps[b] for b in _digits(u, d, n))
-            out.set_entry(u, u, e if classical else q_value(e))
+            out.set_entry(r, u, at.one)
         return out
 
     if kind in ("K", "Khalf"):
-        if classical:
-            raise DomainError("K is trivial at q = 1; use 'H' diagonals")
         if i not in g.k_exp:
             raise DomainError(f"no simple root with index {i}")
         exps = g.k_exp[i]
@@ -237,7 +204,7 @@ def tensor_action(g: GeneratorAction, gid, n: int, *,
         out = SparseMat(size, size)
         for u in range(size):
             e = sum(exps[b] for b in _digits(u, d, n)) * half
-            out.set_entry(u, u, q_value(e))
+            out.set_entry(u, u, at.of(qpow(e)))
         return out
 
     if kind not in ("E", "F"):
@@ -254,16 +221,13 @@ def tensor_action(g: GeneratorAction, gid, n: int, *,
             if r_digit is None:
                 continue
             row = u + (r_digit - digs[t]) * stride[t]
-            if classical:
-                out.add_to(row, u, _F1)
-                continue
             e = _F0
             for s in range(n):
                 if s < t:
                     e += exps[digs[s]]
                 elif s > t:
                     e -= exps[digs[s]]
-            out.add_to(row, u, q_value(e / 2))
+            out.add_to(row, u, at.of(qpow(e / 2)))
     return out
 
 

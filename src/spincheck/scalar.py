@@ -12,8 +12,11 @@ canonical form (gcd-reduced, denominator a true polynomial with constant
 term 1), so equality is plain structural comparison and a value is zero iff
 its numerator is empty.
 
-Specialization works through :class:`EvalPoint`: an exact rational q0 > 0,
-q0 != 1.  Substituting v = q0**(1/4) generally leaves Q, so evaluation is
+A :data:`Specialization` says where arithmetic happens: :data:`SYMBOLIC`
+(Q(v) itself), :data:`CLASSICAL` (v = 1, hence q = 1), or an
+:class:`EvalPoint`, an exact rational q0 > 0, q0 != 1.  Each has ``of``,
+mapping a Scalar to its value there, and ``one``, the unit.  At a point,
+substituting v = q0**(1/4) generally leaves Q, so evaluation is
 performed in the smallest explicit radical extension that contains it:
 Q itself when q0 is a rational fourth power, Q[x]/(x^2 - sqrt(q0)) when q0 is
 a rational square, and Q[x]/(x^4 - q0) otherwise.  Results that land in Q are
@@ -280,12 +283,6 @@ class Scalar:
     def is_laurent_polynomial(self) -> bool:
         return self._den == {0: _F1}
 
-    def constant_value(self) -> Fraction:
-        """The value as a Fraction, when the element is constant."""
-        if self._den != {0: _F1} or any(e != 0 for e in self._num):
-            raise DomainError("scalar is not a rational constant")
-        return self._num.get(0, _F0)
-
     def numerator_items(self) -> list[tuple[int, Fraction]]:
         return sorted(self._num.items())
 
@@ -470,11 +467,17 @@ class EvalPoint:
     ``degree`` is the degree of the field in which v = q0**(1/4) lives (1, 2
     or 4) and ``radicand`` the defining constant: gen**degree = radicand with
     gen playing the role of v.
+
+    Like :data:`SYMBOLIC` and :data:`CLASSICAL`, a point is a specialization:
+    ``of`` maps a Scalar to its value and ``one`` is the unit (a Fraction,
+    which :class:`Ext` arithmetic coerces).
     """
 
     q0: Fraction
     degree: int
     radicand: Fraction
+
+    one = _F1
 
     @staticmethod
     def from_q(q0) -> "EvalPoint":
@@ -496,11 +499,9 @@ class EvalPoint:
             raise DomainError(f"v0 = {v0} is excluded")
         return EvalPoint(v0 ** 4, 1, v0)
 
-    def zero(self):
-        return _F0 if self.degree == 1 else Ext(self, (_F0,) * self.degree)
-
-    def one(self):
-        return _F1 if self.degree == 1 else Ext(self, (_F1,) + (_F0,) * (self.degree - 1))
+    def of(self, s: Scalar):
+        """The value of ``s`` at this point (see :func:`eval_scalar`)."""
+        return eval_scalar(s, self)
 
 
 class Ext:
@@ -584,7 +585,8 @@ class Ext:
         d = self.point.degree
         minpoly = [-self.point.radicand] + [_F0] * (d - 1) + [_F1]
         g, u = _pxgcd(_ptrim(list(self.coeffs)), minpoly)
-        assert len(g) == 1, "defining polynomial is not irreducible?"
+        if len(g) != 1:
+            raise DomainError(f"x^{d} - {self.point.radicand} is reducible")
         u = _pdivmod(u, minpoly)[1] if len(u) > d else u
         coeffs = tuple((u[i] if i < len(u) else _F0) / g[0] for i in range(d))
         return Ext(self.point, coeffs)
@@ -600,11 +602,6 @@ class Ext:
         if other is NotImplemented:
             return NotImplemented
         return other * self.inverse()
-
-    def as_fraction(self) -> Fraction:
-        if any(self.coeffs[1:]):
-            raise DomainError("field element is irrational")
-        return self.coeffs[0]
 
     def __repr__(self):
         return f"Ext{self.coeffs}"
@@ -644,6 +641,33 @@ def eval_scalar(s: Scalar, p: EvalPoint):
 def eval_at_one(s: Scalar) -> Fraction:
     """The classical limit v = 1 (hence q = 1); PoleError on 0/0."""
     return s.subs_v(_F1)
+
+
+class _Symbolic:
+    """Generic q: arithmetic stays in Q(v)."""
+
+    one = ONE
+
+    @staticmethod
+    def of(s: Scalar) -> Scalar:
+        return s
+
+
+class _Classical:
+    """The classical point q = 1 (v = 1), where values lie in Q."""
+
+    one = _F1
+
+    @staticmethod
+    def of(s: Scalar) -> Fraction:
+        return eval_at_one(s)
+
+
+SYMBOLIC = _Symbolic()
+CLASSICAL = _Classical()
+
+# Where arithmetic happens: SYMBOLIC, CLASSICAL or an exact EvalPoint.
+Specialization = EvalPoint | _Symbolic | _Classical
 
 
 # ---------------------------------------------------------------------------

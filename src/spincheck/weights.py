@@ -45,7 +45,8 @@ _HALF = Fraction(1, 2)
 
 
 def inner(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> Fraction:
-    assert len(a) == len(b)
+    if len(a) != len(b):
+        raise DomainError(f"inner product of lengths {len(a)} and {len(b)}")
     return sum((x * y for x, y in zip(a, b)), _F0)
 
 
@@ -170,10 +171,6 @@ class PinLabel:
     def combined(self) -> bool:
         """True when the label stands for V_lambda + V_lambda-bar (type D)."""
         return self.family == "D" and self.entries[-1] > 0
-
-    @property
-    def halfinteger(self) -> bool:
-        return (2 * self.entries[0]).numerator % 2 == 1
 
     def bar(self) -> tuple[Fraction, ...]:
         """The flipped weight (last coordinate negated)."""
@@ -416,6 +413,14 @@ def one_column_qdim_forms(N: int, r: int) -> tuple[Scalar, Scalar]:
 # ---------------------------------------------------------------------------
 # quantum trace
 
+def slot_exponents(rd: RootData) -> list[Fraction]:
+    """<mu, 2 rho> for the weight mu of each spin-module basis index: a
+    tensor slot holding index b contributes q^{<mu_b, 2 rho>} to the
+    quantum trace."""
+    two_rho = rd.two_rho()
+    return [inner(w, two_rho) for w in module_weights(rd.rank)]
+
+
 def qtrace(m: SparseMat, rd: RootData) -> Scalar:
     """Quantum trace of a matrix acting on S^{otimes n}.
 
@@ -433,9 +438,7 @@ def qtrace(m: SparseMat, rd: RootData) -> Scalar:
         n += 1
     if size != m.nrows:
         raise DomainError(f"matrix size {m.nrows} is not a power of {d}")
-    two_rho = rd.two_rho()
-    wts = module_weights(rd.rank)
-    slot_exp = [inner(w, two_rho) for w in wts]
+    slot_exp = slot_exponents(rd)
     total = Scalar.from_fraction(0)
     for i, row in m.rows.items():
         a = row.get(i)
@@ -448,18 +451,3 @@ def qtrace(m: SparseMat, rd: RootData) -> Scalar:
             idx //= d
         total = total + qpow(e) * a
     return total
-
-
-def qtrace_weight(i: int, n: int, rd: RootData) -> Scalar:
-    """The diagonal weight q^{sum_t <mu_t, 2 rho>} of basis index i on
-    S^{otimes n} (the same weighting qtrace uses)."""
-    d = rd.spin_dim
-    two_rho = rd.two_rho()
-    wts = module_weights(rd.rank)
-    slot_exp = [inner(w, two_rho) for w in wts]
-    e = _F0
-    idx = i
-    for _ in range(n):
-        e += slot_exp[idx % d]
-        idx //= d
-    return qpow(e)

@@ -8,9 +8,13 @@ the goldens here double as a compatibility contract for downstream consumers.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import spincheck
 from spincheck import cli
 from spincheck.report import VerificationReport
 
@@ -91,13 +95,6 @@ def test_eigen_odd_has_no_labels(capsys):
     assert payload["eigenvalues"][0] == "(q^(3/2)+q^(1/2)+q^(-1/2))/(q+1)"
 
 
-def test_threads_flag_is_accepted(capsys):
-    code, payload, _ = invoke_json(
-        capsys, "--threads", "4", "eigen", "--rank", "1", "--parity", "even")
-    assert code == 0
-    assert payload["command"] == "eigen"
-
-
 # ---------------------------------------------------------------------------
 # verification subcommands
 
@@ -149,6 +146,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     ("verify", "--suite", "coideal", "--rank", "2", "--parity", "odd",
      "--symbolic"),                                      # size guard
     ("verify", "--suite", "spectrum", "--rank", "3", "--parity", "odd"),
+    ("--threads", "4", "eigen", "--rank", "1", "--parity", "even"),  # no flag
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code = cli.run(list(argv))
@@ -174,6 +172,22 @@ def test_no_subcommand_prints_usage(capsys):
     assert code == 2
     assert out == ""
     assert "usage" in err
+
+
+def test_all_same_under_optimize():
+    # python -O strips asserts; no check may depend on them
+    src = os.path.dirname(os.path.dirname(spincheck.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "spincheck", "all", "--max-rank",
+             "1"], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_guard_refusal_reports_reason(capsys):

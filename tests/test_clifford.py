@@ -1,11 +1,15 @@
 """Clifford algebra arithmetic, orthogonal-type elements, commuting family."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spincheck
 from spincheck.clifford import (CliffordElement, IntPolynomial,
                                 c_rs, c_tilde, cl_mul, classical_spectrum_check,
                                 commuting_family_check, p_poly, pair_element,
@@ -159,3 +163,45 @@ def test_commuting_family(N):
 def test_classical_spectrum(N):
     rep = classical_spectrum_check(N)
     assert rep.passed, rep.summary()
+
+
+def test_input_checks_raise_under_optimize():
+    # python -O strips asserts; checks of caller input must still refuse
+    code = ("from fractions import Fraction\n"
+            "from spincheck.clifford import CliffordElement, IntPolynomial\n"
+            "from spincheck.errors import DomainError\n"
+            "from spincheck.invariant import embed_pair_operator\n"
+            "from spincheck.linalg import SparseMat\n"
+            "from spincheck.scalar import EvalPoint, Ext\n"
+            "from spincheck.weights import inner\n"
+            "F = Fraction\n"
+            "p = EvalPoint(F(16), 4, F(16))   # x^4 - 16 is reducible\n"
+            "cases = [\n"
+            "    lambda: CliffordElement(2, {1: F(1)})\n"
+            "            + CliffordElement(3, {4: F(1)}),\n"
+            "    lambda: CliffordElement.monomial((2, 1), 3),\n"
+            "    lambda: inner((F(1), F(2)), (F(1),)),\n"
+            "    lambda: embed_pair_operator(SparseMat.identity(3, F(1)),\n"
+            "                                2, 1, 2),\n"
+            "    lambda: CliffordElement(-1),\n"
+            "    lambda: CliffordElement(2, {4: F(1)}),\n"
+            "    lambda: IntPolynomial((F(1), F(0))),\n"
+            "    lambda: Ext(p, (F(-4), F(0), F(1), F(0))).inverse(),\n"
+            "]\n"
+            "for case in cases:\n"
+            "    try:\n"
+            "        case()\n"
+            "    except DomainError:\n"
+            "        print('refused')\n"
+            "    else:\n"
+            "        print('accepted')\n")
+    # the child imports the same spincheck as this process
+    src = os.path.dirname(os.path.dirname(spincheck.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["refused"] * 8

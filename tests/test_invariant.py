@@ -28,7 +28,7 @@ from spincheck.invariant import (MAX_SYMBOLIC_DIM, build_c_even, build_c_odd,
                                  verify_duality)
 from spincheck.linalg import SparseMat
 from spincheck.qspin import spin_rep
-from spincheck.scalar import ONE, EvalPoint, curly, qint, render_q
+from spincheck.scalar import CLASSICAL, ONE, EvalPoint, curly, qint, render_q
 from spincheck.weights import RootData, one_column_label
 
 HALF = Fraction(1, 2)
@@ -308,7 +308,7 @@ def test_generated_algebra_dimension_anchor():
 
 
 def test_oracle_agrees_classically():
-    assert commutant_dim_oracle(RootData("B", 1), 3, "classical") == 5
+    assert commutant_dim_oracle(RootData("B", 1), 3, CLASSICAL) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from spincheck.errors import DomainError
 from spincheck.linalg import SparseMat
 from spincheck.qspin import (block_lift, parse_generator_id, spin_rep,
                              tensor_action, verify_serre)
-from spincheck.scalar import ONE, qpow
+from spincheck.scalar import CLASSICAL, ONE, qpow
 from spincheck.weights import RootData, inner
 
 
@@ -104,6 +104,37 @@ def test_tensor_flip_acts_slotwise():
             want = {ra * d + rb: x * y
                     for ra, x in va.items() for rb, y in vb.items()}
             assert img == want
+
+
+def _kron(a: SparseMat, b: SparseMat) -> SparseMat:
+    out = SparseMat(a.nrows * b.nrows, a.ncols * b.ncols)
+    for i, arow in a.rows.items():
+        for j, x in arow.items():
+            for k, brow in b.rows.items():
+                for l, y in brow.items():
+                    out.set_entry(i * b.nrows + k, j * b.ncols + l, x * y)
+    return out
+
+
+@pytest.mark.parametrize("fam,k,doubled", [("D", 2, False), ("B", 1, True)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_classical_action_is_leibniz(fam, k, doubled, n):
+    """At q = 1 the coproduct is the Leibniz rule: Delta^n(X) is the sum
+    over slots t of 1 ox ... ox X ox ... ox 1, and K is the identity."""
+    g = spin_rep(RootData(fam, k), odd_doubled=doubled)
+    ident = SparseMat.identity(g.dim, Fraction(1))
+    for i in range(1, g.nsimple + 1):
+        for kind in ("E", "F"):
+            x = tensor_action(g, (kind, i), 1, at=CLASSICAL)
+            want = SparseMat(g.dim ** n, g.dim ** n)
+            for t in range(n):
+                term = x if t == 0 else ident
+                for s in range(1, n):
+                    term = _kron(term, x if s == t else ident)
+                want = want + term
+            assert tensor_action(g, (kind, i), n, at=CLASSICAL) == want
+        assert tensor_action(g, ("K", i), n, at=CLASSICAL) == \
+            SparseMat.identity(g.dim ** n, Fraction(1))
 
 
 def test_block_lift_round_trip():

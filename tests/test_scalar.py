@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincheck.errors import DomainError
-from spincheck.scalar import (ONE, ZERO, EvalPoint, Gaussian, Scalar, curly,
-                              eval_at_one, eval_scalar, qbinom, qbinom_base,
-                              qfact, qint, qint_base, qpow, render_q)
+from spincheck.scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint, Ext,
+                              Gaussian, Scalar, curly, eval_at_one,
+                              eval_scalar, qbinom, qbinom_base, qfact, qint,
+                              qint_base, qpow, render_q)
 
 # small Laurent polynomials in v, built from quarter-integer q-powers
 coeffs = st.integers(min_value=-4, max_value=4)
@@ -175,3 +176,19 @@ def test_monomial_denominator_shifts_and_scales():
     s = Scalar({3: Fraction(2)}, {2: Fraction(4)})
     assert s == Scalar.from_fraction(Fraction(1, 2)) * Scalar.v_power(1)
     assert s.is_laurent_polynomial
+
+
+def test_specializations_map_and_unit():
+    s = qint(2) / curly(Fraction(1, 2))      # [2] / (q^(1/2) + q^(-1/2))
+    assert SYMBOLIC.of(s) is s
+    assert SYMBOLIC.one == ONE
+    assert CLASSICAL.of(s) == 1 and isinstance(CLASSICAL.of(s), Fraction)
+    assert CLASSICAL.one == 1 and isinstance(CLASSICAL.one, Fraction)
+    for q0 in (Fraction(16), Fraction(9, 4), Fraction(3, 2)):
+        p = EvalPoint.from_q(q0)
+        assert p.of(s) == eval_scalar(s, p)
+        assert p.one == 1 and isinstance(p.one, Fraction)
+        assert p.of(s) * p.one == p.of(s)
+    assert isinstance(EvalPoint.from_q(Fraction(3, 2)).of(s), Ext)
+    # degree 1: v0 = 2, [2] = 16 + 1/16, curly(1/2) = 4 + 1/4
+    assert EvalPoint.from_q(16).of(s) == Fraction(257, 16) / Fraction(17, 4)
