@@ -9,8 +9,10 @@ as the bitmask with bit (i_j - 1) set; the generator index convention is
 1-based in all public signatures, matching the usual mathematical notation,
 while bit positions are 0-based.  A :class:`CliffordElement` is a dict from
 bitmask to coefficient.  Coefficients are duck-typed; plain
-:class:`fractions.Fraction` is the default, and :class:`~spincheck.scalar.Gaussian`
-rationals are used where complexified spectra appear.
+:class:`fractions.Fraction` is the default.  Where complexified spectra
+appear, values lie in the Gaussian rationals Q(i), an
+:class:`~spincheck.scalar.Ext` over :data:`~spincheck.scalar.GAUSSIAN`.
+Polynomials are ascending coefficient tuples, evaluated by :func:`horner`.
 
 The sign of a monomial product is computed by inversion counting: to merge
 e_B into e_A, each generator t of B must move past every generator of A with
@@ -35,14 +37,13 @@ On top of the plain algebra this module builds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .errors import DomainError
 from .linalg import SparseMat
 from .report import VerificationReport
-from .scalar import Gaussian
+from .scalar import GAUSSIAN, Ext, _pmul
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -291,64 +292,29 @@ def verify_so_relations(N: int, l: int, primed: bool = False) -> VerificationRep
 # ---------------------------------------------------------------------------
 # the commuting family and its annihilating polynomial
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """A univariate polynomial with rational coefficients, ascending order."""
+def horner(coeffs, x, one):
+    """The polynomial with ascending ``coeffs`` at ``x``; ``one`` is the unit
+    of x's ring.
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.coeffs and not self.coeffs[-1]:
-            raise DomainError("leading coefficient must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def apply(self, x, one):
-        """Horner evaluation; ``one`` is the unit of x's ring.
-
-        Works for any ring with + and * where ``coeff * one`` makes sense
-        (Fraction, Gaussian, CliffordElement, SparseMat).
-        """
-        if not self.coeffs:
-            return 0 * one
-        acc = self.coeffs[-1] * one
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c * one
-        return acc
-
-    def eval_gaussian(self, z: Gaussian) -> Gaussian:
-        return self.apply(z, Gaussian(1))
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
-        out = [_F0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            parts.append(f"{c}" if i == 0 else (f"{c}*x^{i}" if c != 1 else f"x^{i}"))
-        return " + ".join(parts)
+    Works for any ring with + and * where ``coeff * one`` makes sense
+    (Fraction, Ext, CliffordElement, SparseMat).
+    """
+    if not coeffs:
+        return 0 * one
+    acc = coeffs[-1] * one
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c * one
+    return acc
 
 
-def p_poly(N: int, m: int) -> IntPolynomial:
+def p_poly(N: int, m: int) -> tuple[Fraction, ...]:
     """The three-term family P_0 = 1, P_1 = x,
-    P_{m+1} = x P_m + m(N+1-m) P_{m-1}."""
+    P_{m+1} = x P_m + m(N+1-m) P_{m-1}, as ascending coefficients."""
     if m < 0:
         raise DomainError("polynomial index must be nonnegative")
     prev = [_F1]           # P_0
     if m == 0:
-        return IntPolynomial(tuple(prev))
+        return tuple(prev)
     cur = [_F0, _F1]       # P_1 = x
     for j in range(1, m):
         factor = Fraction(j * (N + 1 - j))
@@ -356,7 +322,7 @@ def p_poly(N: int, m: int) -> IntPolynomial:
         for i, c in enumerate(prev):
             nxt[i] += factor * c               # + j(N+1-j) P_{j-1}
         prev, cur = cur, nxt
-    return IntPolynomial(tuple(cur))
+    return tuple(cur)
 
 
 def pair_element(i: int, N: int) -> CliffordElement:
@@ -406,13 +372,13 @@ def commuting_family_check(N: int) -> VerificationReport:
 
     def check_realization():
         for m, cm in enumerate(family):
-            if p_poly(N, m).apply(c1, one) != cm:
+            if horner(p_poly(N, m), c1, one) != cm:
                 return f"C~_{m} differs from P_{m}(N, C~_1)"
         return True
 
     rep.record("polynomial_realization", check_realization)
     rep.record("annihilating_polynomial",
-               lambda: (not p_poly(N, N + 1).apply(c1, one))
+               lambda: (not horner(p_poly(N, N + 1), c1, one))
                or "P_{N+1}(N, C~_1) != 0")
 
     def check_recursion():
@@ -440,7 +406,7 @@ def commuting_family_check(N: int) -> VerificationReport:
 # classical eigenvector check for the (N+1)-dimensional raising/lowering pair
 
 def lowering_raising_pair(N: int) -> tuple[SparseMat, SparseMat]:
-    """Matrices E, F on an (N+1)-dimensional space over Gaussian rationals:
+    """Rational matrices E, F on an (N+1)-dimensional space:
 
         E v_r = (N - r + 1) v_{r-1},    F v_r = (r + 1) v_{r+1},
 
@@ -449,8 +415,8 @@ def lowering_raising_pair(N: int) -> tuple[SparseMat, SparseMat]:
     E = SparseMat(N + 1, N + 1)
     F = SparseMat(N + 1, N + 1)
     for i in range(N):
-        E.set_entry(i, i + 1, Gaussian(N - i))
-        F.set_entry(i + 1, i, Gaussian(i + 1))
+        E.set_entry(i, i + 1, Fraction(N - i))
+        F.set_entry(i + 1, i, Fraction(i + 1))
     return E, F
 
 
@@ -470,7 +436,7 @@ def classical_spectrum_check(N: int) -> VerificationReport:
     rep = VerificationReport("classical_spectrum", {"N": N})
     E, F = lowering_raising_pair(N)
     A = E - F
-    lambdas = [Gaussian(0, N - 2 * r) for r in range(N + 1)]
+    lambdas = [(N - 2 * r) * Ext(GAUSSIAN, (_F0, _F1)) for r in range(N + 1)]
     fact = [Fraction(1)]
     for j in range(1, N + 1):
         fact.append(fact[-1] * j)
@@ -478,40 +444,34 @@ def classical_spectrum_check(N: int) -> VerificationReport:
 
     def check_right():
         for lam in lambdas:
-            x = {s: (fact[N - s] * polys[s].eval_gaussian(lam)) / fact[N]
+            x = {s: (fact[N - s] * horner(polys[s], lam, _F1)) / fact[N]
                  for s in range(N + 1)}
             Ax = A.apply_to({s: v for s, v in x.items() if v})
             want = {s: lam * v for s, v in x.items() if lam * v}
             if Ax != want:
-                return f"(E-F) x != lambda x at lambda = {lam}"
+                return f"(E-F) x != lambda x at lambda = {lam.coeffs[1]}i"
         return True
 
     def check_left():
         At = A.transpose()
         for lam in lambdas:
-            y = {s: polys[s].eval_gaussian(lam) / fact[s] for s in range(N + 1)}
+            y = {s: horner(polys[s], lam, _F1) / fact[s] for s in range(N + 1)}
             yA = At.apply_to({s: v for s, v in y.items() if v})
             want = {s: -lam * v for s, v in y.items() if lam * v}
             if yA != want:
-                return f"y^T (E-F) != -lambda y^T at lambda = {lam}"
+                return f"y^T (E-F) != -lambda y^T at lambda = {lam.coeffs[1]}i"
         return True
 
     def check_annihilation():
-        P = polys[N + 1]
-        img = P.apply(A, SparseMat.identity(N + 1, Gaussian(1)))
+        img = horner(polys[N + 1], A, SparseMat.identity(N + 1, _F1))
         return img.is_zero() or "P_{N+1}(N, E-F) != 0"
 
     def check_roots():
-        P = polys[N + 1]
-        expanded = [Gaussian(1)]
+        expanded = [_F1]
         for lam in lambdas:
-            nxt = [Gaussian(0)] * (len(expanded) + 1)
-            for i, c in enumerate(expanded):
-                nxt[i + 1] = nxt[i + 1] + c
-                nxt[i] = nxt[i] - lam * c
-            expanded = nxt
-        lifted = [Gaussian(c) for c in P.coeffs]
-        return expanded == lifted or "root product differs from P_{N+1}"
+            expanded = _pmul(expanded, [-lam, _F1])
+        return (expanded == list(polys[N + 1])
+                or "root product differs from P_{N+1}")
 
     rep.record("right_eigenvectors", check_right)
     rep.record("left_eigenvectors_negated", check_left)

@@ -776,6 +776,30 @@ def verify_duality(k: int, parity: str, n: int,
 # ---------------------------------------------------------------------------
 # the third tensor power in detail
 
+def _matrices_in_basis(mats: list[SparseMat], basis: list[dict],
+                       what: str) -> list[SparseMat]:
+    """The action of each matrix on span(basis), written in that basis.
+
+    ``what`` names the basis in the DomainError raised when it is dependent
+    or when a matrix maps a basis vector out of its span.
+    """
+    solver = SpanSolver()
+    for v in basis:
+        if not solver.add(v):
+            raise DomainError(f"{what} is dependent")
+    out = []
+    for mat in mats:
+        m = SparseMat(len(basis), len(basis))
+        for j, v in enumerate(basis):
+            coords = solver.express(mat.apply_to(v))
+            if coords is None:
+                raise DomainError(f"operator leaves the span of the {what}")
+            for i, val in coords.items():
+                m.set_entry(i, j, val)
+        out.append(m)
+    return out
+
+
 def third_power_profile(k: int, parity: str = "even") -> VerificationReport:
     """Fine structure of C_1, C_2 on the highest-weight space of S^{ox 3}.
 
@@ -829,29 +853,10 @@ def third_power_profile(k: int, parity: str = "even") -> VerificationReport:
         return rep
 
     c = build_c_even(k)
-    C1 = embed_ci(c, 1, n)
-    C2 = embed_ci(c, 2, n)
-
-    def restrict(mat: SparseMat) -> SparseMat:
-        """Action on the highest-weight space, in the kernel basis."""
-        solver = SpanSolver()
-        for v in hw:
-            lifted = {idx_eps[p]: x for p, x in v.items()}
-            if not solver.add(lifted):
-                raise DomainError("highest-weight kernel basis is dependent")
-        out = SparseMat(len(hw), len(hw))
-        for j, v in enumerate(hw):
-            lifted = {idx_eps[p]: x for p, x in v.items()}
-            img = mat.apply_to(lifted)
-            coords = solver.express(img)
-            if coords is None:
-                raise DomainError("operator leaves the highest-weight space")
-            for i, val in coords.items():
-                out.set_entry(i, j, val)
-        return out
-
-    C1hw = restrict(C1)
-    C2hw = restrict(C2)
+    # action on the highest-weight space, in the kernel basis
+    lifted = [{idx_eps[p]: x for p, x in v.items()} for v in hw]
+    C1hw, C2hw = _matrices_in_basis([embed_ci(c, i, n) for i in (1, 2)],
+                                    lifted, "highest-weight kernel basis")
     # branching order: v_r is the eigenvector of the alternating value
     # (-1)^r [k - r]; as a set these are exactly [k], [k-1], ..., [-k]
     eigs = [qint(k - r) if r % 2 == 0 else -qint(k - r)
@@ -872,20 +877,8 @@ def third_power_profile(k: int, parity: str = "even") -> VerificationReport:
     if len(vbasis) != N + 1:
         return rep
 
-    solver = SpanSolver()
-    for v in vbasis:
-        if not solver.add(v):
-            raise DomainError("eigenvectors of the first generator are "
-                              "dependent")
-    X = SparseMat(N + 1, N + 1)
-    for j, v in enumerate(vbasis):
-        img = C2hw.apply_to(v)
-        coords = solver.express(img)
-        if coords is None:
-            raise DomainError("second generator leaves the span of the "
-                              "first generator's eigenvectors")
-        for i, val in coords.items():
-            X.set_entry(i, j, val)
+    X, = _matrices_in_basis([C2hw], vbasis,
+                            "first generator's eigenvector basis")
 
     def check_tridiagonal():
         for i, row in X.rows.items():

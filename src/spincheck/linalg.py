@@ -4,9 +4,9 @@ Matrices are dict-of-rows: ``rows[i][j]`` is the (i, j) entry, and absent
 keys are zero.  Stored values are always truthy (canonically nonzero), which
 the mutation helpers enforce; this makes equality a structural comparison.
 Coefficients are duck-typed -- anything with field-like ``+ - * /``, a
-truthiness zero test and ``==`` works: :class:`fractions.Fraction`,
-:class:`spincheck.scalar.Scalar`, :class:`spincheck.scalar.Ext`,
-:class:`spincheck.scalar.Gaussian`.
+truthiness zero test and ``==`` works.  The program uses three:
+:class:`fractions.Fraction`, :class:`spincheck.scalar.Scalar` and
+:class:`spincheck.scalar.Ext` (which covers the Gaussian rationals too).
 
 Products (``A * B`` and :meth:`SparseMat.apply_to`) hand each output entry's
 term pairs to the entry type's ``dot`` when it has one, and otherwise add
@@ -50,14 +50,6 @@ class SparseMat:
         m = SparseMat(n, n)
         for i in range(n):
             m.rows[i] = {i: one}
-        return m
-
-    @staticmethod
-    def diagonal(diag: dict[int, Any], n: int) -> "SparseMat":
-        m = SparseMat(n, n)
-        for i, v in diag.items():
-            if v:
-                m.rows[i] = {i: v}
         return m
 
     # -- entry access -------------------------------------------------------

@@ -45,7 +45,7 @@ from itertools import combinations
 from .errors import DomainError
 from .linalg import SparseMat
 from .report import VerificationReport
-from .scalar import ONE, SYMBOLIC, Specialization, qbinom_base, qpow
+from .scalar import ONE, SYMBOLIC, Specialization, qbinom, qpow
 from .weights import RootData, inner
 
 _F0 = Fraction(0)
@@ -76,9 +76,6 @@ class GeneratorAction:
     @property
     def nsimple(self) -> int:
         return len(self.emap)
-
-    def simple_roots(self) -> list[tuple[Fraction, ...]]:
-        return self.rd.simple_roots()
 
 
 def spin_rep(rd: RootData, odd_doubled: bool = False) -> GeneratorAction:
@@ -247,7 +244,7 @@ def verify_serre(rd: RootData, odd_doubled: bool = False) -> VerificationReport:
     rep = VerificationReport(
         "serre", {"family": rd.family, "rank": rd.rank, "doubled": odd_doubled})
     g = spin_rep(rd, odd_doubled)
-    simple = g.simple_roots()
+    simple = rd.simple_roots()
     ns = g.nsimple
     d = g.dim
     ident = SparseMat.identity(d, ONE)
@@ -284,7 +281,7 @@ def verify_serre(rd: RootData, odd_doubled: bool = False) -> VerificationReport:
                     continue
                 ci = inner(simple[i - 1], simple[i - 1]) / 2
                 denom = qpow(ci) - qpow(-ci)
-                rhs = (Kmat[i] - tensor_action(g, ("K", i), 1).map_values(
+                rhs = (Kmat[i] - Kmat[i].map_values(
                     lambda s: ONE / s)).scale(ONE / denom)
                 if comm != rhs:
                     return f"[E_{i}, F_{i}] != (K_i - K_i^-1)/(q_i - q_i^-1)"
@@ -309,7 +306,7 @@ def verify_serre(rd: RootData, odd_doubled: bool = False) -> VerificationReport:
             xi_pow.append(xi_pow[-1] * X[i])
         for s in range(m + 1):
             term = xi_pow[m - s] * X[j] * xi_pow[s]
-            coeff = qbinom_base(m, s, ci)
+            coeff = qbinom(m, s, ci)
             if s % 2:
                 coeff = -coeff
             acc = acc + term.scale(coeff)

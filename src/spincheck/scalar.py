@@ -13,14 +13,21 @@ term 1), so equality is plain structural comparison and a value is zero iff
 its numerator is empty.
 
 A :data:`Specialization` says where arithmetic happens: :data:`SYMBOLIC`
-(Q(v) itself), :data:`CLASSICAL` (v = 1, hence q = 1), or an
-:class:`EvalPoint`, an exact rational q0 > 0, q0 != 1.  Each has ``of``,
-mapping a Scalar to its value there, and ``one``, the unit.  At a point,
-substituting v = q0**(1/4) generally leaves Q, so evaluation is
+(Q(v) itself) or an :class:`EvalPoint`, an exact rational q0 > 0.
+:data:`CLASSICAL` is the point v = 1 (hence q = 1); users pass q0 != 1.
+Each has ``of``, mapping a Scalar to its value there, and ``one``, the unit.
+At a point, substituting v = q0**(1/4) generally leaves Q, so evaluation is
 performed in the smallest explicit radical extension that contains it:
 Q itself when q0 is a rational fourth power, Q[x]/(x^2 - sqrt(q0)) when q0 is
 a rational square, and Q[x]/(x^4 - q0) otherwise.  Results that land in Q are
 returned as plain :class:`fractions.Fraction` values.
+
+An :class:`Ext` is an element of such a field Q[x]/(x^d - c), named either
+by its :class:`EvalPoint` or by a bare :class:`Radical`; the Gaussian
+rationals Q(i) are ``Ext(GAUSSIAN, (re, im))``.  So exact numbers come in
+three types: ``Fraction``, :class:`Scalar` and :class:`Ext`.  Polynomials
+with rational coefficients are plain ascending coefficient sequences, and
+the dense-polynomial helpers below are their one implementation.
 
 No floating point is used anywhere in this module.
 """
@@ -39,7 +46,8 @@ _F1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers (coefficient lists over Fraction, index = degree)
+# dense polynomial helpers (coefficient lists, index = degree), over Fraction;
+# _pmul only adds and multiplies, so it also takes Ext coefficients
 
 def _ptrim(p: list[Fraction]) -> list[Fraction]:
     while p and not p[-1]:
@@ -289,14 +297,6 @@ class Scalar:
     def denominator_items(self) -> list[tuple[int, Fraction]]:
         return sorted(self._den.items())
 
-    def subs_v(self, v0: Fraction) -> Fraction:
-        """Substitute a rational value for v (used for the classical limit v=1)."""
-        num = sum((c * v0 ** e for e, c in self._num.items()), _F0)
-        den = sum((c * v0 ** e for e, c in self._den.items()), _F0)
-        if not den:
-            raise PoleError(f"denominator vanishes at v = {v0}")
-        return num / den
-
     def __str__(self) -> str:
         return render_q(self)
 
@@ -378,19 +378,17 @@ def qpow(e) -> Scalar:
     return Scalar.v_power(int(e4))
 
 
-def qint(n) -> Scalar:
-    """The quantum integer [n] = (q^n - q^-n)/(q - q^-1), 2n integral."""
+def qint(n, c=1) -> Scalar:
+    """The quantum integer [n] in base q^c, 2n integral:
+
+        [n] = (q^{cn} - q^{-cn}) / (q^c - q^{-c}).
+
+    The default c = 1 is the usual [n]; a simple root alpha_i takes
+    c = <alpha_i, alpha_i>/2, so that q_i = q^c.
+    """
     n = Fraction(n)
     if (2 * n).denominator != 1:
         raise DomainError(f"[{n}] needs 2n integral")
-    if n == 0:
-        return ZERO
-    return (qpow(n) - qpow(-n)) / (qpow(1) - qpow(-1))
-
-
-def qint_base(n: int, c) -> Scalar:
-    """[n] computed in base q^c, i.e. (q^{cn} - q^{-cn})/(q^c - q^{-c})."""
-    c = Fraction(c)
     if n == 0:
         return ZERO
     return (qpow(c * n) - qpow(-c * n)) / (qpow(c) - qpow(-c))
@@ -413,23 +411,14 @@ def qfact(n: int) -> Scalar:
     return out
 
 
-def qbinom(n: int, m: int) -> Scalar:
+def qbinom(n: int, m: int, c=1) -> Scalar:
+    """The q-binomial coefficient in base q^c (see :func:`qint`)."""
     if not (0 <= m <= n):
         raise DomainError(f"qbinom({n},{m}) out of range")
     m = min(m, n - m)
     out = ONE
     for j in range(1, m + 1):
-        out = out * qint(n - m + j) / qint(j)
-    return out
-
-
-def qbinom_base(n: int, m: int, c) -> Scalar:
-    if not (0 <= m <= n):
-        raise DomainError(f"qbinom({n},{m}) out of range")
-    m = min(m, n - m)
-    out = ONE
-    for j in range(1, m + 1):
-        out = out * qint_base(n - m + j, c) / qint_base(j, c)
+        out = out * qint(n - m + j, c) / qint(j, c)
     return out
 
 
@@ -468,9 +457,9 @@ class EvalPoint:
     or 4) and ``radicand`` the defining constant: gen**degree = radicand with
     gen playing the role of v.
 
-    Like :data:`SYMBOLIC` and :data:`CLASSICAL`, a point is a specialization:
-    ``of`` maps a Scalar to its value and ``one`` is the unit (a Fraction,
-    which :class:`Ext` arithmetic coerces).
+    Like :data:`SYMBOLIC`, a point is a specialization: ``of`` maps a Scalar
+    to its value and ``one`` is the unit (a Fraction, which :class:`Ext`
+    arithmetic coerces).
     """
 
     q0: Fraction
@@ -504,14 +493,29 @@ class EvalPoint:
         return eval_scalar(s, self)
 
 
+@dataclass(frozen=True)
+class Radical:
+    """The field Q[x]/(x^degree - radicand) of an Ext with no EvalPoint."""
+
+    degree: int
+    radicand: Fraction
+
+
+GAUSSIAN = Radical(2, Fraction(-1))     # Q(i), with x playing the role of i
+
+
 class Ext:
-    """An element of Q[x]/(x^d - c), coefficients as Fractions."""
+    """An element of Q[x]/(x^d - c), coefficients as Fractions.
 
-    __slots__ = ("point", "coeffs")
+    ``field`` is an :class:`EvalPoint` or a :class:`Radical`; either gives d
+    as ``degree`` and c as ``radicand``.
+    """
 
-    def __init__(self, point: EvalPoint, coeffs: tuple[Fraction, ...]):
-        assert len(coeffs) == point.degree
-        self.point = point
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: EvalPoint | Radical, coeffs: tuple[Fraction, ...]):
+        assert len(coeffs) == field.degree
+        self.field = field
         self.coeffs = coeffs
 
     def __bool__(self) -> bool:
@@ -525,23 +529,23 @@ class Ext:
 
     def _coerce(self, other):
         if isinstance(other, Ext):
-            if other.point != self.point:
+            if other.field != self.field:
                 raise DomainError("mixing elements of different extensions")
             return other
         if isinstance(other, (int, Fraction)):
             fr = Fraction(other)
-            d = self.point.degree
-            return Ext(self.point, (fr,) + (_F0,) * (d - 1))
+            d = self.field.degree
+            return Ext(self.field, (fr,) + (_F0,) * (d - 1))
         return NotImplemented
 
     def __neg__(self):
-        return Ext(self.point, tuple(-c for c in self.coeffs))
+        return Ext(self.field, tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Ext(self.point, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Ext(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -549,7 +553,7 @@ class Ext:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Ext(self.point, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Ext(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -561,8 +565,8 @@ class Ext:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self.point.degree
-        c = self.point.radicand
+        d = self.field.degree
+        c = self.field.radicand
         out = [_F0] * d
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -575,21 +579,21 @@ class Ext:
                     out[k] += a * b
                 else:
                     out[k - d] += a * b * c
-        return Ext(self.point, tuple(out))
+        return Ext(self.field, tuple(out))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        d = self.point.degree
-        minpoly = [-self.point.radicand] + [_F0] * (d - 1) + [_F1]
+        d = self.field.degree
+        minpoly = [-self.field.radicand] + [_F0] * (d - 1) + [_F1]
         g, u = _pxgcd(_ptrim(list(self.coeffs)), minpoly)
         if len(g) != 1:
-            raise DomainError(f"x^{d} - {self.point.radicand} is reducible")
+            raise DomainError(f"x^{d} - {self.field.radicand} is reducible")
         u = _pdivmod(u, minpoly)[1] if len(u) > d else u
         coeffs = tuple((u[i] if i < len(u) else _F0) / g[0] for i in range(d))
-        return Ext(self.point, coeffs)
+        return Ext(self.field, coeffs)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -616,8 +620,8 @@ def eval_scalar(s: Scalar, p: EvalPoint):
     """
     if p.degree == 1:
         v0 = p.radicand
-        num = sum((c * v0 ** e for e, c in s.numerator_items()), _F0)
-        den = sum((c * v0 ** e for e, c in s.denominator_items()), _F0)
+        num = sum((c * v0 ** e for e, c in s._num.items()), _F0)
+        den = sum((c * v0 ** e for e, c in s._den.items()), _F0)
         if not den:
             raise PoleError(f"pole at q0 = {p.q0}")
         return num / den
@@ -638,11 +642,6 @@ def eval_scalar(s: Scalar, p: EvalPoint):
     return val
 
 
-def eval_at_one(s: Scalar) -> Fraction:
-    """The classical limit v = 1 (hence q = 1); PoleError on 0/0."""
-    return s.subs_v(_F1)
-
-
 class _Symbolic:
     """Generic q: arithmetic stays in Q(v)."""
 
@@ -653,121 +652,18 @@ class _Symbolic:
         return s
 
 
-class _Classical:
-    """The classical point q = 1 (v = 1), where values lie in Q."""
-
-    one = _F1
-
-    @staticmethod
-    def of(s: Scalar) -> Fraction:
-        return eval_at_one(s)
-
-
 SYMBOLIC = _Symbolic()
-CLASSICAL = _Classical()
+# The classical point v = 1 (hence q = 1), where values lie in Q;
+# EvalPoint.from_q keeps q0 = 1 out of user input.
+CLASSICAL = EvalPoint(_F1, 1, _F1)
 
-# Where arithmetic happens: SYMBOLIC, CLASSICAL or an exact EvalPoint.
-Specialization = EvalPoint | _Symbolic | _Classical
-
-
-# ---------------------------------------------------------------------------
-# Gaussian rationals (for the classical spectrum layer)
-
-class Gaussian:
-    """a + b*i with rational a, b; a field, exact."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __neg__(self):
-        return Gaussian(-self.re, -self.im)
-
-    def __add__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Gaussian(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Gaussian(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Gaussian(self.re * other.re - self.im * other.im,
-                        self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
-        if not n:
-            raise ZeroDivisionError("division by zero Gaussian")
-        return Gaussian((self.re * other.re + self.im * other.im) / n,
-                        (self.im * other.re - self.re * other.im) / n)
-
-    def __rtruediv__(self, other):
-        other = _as_gaussian(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return (Gaussian(1) / self) ** (-n)
-        out = Gaussian(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        return f"({self.re}{'+' if self.im > 0 else ''}{self.im}i)"
+# Where arithmetic happens: SYMBOLIC or an exact EvalPoint (CLASSICAL too).
+Specialization = EvalPoint | _Symbolic
 
 
-def _as_gaussian(x):
-    if isinstance(x, Gaussian):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Gaussian(x)
-    return NotImplemented
-
-
-I_GAUSS = Gaussian(0, 1)
+def eval_at_one(s: Scalar) -> Fraction:
+    """The classical limit v = 1 (hence q = 1); PoleError on 0/0."""
+    return eval_scalar(s, CLASSICAL)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spincheck.errors import DomainError
-from spincheck.scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint, Ext,
-                              Gaussian, Scalar, curly, eval_at_one,
-                              eval_scalar, qbinom, qbinom_base, qfact, qint,
-                              qint_base, qpow, render_q)
+from spincheck.errors import DomainError, PoleError
+from spincheck.scalar import (CLASSICAL, GAUSSIAN, ONE, SYMBOLIC, ZERO,
+                              EvalPoint, Ext, Scalar, curly, eval_at_one,
+                              eval_scalar, qbinom, qfact, qint, qpow,
+                              render_q)
 
 # small Laurent polynomials in v, built from quarter-integer q-powers
 coeffs = st.integers(min_value=-4, max_value=4)
@@ -126,13 +126,17 @@ def test_qfact_product():
 
 
 def test_base_variants_match_quarter_powers():
-    # the *_base forms express the same combinatorics in another unit
-    for n in range(0, 6):
-        assert eval_at_one(qint_base(n, 1)) == n
-    for n in range(0, 6):
-        for m in range(0, n + 1):
-            from math import comb
-            assert eval_at_one(qbinom_base(n, m, 1)) == comb(n, m)
+    # the base-c forms express the same combinatorics in another unit;
+    # base q^(1/2) is the one the short simple root of type B uses
+    for c in (1, Fraction(1, 2)):
+        for n in range(0, 6):
+            assert eval_at_one(qint(n, c)) == n
+        for n in range(0, 6):
+            for m in range(0, n + 1):
+                from math import comb
+                assert eval_at_one(qbinom(n, m, c)) == comb(n, m)
+    half = Fraction(1, 2)
+    assert qint(2, half) == qpow(half) + qpow(-half) != qint(2)
 
 
 def test_scalar_normalization_and_zero_tests():
@@ -153,20 +157,24 @@ def test_render_q_golden():
     assert render_q(ONE / curly(Fraction(1, 2))) == "(q^(1/2))/(q+1)"
 
 
+def gaussian(re, im=0):
+    return Ext(GAUSSIAN, (Fraction(re), Fraction(im)))
+
+
 def test_gaussian_field():
-    i = Gaussian(0, 1)
-    assert i * i == Gaussian(-1)
-    a = Gaussian(Fraction(2, 3), Fraction(-1, 2))
-    assert a / a == Gaussian(1)
+    i = gaussian(0, 1)
+    assert i * i == gaussian(-1)
+    a = gaussian(Fraction(2, 3), Fraction(-1, 2))
+    assert a / a == gaussian(1)
     assert (a + i) - i == a
     with pytest.raises(ZeroDivisionError):
-        a / Gaussian(0)
+        a / gaussian(0)
 
 
 @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
 @settings(max_examples=40, deadline=None)
 def test_gaussian_ring_laws(a, b, c, d):
-    x, y = Gaussian(a, b), Gaussian(c, d)
+    x, y = gaussian(a, b), gaussian(c, d)
     assert x * y == y * x
     assert (x + y) * (x - y) == x * x - y * y
 
@@ -192,3 +200,36 @@ def test_specializations_map_and_unit():
     assert isinstance(EvalPoint.from_q(Fraction(3, 2)).of(s), Ext)
     # degree 1: v0 = 2, [2] = 16 + 1/16, curly(1/2) = 4 + 1/4
     assert EvalPoint.from_q(16).of(s) == Fraction(257, 16) / Fraction(17, 4)
+
+
+@st.composite
+def rational_functions(draw):
+    """num/den from small Laurent polynomials, without canonicalizing first."""
+    def laurent():
+        return {draw(st.integers(-3, 3)): Fraction(draw(coeffs))
+                for _ in range(draw(st.integers(1, 3)))}
+    return laurent(), laurent()
+
+
+@given(rational_functions())
+@settings(max_examples=80, deadline=None)
+def test_eval_at_one_sums_coefficients(pair):
+    # independent v = 1 reference: a Laurent polynomial at v = 1 is the sum
+    # of its coefficients, and canonicalization preserves the quotient
+    num, den = pair
+    assume(any(den.values()))
+    s = Scalar(num, den)
+    top, bottom = sum(num.values()), sum(den.values())
+    if bottom:
+        assert eval_at_one(s) == top / bottom
+    elif top:
+        with pytest.raises(PoleError):
+            eval_at_one(s)
+
+
+def test_classical_point_and_pole():
+    assert isinstance(CLASSICAL, EvalPoint)
+    assert (CLASSICAL.degree, CLASSICAL.radicand) == (1, 1)
+    # 1/(1 - v) has a pole at v = 1
+    with pytest.raises(PoleError):
+        eval_at_one(ONE / (ONE - qpow(Fraction(1, 4))))
