@@ -15,7 +15,9 @@ status is 0 when every check passes, 1 when some identity fails, and 2 on
 usage errors (including requests the exact-arithmetic guards refuse, with a
 hint to pass an evaluation point).  All arithmetic is exact: ``--q a/b``
 evaluates at a rational q, ``--symbolic`` forces the generic-parameter run,
-and the default is symbolic whenever the size guards allow it.  Output
+and the default is symbolic whenever the size guards allow it.  Only the
+``commute``, ``coideal`` and ``duality`` suites have a point path; the other
+suites refuse ``--q`` with exit 2 and a message naming the suite.  Output
 ordering is deterministic (labels sorted, fixed check order) so the JSON is
 suitable for golden-file diffing.
 """
@@ -46,6 +48,7 @@ MAX_CLI_POWER = 5
 
 _SUITES = ("clifford", "serre", "commute", "spectrum", "coideal",
            "duality", "third-power", "trace")
+_POINT_SUITES = ("commute", "coideal", "duality")     # the ones --q reaches
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,10 @@ class Command:
         levels = self.params.get("levels")
         if levels is not None and not 1 <= levels <= 8:
             raise DomainError("levels must lie in 1..8")
+        suite = self.params.get("suite")
+        if "point" in self.params and suite not in _POINT_SUITES:
+            raise DomainError(f"suite {suite} has no point path; --q applies "
+                              f"only to {', '.join(_POINT_SUITES)}")
 
 
 def _parse_q(text: str) -> EvalPoint:

@@ -36,13 +36,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import DomainError, SizeGuardError
-from .linalg import (RowReducer, SparseMat, SpanSolver, kernel_basis,
-                     matrix_rank)
+from .errors import DomainError, PoleError, SizeGuardError
+from .linalg import SparseMat, SpanSolver, kernel_basis, matrix_rank
 from .qspin import GeneratorAction, block_lift, spin_rep, tensor_action
 from .report import VerificationReport
-from .scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint, Scalar,
-                     Specialization, curly, qbinom, qint, qpow)
+from .scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint, ModPoint,
+                     Scalar, Specialization, certificate_prime, curly, qbinom,
+                     qint, qpow)
 from .weights import (RootData, bratteli, centralizer_dims, inner,
                       module_weights, one_column_label, qdimension,
                       qtrace, slot_exponents, spin_label)
@@ -636,7 +636,8 @@ def _tensor_weights(g: GeneratorAction, n: int) -> list[tuple[Fraction, ...]]:
 
 def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
     """Dimension of the commutant of the quantum-group module structure on
-    S^{ox n} at an exact evaluation point or at CLASSICAL (q = 1).
+    S^{ox n} at an exact evaluation point, at CLASSICAL (q = 1) or mod p
+    at a :class:`ModPoint`.
 
     The unknown matrix is constrained to preserve weights (equivalently, to
     commute with all torus operators), to commute with every Delta^n(E_i)
@@ -666,7 +667,7 @@ def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
         for kind in ("E", "F"):
             gens.append(tensor_action(g, (kind, i), n, at=at))
 
-    red = RowReducer()
+    red = at.reducer()
     for G in gens:
         eq: dict[tuple[int, int], dict[int, object]] = {}
         for u, grow in G.rows.items():
@@ -674,14 +675,16 @@ def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
                 for v in blocks[wts[w]]:
                     row = eq.setdefault((u, v), {})
                     key = unk[(w, v)]
-                    row[key] = row.get(key, _F0) + val
+                    cur = row.get(key)
+                    row[key] = val if cur is None else cur + val
         Gt = G.transpose()
         for v, gcol in Gt.rows.items():
             for w, val in gcol.items():
                 for u in blocks[wts[w]]:
                     row = eq.setdefault((u, v), {})
                     key = unk[(u, w)]
-                    row[key] = row.get(key, _F0) - val
+                    cur = row.get(key)
+                    row[key] = -val if cur is None else cur - val
         for row in eq.values():
             red.add_row(row)
 
@@ -699,22 +702,15 @@ def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
         for (a, b), key in list(unk.items()):
             key2 = unk[(sigma(a), sigma(b))]
             if key2 != key:
-                red.add_row({key: _F1, key2: -_F1})
+                red.add_row({key: at.one, key2: -at.one})
 
     return len(unk) - red.rank
 
 
-def generated_algebra_dim(k: int, parity: str, n: int,
-                          at: Specialization) -> int:
-    """Dimension of the unital algebra generated by the C_i on the n-th
-    tensor power of the (2^k)-dimensional module, at an EvalPoint or at
-    CLASSICAL.
-
-    Even parity uses the operators C_i themselves; odd parity uses the
-    squares restricted to the parity block (the C_i swap blocks, their
-    squares act on S^{ox n})."""
-    if at is SYMBOLIC:
-        raise DomainError("pass an EvalPoint or CLASSICAL")
+def _duality_generators(k: int, parity: str, n: int, at: Specialization
+                        ) -> tuple[list[SparseMat], int]:
+    """The generators counted by :func:`generated_algebra_dim`, at ``at``,
+    and the dimension they act on."""
     c = build_c(k, parity)
     if parity == "even":
         pair, d = c.mat, c.dim
@@ -724,23 +720,89 @@ def generated_algebra_dim(k: int, parity: str, n: int,
     size = d ** n
     if size > 256:
         raise SizeGuardError(f"dimension {size} too large")
-    gens = [embed_pair_operator(pair, d, i, n) for i in range(1, n)]
+    return [embed_pair_operator(pair, d, i, n) for i in range(1, n)], size
+
+
+def generated_algebra_dim(k: int, parity: str, n: int,
+                          at: Specialization) -> int:
+    """Dimension of the unital algebra generated by the C_i on the n-th
+    tensor power of the (2^k)-dimensional module, at an EvalPoint, at
+    CLASSICAL or mod p at a :class:`ModPoint`.
+
+    Even parity uses the operators C_i themselves; odd parity uses the
+    squares restricted to the parity block (the C_i swap blocks, their
+    squares act on S^{ox n})."""
+    if at is SYMBOLIC:
+        raise DomainError("pass an EvalPoint or CLASSICAL")
+    gens, size = _duality_generators(k, parity, n, at)
 
     def flatten(m: SparseMat) -> dict[int, object]:
         return {u * size + v: val
                 for u, row in m.rows.items() for v, val in row.items()}
 
-    red = RowReducer()
+    red = at.reducer()
     ident = SparseMat.identity(size, at.one)
     red.add_row(flatten(ident))
     queue = [ident]
     while queue:
         m = queue.pop()
         for gmat in gens:
-            prod = gmat * m
+            prod = at.product(gmat, m)
             if red.add_row(flatten(prod)):
                 queue.append(prod)
     return red.rank
+
+
+def _generators_in_commutant(gens: list[SparseMat], rd: RootData, n: int,
+                             at: EvalPoint) -> bool:
+    """Whether every generator lies in the commutant counted by
+    :func:`commutant_dim_oracle`, tested exactly at ``at``: it is supported
+    on the weight blocks, commutes with each Delta^n(E_j) and Delta^n(F_j),
+    and in type D with t^{ox n}.  These are zero tests, not ranks.  The
+    commutant is a unital algebra, so the algebra the generators generate
+    then lies in it."""
+    g = spin_rep(rd, odd_doubled=False)
+    wts = _tensor_weights(g, n)
+    gids = [(kind, i) for i in range(1, g.nsimple + 1) for kind in ("E", "F")]
+    if g.t_perm is not None:
+        gids.append("t")
+    actions = [tensor_action(g, gid, n, at=at) for gid in gids]
+    for m in gens:
+        for u, row in m.rows.items():
+            if any(wts[v] != wts[u] for v in row):
+                return False
+        if not all(m.commutator(x).is_zero() for x in actions):
+            return False
+    return True
+
+
+def _certify_duality(k: int, parity: str, n: int, rd: RootData,
+                     at: EvalPoint, expected: int) -> bool:
+    """The modular sandwich; True proves gen = comm = expected at ``at``.
+
+    Reduce mod the prime of :func:`certificate_prime`.  Ranks can only drop
+    under that reduction, so gen_p <= gen and comm <= comm_p.  If gen_p and
+    comm_p both equal ``expected`` and every generator passes the exact
+    :func:`_generators_in_commutant` test (so gen <= comm), then
+    expected <= gen <= comm <= expected.  False means "not certified": a
+    mismatch, or an entry with no image mod p.
+    """
+    try:
+        mod = ModPoint.reducing(at, certificate_prime(at))
+        if generated_algebra_dim(k, parity, n, mod) != expected:
+            return False
+        if commutant_dim_oracle(rd, n, mod) != expected:
+            return False
+    except PoleError:
+        return False
+    gens, _ = _duality_generators(k, parity, n, at)
+    return _generators_in_commutant(gens, rd, n, at)
+
+
+def _exact_duality_counts(k: int, parity: str, n: int, rd: RootData,
+                          at: EvalPoint) -> tuple[int, int]:
+    """The generated-algebra and commutant dimensions, exactly at ``at``."""
+    return generated_algebra_dim(k, parity, n, at), commutant_dim_oracle(rd, n, at)
 
 
 DEFAULT_DUALITY_POINTS = (Fraction(3, 2), Fraction(5, 2), "classical")
@@ -752,7 +814,16 @@ def verify_duality(k: int, parity: str, n: int,
     the algebra generated by the C_i, the commutant of the quantum-group
     module structure, and the sum of squared multiplicities from the
     branching diagram.  ``points`` holds rationals q0 and the string
-    'classical' for q = 1."""
+    'classical' for q = 1.
+
+    At each point a modular certificate runs first (:func:`_certify_duality`):
+    both ranks modulo one large prime, which bound the exact ones from the
+    two sides, plus an exact zero test that each generator commutes with the
+    quantum group.  When it proves both counts equal the branching count,
+    they are reported as such.  Otherwise -- a mismatch, or a value with no
+    image mod p -- both counts are computed exactly at the point, as
+    before.  Either way the report is the same.
+    """
     rep = VerificationReport("duality", {"parity": parity, "k": k, "n": n})
     rd = RootData("D" if parity == "even" else "B", k)
     expected = centralizer_dims(bratteli(rd, n))[n - 1]
@@ -762,8 +833,10 @@ def verify_duality(k: int, parity: str, n: int,
             at, tag = CLASSICAL, "classical"
         else:
             at, tag = EvalPoint.from_q(Fraction(pt)), f"q0={pt}"
-        gen_dim = generated_algebra_dim(k, parity, n, at)
-        ora_dim = commutant_dim_oracle(rd, n, at)
+        if _certify_duality(k, parity, n, rd, at, expected):
+            gen_dim = ora_dim = expected
+        else:
+            gen_dim, ora_dim = _exact_duality_counts(k, parity, n, rd, at)
         rep.add(f"generated_vs_commutant[{tag}]", gen_dim == ora_dim,
                 None if gen_dim == ora_dim
                 else f"generated {gen_dim} != commutant {ora_dim}")

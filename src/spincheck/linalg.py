@@ -19,7 +19,8 @@ normalized once on insertion, so the inner elimination loop multiplies but
 never divides -- a significant saving when coefficients are rational
 functions.  Incoming rows are reduced against pivots in insertion order;
 since every pivot row is fully reduced against all earlier pivots, a single
-pass suffices.
+pass suffices.  :class:`ModRowReducer` does the same over F_p with plain
+ints.
 """
 
 from __future__ import annotations
@@ -260,6 +261,43 @@ class RowReducer:
         c = min(row)
         inv = 1 / row[c]
         self.order.append((c, {j: v * inv for j, v in row.items()}))
+        return True
+
+
+class ModRowReducer:
+    """:class:`RowReducer` over F_p for plain ``int`` entries.
+
+    Incoming entries are reduced mod p, so any int is accepted; pivot rows
+    are stored normalized, with entries in [0, p).
+    """
+
+    __slots__ = ("p", "order")
+
+    def __init__(self, p: int):
+        self.p = p
+        self.order: list[tuple[int, dict[int, int]]] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.order)
+
+    def add_row(self, row: dict[int, int]) -> bool:
+        p = self.p
+        row = {j: x for j, v in row.items() if (x := v % p)}
+        for c, prow in self.order:
+            f = row.get(c)
+            if f is not None:
+                for j, v in prow.items():
+                    x = (row.get(j, 0) - f * v) % p
+                    if x:
+                        row[j] = x
+                    else:
+                        row.pop(j, None)
+        if not row:
+            return False
+        c = min(row)
+        inv = pow(row[c], -1, p)
+        self.order.append((c, {j: v * inv % p for j, v in row.items()}))
         return True
 
 

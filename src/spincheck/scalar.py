@@ -29,6 +29,13 @@ three types: ``Fraction``, :class:`Scalar` and :class:`Ext`.  Polynomials
 with rational coefficients are plain ascending coefficient sequences, and
 the dense-polynomial helpers below are their one implementation.
 
+A :class:`ModPoint` is a third kind of specialization: the reduction of a
+point's field modulo a large prime p (chosen by :func:`certificate_prime`),
+with values plain ints in [0, p).  Ranks computed there bound the exact
+ones, which is what the modular duality certificate of
+:mod:`spincheck.invariant` uses.  Point specializations also supply the row
+reducer and the matrix product for their values.
+
 No floating point is used anywhere in this module.
 """
 
@@ -40,6 +47,7 @@ from math import isqrt
 from typing import Iterable
 
 from .errors import DomainError, PoleError
+from .linalg import ModRowReducer, RowReducer, SparseMat
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -492,6 +500,16 @@ class EvalPoint:
         """The value of ``s`` at this point (see :func:`eval_scalar`)."""
         return eval_scalar(s, self)
 
+    @staticmethod
+    def reducer() -> RowReducer:
+        """A row reducer over this point's field."""
+        return RowReducer()
+
+    @staticmethod
+    def product(a: SparseMat, b: SparseMat) -> SparseMat:
+        """The matrix product ``a * b`` of values at this point."""
+        return a * b
+
 
 @dataclass(frozen=True)
 class Radical:
@@ -596,6 +614,11 @@ class Ext:
         return Ext(self.field, coeffs)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational divisor scales the coefficients; no inverse needed
+            if not other:
+                raise ZeroDivisionError("division of a field element by zero")
+            return Ext(self.field, tuple(c / other for c in self.coeffs))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -642,6 +665,122 @@ def eval_scalar(s: Scalar, p: EvalPoint):
     return val
 
 
+# ---------------------------------------------------------------------------
+# reduction modulo a prime
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 12 prime bases, which is deterministic
+    for every n below 3.3 * 10^24."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def certificate_prime(point: EvalPoint) -> int:
+    """The largest prime p = 3 (mod 4) below 2^61 in which the point's
+    radicand c is a unit, and also a square when the degree is 2 or 4.
+
+    Then x^degree = c has a root in F_p (see :meth:`ModPoint.reducing`).
+    """
+    a, b = point.radicand.numerator, point.radicand.denominator
+    p = (1 << 61) - 1
+    while True:
+        if (a % p and b % p and _is_prime(p)
+                and (point.degree == 1 or pow(a * b, (p - 1) // 2, p) == 1)):
+            return p
+        p -= 4
+
+
+@dataclass(frozen=True)
+class ModPoint:
+    """The reduction of an :class:`EvalPoint` modulo a prime p.
+
+    The point's field is Q[x]/(x^d - c) with v = x.  For v0 in F_p with
+    v0^d = c, x -> v0 is a ring map onto F_p, defined on every element whose
+    denominator does not vanish mod p.  As a specialization, ``of`` maps a
+    Scalar to its image, an int in [0, p), and ``one`` is 1.
+    """
+
+    p: int
+    v0: int
+
+    one = 1
+
+    @staticmethod
+    def reducing(point: EvalPoint, p: int) -> "ModPoint":
+        """The reduction of ``point`` mod ``p``, a prime = 3 (mod 4).
+
+        Raises :class:`PoleError` when the radicand is not p-integral and
+        DomainError when x^d = c has no root in F_p.
+        """
+        d, c = point.degree, point.radicand
+        if not c.denominator % p:
+            raise PoleError(f"radicand {c} has a pole mod {p}")
+        c = c.numerator * pow(c.denominator, -1, p) % p
+        v0 = c
+        if d > 1:
+            v0 = pow(c, (p + 1) // 4, p)             # a square root of c
+            if d == 4:
+                # one of +-v0 is a square, since -1 is not one mod p
+                if pow(v0, (p - 1) // 2, p) != 1:
+                    v0 = (p - v0) % p
+                v0 = pow(v0, (p + 1) // 4, p)
+        if pow(v0, d, p) != c:
+            raise DomainError(f"x^{d} = {point.radicand} has no root mod {p}")
+        return ModPoint(p, v0)
+
+    def of(self, s: Scalar) -> int:
+        """The image of ``s`` in F_p; PoleError when it is not defined."""
+        p = self.p
+        den = self._laurent(s._den)
+        if not den:
+            raise PoleError(f"denominator vanishes mod {p}")
+        return self._laurent(s._num) * pow(den, -1, p) % p
+
+    def _laurent(self, coeffs: dict[int, Fraction]) -> int:
+        p, v0 = self.p, self.v0
+        acc = 0
+        for e, c in coeffs.items():
+            if e < 0 and not v0:
+                raise PoleError(f"v = 0 mod {p} is a pole of v^{e}")
+            term = c.numerator * pow(v0, e, p)
+            if c.denominator != 1:
+                if not c.denominator % p:
+                    raise PoleError(f"coefficient {c} has a pole mod {p}")
+                term *= pow(c.denominator, -1, p)
+            acc += term
+        return acc % p
+
+    def reducer(self) -> ModRowReducer:
+        """A row reducer over F_p."""
+        return ModRowReducer(self.p)
+
+    def product(self, a: SparseMat, b: SparseMat) -> SparseMat:
+        """The matrix product ``a * b`` with entries reduced mod p."""
+        p = self.p
+        return (a * b).map_values(lambda x: x % p)
+
+
 class _Symbolic:
     """Generic q: arithmetic stays in Q(v)."""
 
@@ -657,8 +796,9 @@ SYMBOLIC = _Symbolic()
 # EvalPoint.from_q keeps q0 = 1 out of user input.
 CLASSICAL = EvalPoint(_F1, 1, _F1)
 
-# Where arithmetic happens: SYMBOLIC or an exact EvalPoint (CLASSICAL too).
-Specialization = EvalPoint | _Symbolic
+# Where arithmetic happens: SYMBOLIC, an exact EvalPoint (CLASSICAL too),
+# or the reduction of one modulo a prime.
+Specialization = EvalPoint | ModPoint | _Symbolic
 
 
 def eval_at_one(s: Scalar) -> Fraction:

@@ -147,6 +147,8 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
      "--symbolic"),                                      # size guard
     ("verify", "--suite", "spectrum", "--rank", "3", "--parity", "odd"),
     ("--threads", "4", "eigen", "--rank", "1", "--parity", "even"),  # no flag
+    ("verify", "--suite", "spectrum", "--rank", "1", "--parity", "even",
+     "--q", "3/2"),                                      # no point path
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code = cli.run(list(argv))
@@ -180,14 +182,27 @@ def test_all_same_under_optimize():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    outs = []
-    for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "spincheck", "all", "--max-rank",
-             "1"], capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+    for argv in (["all", "--max-rank", "1"],
+                 ["verify", "--suite", "duality", "--rank", "2", "--parity",
+                  "odd", "--n", "3"]):
+        outs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "spincheck", *argv],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("suite", ["spectrum", "third-power", "trace",
+                                   "serre", "clifford"])
+def test_q_refused_where_no_point_path(capsys, suite):
+    code, out, err = invoke(capsys, "verify", "--suite", suite, "--rank", "1",
+                            "--q", "3/2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: suite {suite} has no point path")
 
 
 def test_guard_refusal_reports_reason(capsys):

@@ -18,7 +18,8 @@ from fractions import Fraction
 import pytest
 
 import spincheck
-from spincheck.errors import DomainError, SizeGuardError
+from spincheck import invariant
+from spincheck.errors import DomainError, PoleError, SizeGuardError
 from spincheck.invariant import (MAX_SYMBOLIC_DIM, build_c_even, build_c_odd,
                                  commutant_dim_oracle, csq_block_matrix,
                                  embed_ci, generated_algebra_dim,
@@ -28,7 +29,8 @@ from spincheck.invariant import (MAX_SYMBOLIC_DIM, build_c_even, build_c_odd,
                                  verify_duality)
 from spincheck.linalg import SparseMat
 from spincheck.qspin import spin_rep
-from spincheck.scalar import CLASSICAL, ONE, EvalPoint, curly, qint, render_q
+from spincheck.scalar import (CLASSICAL, ONE, EvalPoint, ModPoint,
+                              certificate_prime, curly, qint, qpow, render_q)
 from spincheck.weights import RootData, one_column_label
 
 HALF = Fraction(1, 2)
@@ -309,6 +311,102 @@ def test_generated_algebra_dimension_anchor():
 
 def test_oracle_agrees_classically():
     assert commutant_dim_oracle(RootData("B", 1), 3, CLASSICAL) == 5
+
+
+# the (k, n) pairs of the duality grid of ``spincheck all``, both parities
+DUALITY_CASES = [(k, parity, n) for k, n in ((1, 2), (1, 3), (1, 4), (2, 2),
+                                            (2, 3))
+                 for parity in ("even", "odd")]
+
+
+def _rd(k: int, parity: str) -> RootData:
+    return RootData("D" if parity == "even" else "B", k)
+
+
+@pytest.mark.parametrize("q0", [Fraction(3, 2), 1])
+@pytest.mark.parametrize("k,parity,n", DUALITY_CASES)
+def test_modular_counts_match_exact(k, parity, n, q0):
+    at = CLASSICAL if q0 == 1 else EvalPoint.from_q(q0)
+    mod = ModPoint.reducing(at, certificate_prime(at))
+    rd = _rd(k, parity)
+    assert (generated_algebra_dim(k, parity, n, mod)
+            == generated_algebra_dim(k, parity, n, at))
+    assert commutant_dim_oracle(rd, n, mod) == commutant_dim_oracle(rd, n, at)
+
+
+def _spy_exact_counts(monkeypatch) -> list:
+    calls = []
+    exact = invariant._exact_duality_counts
+
+    def spy(k, parity, n, rd, at):
+        calls.append(at)
+        return exact(k, parity, n, rd, at)
+
+    monkeypatch.setattr(invariant, "_exact_duality_counts", spy)
+    return calls
+
+
+def test_duality_pole_mod_p_falls_back(monkeypatch):
+    point = Fraction(3, 2)
+    want = json.dumps(verify_duality(1, "odd", 3, points=(point,)).as_json())
+    # mod 3 the radicand 3/2 is 0, so v = 0 and v^-1 has a pole
+    mod = ModPoint.reducing(EvalPoint.from_q(point), 3)
+    assert mod.v0 == 0
+    with pytest.raises(PoleError):
+        mod.of(qpow(Fraction(-1, 4)))
+    real_prime = invariant.certificate_prime
+    monkeypatch.setattr(invariant, "certificate_prime",
+                        lambda at: 3 if at.q0 == point else real_prime(at))
+    calls = _spy_exact_counts(monkeypatch)
+    rep = verify_duality(1, "odd", 3, points=(point,))
+    assert calls == [EvalPoint.from_q(point)]
+    assert json.dumps(rep.as_json()) == want
+
+
+def test_duality_count_mismatch_mod_p_falls_back(monkeypatch):
+    want = json.dumps(verify_duality(2, "even", 2).as_json())
+    oracle = invariant.commutant_dim_oracle
+
+    def off_by_one_mod_p(rd, n, at):
+        return oracle(rd, n, at) + isinstance(at, ModPoint)
+
+    monkeypatch.setattr(invariant, "commutant_dim_oracle", off_by_one_mod_p)
+    calls = _spy_exact_counts(monkeypatch)
+    rep = verify_duality(2, "even", 2)
+    assert calls == [EvalPoint.from_q(Fraction(3, 2)),
+                     EvalPoint.from_q(Fraction(5, 2)), CLASSICAL]
+    assert json.dumps(rep.as_json()) == want
+
+
+@pytest.mark.parametrize("k,parity", [(2, "even"), (1, "odd")])
+def test_inclusion_check_rejects_mutated_generator(k, parity):
+    n, at = 3, EvalPoint.from_q(Fraction(3, 2))
+    rd = _rd(k, parity)
+    gens, size = invariant._duality_generators(k, parity, n, at)
+    assert invariant._generators_in_commutant(gens, rd, n, at)
+    # one entry scaled by 2
+    bent = gens[0].copy()
+    u, row = next(iter(bent.rows.items()))
+    v, val = next(iter(row.items()))
+    bent.set_entry(u, v, val * 2)
+    assert not invariant._generators_in_commutant([bent, *gens[1:]], rd, n, at)
+    # one entry between the all-plus and the all-minus weight vector
+    leak = gens[-1].copy()
+    leak.set_entry(0, size - 1, Fraction(1))
+    assert not invariant._generators_in_commutant([*gens[:-1], leak], rd, n, at)
+
+
+def test_duality_grid_certified_without_fallback(monkeypatch):
+    def no_exact_path(*args):
+        raise AssertionError("the modular certificate fell back")
+
+    monkeypatch.setattr(invariant, "_exact_duality_counts", no_exact_path)
+    grids = [("even", 1, (2, 3, 4)), ("even", 2, (2, 3)),
+             ("odd", 1, (2, 3, 4)), ("odd", 2, (2, 3))]
+    for parity, k, powers in grids:
+        for n in powers:
+            rep = verify_duality(k, parity, n)
+            assert rep.passed, rep.summary()
 
 
 # ---------------------------------------------------------------------------

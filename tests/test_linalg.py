@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import spincheck
 from spincheck.errors import DomainError
-from spincheck.linalg import RowReducer, SparseMat, SpanSolver, kernel_basis
+from spincheck.linalg import (ModRowReducer, RowReducer, SparseMat,
+                              SpanSolver, kernel_basis)
 from spincheck.scalar import ZERO, Scalar, curly, qint
 
 ONE = Fraction(1)
@@ -93,6 +94,30 @@ def test_span_solver_expresses_members(m):
         for i, v in cols[t][1].items():
             rebuilt[i] = rebuilt.get(i, Fraction(0)) + c * v
     assert {i: v for i, v in rebuilt.items() if v} == combo
+
+
+@given(matrices())
+@settings(max_examples=50, deadline=None)
+def test_mod_row_reducer_rank_matches_rationals(m):
+    # entries with denominators <= 4 and small minors keep every rank mod
+    # a 61-bit prime
+    p = 2**61 - 1
+    exact, mod = RowReducer(), ModRowReducer(p)
+    for _, row in sorted(m.rows.items()):
+        assert mod.add_row({j: v.numerator * pow(v.denominator, -1, p)
+                            for j, v in row.items()}) == exact.add_row(row)
+    assert mod.rank == exact.rank
+    for c, prow in mod.order:
+        assert prow[c] == 1 and all(0 < v < p for v in prow.values())
+
+
+def test_mod_row_reducer_rank_drops_mod_a_divisor_of_a_minor():
+    # det [[1, 1], [1, 4]] = 3
+    mod = ModRowReducer(3)
+    assert mod.add_row({0: 1, 1: 1})
+    assert not mod.add_row({0: 1, 1: 4})
+    assert not mod.add_row({0: -3, 1: 6})     # zero mod 3
+    assert mod.rank == 1
 
 
 def test_span_solver_rejects_outsiders():

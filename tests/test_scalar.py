@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from spincheck.errors import DomainError, PoleError
 from spincheck.scalar import (CLASSICAL, GAUSSIAN, ONE, SYMBOLIC, ZERO,
-                              EvalPoint, Ext, Scalar, curly, eval_at_one,
+                              EvalPoint, Ext, ModPoint, Scalar,
+                              certificate_prime, curly, eval_at_one,
                               eval_scalar, qbinom, qfact, qint, qpow,
                               render_q)
 
@@ -169,6 +170,13 @@ def test_gaussian_field():
     assert (a + i) - i == a
     with pytest.raises(ZeroDivisionError):
         a / gaussian(0)
+    # a rational divisor scales the coefficients, with no inverse
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Ext, "inverse", lambda self: pytest.fail("inverse called"))
+        assert a / Fraction(3, 4) == a * gaussian(Fraction(4, 3))
+        assert a / 2 == gaussian(Fraction(1, 3), Fraction(-1, 4))
+        with pytest.raises(ZeroDivisionError):
+            a / 0
 
 
 @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
@@ -200,6 +208,50 @@ def test_specializations_map_and_unit():
     assert isinstance(EvalPoint.from_q(Fraction(3, 2)).of(s), Ext)
     # degree 1: v0 = 2, [2] = 16 + 1/16, curly(1/2) = 4 + 1/4
     assert EvalPoint.from_q(16).of(s) == Fraction(257, 16) / Fraction(17, 4)
+
+
+def test_certificate_prime_choice():
+    assert certificate_prime(EvalPoint.from_q(Fraction(3, 2))) == 2**61 - 229
+    assert certificate_prime(EvalPoint.from_q(Fraction(5, 2))) == 2**61 - 1
+    assert certificate_prime(CLASSICAL) == 2**61 - 1
+    for q0 in (Fraction(3, 2), Fraction(7, 5), Fraction(9, 4), Fraction(16),
+               Fraction(1, 81)):
+        point = EvalPoint.from_q(q0)
+        p = certificate_prime(point)
+        assert p % 4 == 3 and pow(3, p - 1, p) == 1
+        mod = ModPoint.reducing(point, p)
+        c = point.radicand
+        assert pow(mod.v0, point.degree, p) * c.denominator % p \
+            == c.numerator % p
+    assert ModPoint.reducing(CLASSICAL, 2**61 - 1) == ModPoint(2**61 - 1, 1)
+
+
+def _mod(x, mod: ModPoint) -> int:
+    """An exact point value's image under x -> v0."""
+    if isinstance(x, Ext):
+        return sum(_mod(c, mod) * pow(mod.v0, i, mod.p)
+                   for i, c in enumerate(x.coeffs)) % mod.p
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, mod.p) % mod.p
+
+
+@pytest.mark.parametrize("q0", [Fraction(3, 2), Fraction(9, 4), Fraction(16),
+                                Fraction(1)])
+@given(scalars(), scalars(nonzero=True))
+@settings(max_examples=25, deadline=None)
+def test_mod_point_reduces_point_values(q0, s, t):
+    point = CLASSICAL if q0 == 1 else EvalPoint.from_q(q0)
+    mod = ModPoint.reducing(point, certificate_prime(point))
+    assert mod.of(s) == _mod(point.of(s), mod)
+    assert mod.of(s * t) == mod.of(s) * mod.of(t) % mod.p
+    try:
+        exact = point.of(s / t)
+    except PoleError:
+        # t vanishes at the point, so its image vanishes too
+        with pytest.raises(PoleError):
+            mod.of(s / t)
+        return
+    assert mod.of(s / t) == _mod(exact, mod)
 
 
 @st.composite
