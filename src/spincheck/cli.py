@@ -7,15 +7,15 @@ Subcommands
     eigen     --rank K --parity even|odd
     verify    --suite clifford|serre|commute|spectrum|coideal|duality|
                       third-power|trace
-              [--rank K] [--parity P] [--n N] [--q a/b] [--symbolic]
+              [--rank K] [--parity P] [--n N] [--q a/b]
     all       [--max-rank K]
 
 Machine-readable JSON goes to stdout, a human-readable log to stderr.  Exit
 status is 0 when every check passes, 1 when some identity fails, and 2 on
 usage errors (including requests the exact-arithmetic guards refuse, with a
 hint to pass an evaluation point).  All arithmetic is exact: ``--q a/b``
-evaluates at a rational q, ``--symbolic`` forces the generic-parameter run,
-and the default is symbolic whenever the size guards allow it.  Only the
+evaluates at a rational q; without it a suite runs symbolically, or at its
+own default points, whenever the size guards allow it.  Only the
 ``commute``, ``coideal`` and ``duality`` suites have a point path; the other
 suites refuse ``--q`` with exit 2 and a message naming the suite.  Output
 ordering is deterministic (labels sorted, fixed check order) so the JSON is
@@ -285,8 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--parity", choices=("even", "odd"), default="even")
     v.add_argument("--n", type=int, default=3, help="tensor power")
     v.add_argument("--q", help="exact rational evaluation point, e.g. 3/2")
-    v.add_argument("--symbolic", action="store_true",
-                   help="force the generic-parameter run")
 
     a = sub.add_parser("all", help="the full desk-scale battery")
     a.add_argument("--max-rank", type=int, default=3, dest="max_rank")
@@ -312,8 +310,6 @@ def run(argv: list[str] | None = None) -> int:
             params[key] = getattr(ns, key)
     try:
         if getattr(ns, "q", None) is not None:
-            if getattr(ns, "symbolic", False):
-                raise DomainError("--q and --symbolic are mutually exclusive")
             params["point"] = _parse_q(ns.q)
         if ns.subcommand == "bratteli":
             params["format"] = "dot" if ns.dot else "json"

@@ -53,6 +53,7 @@ _HALF = Fraction(1, 2)
 
 MAX_SYMBOLIC_DIM = 64       # largest tensor-power dimension handled over Q(v)
 MAX_POINT_DIM = 4096        # largest dimension handled at an evaluation point
+MAX_ORACLE_UNKNOWNS = 2048  # largest commutant system verify_duality solves
 
 
 def _neg_q_pow(m: int) -> Scalar:
@@ -707,34 +708,43 @@ def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
     return len(unk) - red.rank
 
 
-def _duality_generators(k: int, parity: str, n: int, at: Specialization
-                        ) -> tuple[list[SparseMat], int]:
-    """The generators counted by :func:`generated_algebra_dim`, at ``at``,
-    and the dimension they act on."""
+def _duality_pair(k: int, parity: str) -> tuple[SparseMat, int]:
+    """The Q(v) pair operator whose embeddings generate the algebra counted
+    by :func:`generated_algebra_dim`, and its slot dimension: C for even
+    parity; for odd, C^2 restricted to the parity block (C swaps blocks)."""
     c = build_c(k, parity)
     if parity == "even":
-        pair, d = c.mat, c.dim
-    else:
-        pair, d = csq_block_matrix(c), 1 << k
-    pair = pair.map_values(at.of)
+        return c.mat, c.dim
+    return csq_block_matrix(c), 1 << k
+
+
+def _duality_generators(pair: tuple[SparseMat, int], n: int,
+                        at: Specialization) -> tuple[list[SparseMat], int]:
+    """The embeddings of a :func:`_duality_pair` into the n-th tensor power
+    at ``at``, and the dimension they act on."""
+    mat, d = pair
+    mat = mat.map_values(at.of)
     size = d ** n
     if size > 256:
         raise SizeGuardError(f"dimension {size} too large")
-    return [embed_pair_operator(pair, d, i, n) for i in range(1, n)], size
+    return [embed_pair_operator(mat, d, i, n) for i in range(1, n)], size
 
 
 def generated_algebra_dim(k: int, parity: str, n: int,
                           at: Specialization) -> int:
-    """Dimension of the unital algebra generated by the C_i on the n-th
-    tensor power of the (2^k)-dimensional module, at an EvalPoint, at
-    CLASSICAL or mod p at a :class:`ModPoint`.
-
-    Even parity uses the operators C_i themselves; odd parity uses the
-    squares restricted to the parity block (the C_i swap blocks, their
-    squares act on S^{ox n})."""
+    """Dimension of the unital algebra generated by the C_i (odd parity:
+    their squares, see :func:`_duality_pair`) on the n-th tensor power of
+    the (2^k)-dimensional module, at an EvalPoint, at CLASSICAL or mod p at
+    a :class:`ModPoint`."""
     if at is SYMBOLIC:
         raise DomainError("pass an EvalPoint or CLASSICAL")
-    gens, size = _duality_generators(k, parity, n, at)
+    return _algebra_rank(_duality_pair(k, parity), n, at)
+
+
+def _algebra_rank(pair: tuple[SparseMat, int], n: int,
+                  at: Specialization) -> int:
+    """:func:`generated_algebra_dim` for a pair operator built already."""
+    gens, size = _duality_generators(pair, n, at)
 
     def flatten(m: SparseMat) -> dict[int, object]:
         return {u * size + v: val
@@ -776,7 +786,7 @@ def _generators_in_commutant(gens: list[SparseMat], rd: RootData, n: int,
     return True
 
 
-def _certify_duality(k: int, parity: str, n: int, rd: RootData,
+def _certify_duality(pair: tuple[SparseMat, int], n: int, rd: RootData,
                      at: EvalPoint, expected: int) -> bool:
     """The modular sandwich; True proves gen = comm = expected at ``at``.
 
@@ -789,13 +799,13 @@ def _certify_duality(k: int, parity: str, n: int, rd: RootData,
     """
     try:
         mod = ModPoint.reducing(at, certificate_prime(at))
-        if generated_algebra_dim(k, parity, n, mod) != expected:
+        if _algebra_rank(pair, n, mod) != expected:
             return False
         if commutant_dim_oracle(rd, n, mod) != expected:
             return False
     except PoleError:
         return False
-    gens, _ = _duality_generators(k, parity, n, at)
+    gens, _ = _duality_generators(pair, n, at)
     return _generators_in_commutant(gens, rd, n, at)
 
 
@@ -803,6 +813,13 @@ def _exact_duality_counts(k: int, parity: str, n: int, rd: RootData,
                           at: EvalPoint) -> tuple[int, int]:
     """The generated-algebra and commutant dimensions, exactly at ``at``."""
     return generated_algebra_dim(k, parity, n, at), commutant_dim_oracle(rd, n, at)
+
+
+def _oracle_unknowns(k: int, n: int) -> int:
+    """The unknowns of :func:`commutant_dim_oracle`: sum_w mult(w)^2 over
+    the weights of S^{ox n}.  Each coordinate of a spin weight is +-1/2
+    independently, so this is (sum_m C(n, m)^2)^k = C(2n, n)^k."""
+    return comb(2 * n, n) ** k
 
 
 DEFAULT_DUALITY_POINTS = (Fraction(3, 2), Fraction(5, 2), "classical")
@@ -822,18 +839,29 @@ def verify_duality(k: int, parity: str, n: int,
     quantum group.  When it proves both counts equal the branching count,
     they are reported as such.  Otherwise -- a mismatch, or a value with no
     image mod p -- both counts are computed exactly at the point, as
-    before.  Either way the report is the same.
+    before.  Either way the report is the same.  The Q(v) pair operator is
+    built once.  Before any rank, SizeGuardError refuses a commutant system
+    of more than MAX_ORACLE_UNKNOWNS unknowns.
     """
-    rep = VerificationReport("duality", {"parity": parity, "k": k, "n": n})
     rd = RootData("D" if parity == "even" else "B", k)
+    unknowns = _oracle_unknowns(k, n)
+    if unknowns > MAX_ORACLE_UNKNOWNS:
+        fits = [m for m in range(2, n)
+                if _oracle_unknowns(k, m) <= MAX_ORACLE_UNKNOWNS]
+        raise SizeGuardError(
+            f"duality at n = {n} needs {unknowns} commutant unknowns, past "
+            f"the bound {MAX_ORACLE_UNKNOWNS}"
+            + (f"; try --n {fits[-1]}" if fits else ""))
+    rep = VerificationReport("duality", {"parity": parity, "k": k, "n": n})
     expected = centralizer_dims(bratteli(rd, n))[n - 1]
     rep.params["branching_dimension"] = expected
+    pair = _duality_pair(k, parity)
     for pt in points:
         if pt == "classical":
             at, tag = CLASSICAL, "classical"
         else:
             at, tag = EvalPoint.from_q(Fraction(pt)), f"q0={pt}"
-        if _certify_duality(k, parity, n, rd, at, expected):
+        if _certify_duality(pair, n, rd, at, expected):
             gen_dim = ora_dim = expected
         else:
             gen_dim, ora_dim = _exact_duality_counts(k, parity, n, rd, at)

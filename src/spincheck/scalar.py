@@ -25,9 +25,14 @@ returned as plain :class:`fractions.Fraction` values.
 An :class:`Ext` is an element of such a field Q[x]/(x^d - c), named either
 by its :class:`EvalPoint` or by a bare :class:`Radical`; the Gaussian
 rationals Q(i) are ``Ext(GAUSSIAN, (re, im))``.  So exact numbers come in
-three types: ``Fraction``, :class:`Scalar` and :class:`Ext`.  Polynomials
-with rational coefficients are plain ascending coefficient sequences, and
-the dense-polynomial helpers below are their one implementation.
+three types: ``Fraction``, :class:`Scalar` and :class:`Ext`.  With d in
+{1, 2, 4} an Ext is inverted by conjugate norms, not by an extended Euclid:
+for sigma: x -> -x, b = a * sigma(a) lies in Q[x^2] (in Q when d = 2);
+with w its conjugate under x^2 -> -x^2, b * w lies in Q, and
+a^-1 = sigma(a) * w / (b * w).  A nonzero a of norm zero shows x^d - c to
+be reducible.  Polynomials with rational coefficients are plain ascending
+coefficient sequences, and the dense-polynomial helpers below are their one
+implementation.
 
 A :class:`ModPoint` is a third kind of specialization: the reduction of a
 point's field modulo a large prime p (chosen by :func:`certificate_prime`),
@@ -101,24 +106,6 @@ def _pgcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         if lead != 1:
             a = [c / lead for c in a]
     return a
-
-
-def _pxgcd(a: list[Fraction], m: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Return (g, u) with u*a = g (mod m) and g the monic gcd of a and m."""
-    r0, r1 = list(m), list(a)
-    s0, s1 = [], [_F1]
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _ptrim([x - y for x, y in
-                             zip(s0 + [_F0] * max(0, len(_pmul(q, s1)) - len(s0)),
-                                 _pmul(q, s1) + [_F0] * max(0, len(s0) - len(_pmul(q, s1))))])
-    if r0:
-        lead = r0[-1]
-        if lead != 1:
-            r0 = [c / lead for c in r0]
-            s0 = [c / lead for c in s0]
-    return r0, s0
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +285,6 @@ class Scalar:
     @property
     def is_laurent_polynomial(self) -> bool:
         return self._den == {0: _F1}
-
-    def numerator_items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._num.items())
-
-    def denominator_items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._den.items())
 
     def __str__(self) -> str:
         return render_q(self)
@@ -489,13 +470,6 @@ class EvalPoint:
             return EvalPoint(q0, 2, s)
         return EvalPoint(q0, 4, q0)
 
-    @staticmethod
-    def from_v(v0) -> "EvalPoint":
-        v0 = Fraction(v0)
-        if v0 in (0, 1, -1):
-            raise DomainError(f"v0 = {v0} is excluded")
-        return EvalPoint(v0 ** 4, 1, v0)
-
     def of(self, s: Scalar):
         """The value of ``s`` at this point (see :func:`eval_scalar`)."""
         return eval_scalar(s, self)
@@ -602,16 +576,21 @@ class Ext:
     __rmul__ = __mul__
 
     def inverse(self):
+        """The inverse by conjugate norms (see the module docstring)."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         d = self.field.degree
-        minpoly = [-self.field.radicand] + [_F0] * (d - 1) + [_F1]
-        g, u = _pxgcd(_ptrim(list(self.coeffs)), minpoly)
-        if len(g) != 1:
+        if d not in (1, 2, 4):
+            raise DomainError(f"no norm inverse in degree {d}")
+        num, norm, bit = self._coerce(_F1), self, 1
+        while bit < d:
+            # bit 1: x -> -x; bit 2: x^2 -> -x^2 on norm, which lies in Q[x^2]
+            conj = Ext(self.field, tuple(-a if i & bit else a
+                                         for i, a in enumerate(norm.coeffs)))
+            num, norm, bit = num * conj, norm * conj, 2 * bit
+        if not norm.coeffs[0]:
             raise DomainError(f"x^{d} - {self.field.radicand} is reducible")
-        u = _pdivmod(u, minpoly)[1] if len(u) > d else u
-        coeffs = tuple((u[i] if i < len(u) else _F0) / g[0] for i in range(d))
-        return Ext(self.field, coeffs)
+        return num / norm.coeffs[0]
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -637,32 +616,26 @@ class Ext:
 def eval_scalar(s: Scalar, p: EvalPoint):
     """Evaluate a Scalar at an EvalPoint.
 
-    Returns a plain Fraction whenever the value is rational (always the case
-    for degree-1 points), otherwise an :class:`Ext` element.  Raises
+    Numerator and denominator are lifted alike, v^e -> c^(e // d) x^(e % d)
+    in Q[x]/(x^d - c).  A rational lifted denominator (always the case at a
+    degree-1 point or for a Laurent polynomial) divides the coefficients;
+    only an irrational one is inverted.  Returns a plain Fraction whenever
+    the value is rational, otherwise an :class:`Ext` element.  Raises
     :class:`PoleError` when the denominator vanishes at the point.
     """
-    if p.degree == 1:
-        v0 = p.radicand
-        num = sum((c * v0 ** e for e, c in s._num.items()), _F0)
-        den = sum((c * v0 ** e for e, c in s._den.items()), _F0)
-        if not den:
-            raise PoleError(f"pole at q0 = {p.q0}")
-        return num / den
+    d, c = p.degree, p.radicand
 
-    def lift(items) -> Ext:
-        d, c = p.degree, p.radicand
+    def lift(coeffs: dict[int, Fraction]) -> Ext:
         acc = [_F0] * d
-        for e, coef in items:
+        for e, coef in coeffs.items():
             acc[e % d] += coef * c ** (e // d)
         return Ext(p, tuple(acc))
 
-    den = lift(s.denominator_items())
+    num, den = lift(s._num), lift(s._den)
     if not den:
         raise PoleError(f"pole at q0 = {p.q0}")
-    val = lift(s.numerator_items()) / den
-    if not any(val.coeffs[1:]):
-        return val.coeffs[0]
-    return val
+    val = num / (den if any(den.coeffs[1:]) else den.coeffs[0])
+    return val if any(val.coeffs[1:]) else val.coeffs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -827,11 +800,11 @@ def _q_term(e: int, c: Fraction) -> str:
     return f"{c}*{base}"
 
 
-def _q_poly(items: list[tuple[int, Fraction]]) -> str:
-    if not items:
+def _q_poly(coeffs: dict[int, Fraction]) -> str:
+    if not coeffs:
         return "0"
     parts = []
-    for e, c in sorted(items, reverse=True):
+    for e, c in sorted(coeffs.items(), reverse=True):
         t = _q_term(e, c)
         if parts and not t.startswith("-"):
             parts.append("+" + t)
@@ -841,7 +814,7 @@ def _q_poly(items: list[tuple[int, Fraction]]) -> str:
 
 
 def render_q(s: Scalar) -> str:
-    num = _q_poly(s.numerator_items())
+    num = _q_poly(s._num)
     if s.is_laurent_polynomial:
         return num
-    return f"({num})/({_q_poly(s.denominator_items())})"
+    return f"({num})/({_q_poly(s._den)})"

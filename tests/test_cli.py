@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import spincheck
-from spincheck import cli
+from spincheck import cli, invariant
 from spincheck.report import VerificationReport
 
 
@@ -138,13 +138,13 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     ("frobnicate",),                                     # unknown subcommand
     ("bratteli", "--family", "B"),                       # missing required
     ("qdim", "--family", "Z", "--rank", "1", "--label", "0"),
-    ("verify", "--suite", "coideal", "--q", "3/2", "--symbolic"),
+    ("verify", "--suite", "coideal", "--symbolic"),      # removed flag
     ("verify", "--suite", "coideal", "--q", "zebra"),    # unparsable q
     ("qdim", "--family", "B", "--rank", "1", "--label", "x"),
     ("qdim", "--family", "D", "--rank", "2", "--label", "1"),  # rank mismatch
     ("eigen", "--rank", "9", "--parity", "even"),        # rank guard
-    ("verify", "--suite", "coideal", "--rank", "2", "--parity", "odd",
-     "--symbolic"),                                      # size guard
+    # size guard
+    ("verify", "--suite", "coideal", "--rank", "2", "--parity", "odd"),
     ("verify", "--suite", "spectrum", "--rank", "3", "--parity", "odd"),
     ("--threads", "4", "eigen", "--rank", "1", "--parity", "even"),  # no flag
     ("verify", "--suite", "spectrum", "--rank", "1", "--parity", "even",
@@ -208,7 +208,21 @@ def test_q_refused_where_no_point_path(capsys, suite):
 def test_guard_refusal_reports_reason(capsys):
     code, out, err = invoke(
         capsys, "verify", "--suite", "coideal", "--rank", "2",
-        "--parity", "odd", "--symbolic")
+        "--parity", "odd")
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_duality_past_unknown_bound_refused_up_front(capsys, monkeypatch):
+    def no_rank(*args, **kwargs):
+        raise AssertionError("a rank ran before the unknown count was checked")
+
+    for name in ("build_c", "generated_algebra_dim", "commutant_dim_oracle"):
+        monkeypatch.setattr(invariant, name, no_rank)
+    code, out, err = invoke(capsys, "verify", "--suite", "duality", "--rank",
+                            "2", "--parity", "odd", "--n", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "4900" in err and "--n 3" in err

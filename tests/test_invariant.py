@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -382,7 +383,8 @@ def test_duality_count_mismatch_mod_p_falls_back(monkeypatch):
 def test_inclusion_check_rejects_mutated_generator(k, parity):
     n, at = 3, EvalPoint.from_q(Fraction(3, 2))
     rd = _rd(k, parity)
-    gens, size = invariant._duality_generators(k, parity, n, at)
+    gens, size = invariant._duality_generators(
+        invariant._duality_pair(k, parity), n, at)
     assert invariant._generators_in_commutant(gens, rd, n, at)
     # one entry scaled by 2
     bent = gens[0].copy()
@@ -407,6 +409,55 @@ def test_duality_grid_certified_without_fallback(monkeypatch):
         for n in powers:
             rep = verify_duality(k, parity, n)
             assert rep.passed, rep.summary()
+
+
+def test_duality_builds_pair_operator_once(monkeypatch):
+    calls = []
+    build = invariant.build_c
+
+    def counting_build_c(k, parity):
+        calls.append((k, parity))
+        return build(k, parity)
+
+    def no_exact_path(*args):
+        raise AssertionError("the modular certificate fell back")
+
+    monkeypatch.setattr(invariant, "build_c", counting_build_c)
+    monkeypatch.setattr(invariant, "_exact_duality_counts", no_exact_path)
+    rep = verify_duality(2, "odd", 3)
+    assert calls == [(2, "odd")]
+    tags = ("q0=3/2", "q0=5/2", "classical")
+    assert rep.as_json() == {
+        "suite": "duality",
+        "params": {"parity": "odd", "k": 2, "n": 3, "branching_dimension": 14},
+        "checks": [{"name": f"{check}[{tag}]", "pass": True} for tag in tags
+                   for check in ("generated_vs_commutant", "matches_branching")],
+        "pass": True,
+    }
+
+
+@pytest.mark.parametrize("k,parity,n", [(1, "even", 4), (1, "odd", 5),
+                                        (2, "odd", 4), (3, "even", 2),
+                                        (4, "odd", 2)])
+def test_oracle_unknowns_from_weight_multiplicities(k, parity, n):
+    rd = _rd(k, parity)
+    g = spin_rep(rd, odd_doubled=False)
+    mult = Counter(invariant._tensor_weights(g, n))
+    assert invariant._oracle_unknowns(k, n) == sum(m * m for m in mult.values())
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_duality_refuses_past_unknown_bound(monkeypatch, parity):
+    # the oracle would solve for 4900 unknowns; 1296 (k=4, n=2) is admitted
+    assert invariant._oracle_unknowns(4, 2) == 1296
+    assert 1296 <= invariant.MAX_ORACLE_UNKNOWNS < 4900
+
+    def no_build(*args):
+        raise AssertionError("the pair operator was built")
+
+    monkeypatch.setattr(invariant, "build_c", no_build)
+    with pytest.raises(SizeGuardError, match="4900.*--n 3"):
+        verify_duality(2, parity, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from spincheck.errors import DomainError, PoleError
 from spincheck.scalar import (CLASSICAL, GAUSSIAN, ONE, SYMBOLIC, ZERO,
-                              EvalPoint, Ext, ModPoint, Scalar,
+                              EvalPoint, Ext, ModPoint, Radical, Scalar,
                               certificate_prime, curly, eval_at_one,
                               eval_scalar, qbinom, qfact, qint, qpow,
                               render_q)
+
+_0 = Fraction(0)
 
 # small Laurent polynomials in v, built from quarter-integer q-powers
 coeffs = st.integers(min_value=-4, max_value=4)
@@ -185,6 +187,50 @@ def test_gaussian_ring_laws(a, b, c, d):
     x, y = gaussian(a, b), gaussian(c, d)
     assert x * y == y * x
     assert (x + y) * (x - y) == x * x - y * y
+
+
+# one point of each degree of Q[x]/(x^d - c) that Ext.inverse serves
+INVERSE_FIELDS = [EvalPoint.from_q(Fraction(9, 4)),      # d = 2
+                  EvalPoint.from_q(Fraction(3, 2)),      # d = 4
+                  GAUSSIAN]
+small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@pytest.mark.parametrize("field", INVERSE_FIELDS)
+@given(st.lists(small, min_size=4, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_norm_inverse(field, coeffs):
+    a = Ext(field, tuple(coeffs[:field.degree]))
+    assume(a)
+    assert a * a.inverse() == 1
+    assert a.inverse().inverse() == a
+
+
+def test_zero_norm_means_reducible():
+    # x^4 - 4 = (x^2 - 2)(x^2 + 2), so x^2 - 2 is a nonzero zero divisor
+    field = Radical(4, Fraction(4))
+    zero_divisor = Ext(field, (Fraction(-2), _0, Fraction(1), _0))
+    assert zero_divisor * Ext(field, (Fraction(2), _0, Fraction(1), _0)) == 0
+    with pytest.raises(DomainError, match="reducible"):
+        zero_divisor.inverse()
+    with pytest.raises(DomainError, match="reducible"):
+        Ext(Radical(2, Fraction(9)), (Fraction(3), Fraction(1))).inverse()
+
+
+@pytest.mark.parametrize("q0", [Fraction(3, 2), Fraction(9, 4)])
+def test_rational_denominator_needs_no_inverse(monkeypatch, q0):
+    p = EvalPoint.from_q(q0)
+    half = Fraction(1, 2)
+    want = [(qint(3), q0 ** 2 + 1 + q0 ** -2),
+            # denominator q + 1, rational at a degree-2 or degree-4 point
+            (qpow(half) / curly(half), q0 / (q0 + 1))]
+    monkeypatch.setattr(Ext, "inverse",
+                        lambda self: pytest.fail("inverse called"))
+    for s, value in want:
+        assert eval_scalar(s, p) == value
+        assert isinstance(eval_scalar(s, p), Fraction)
+    v = eval_scalar(qpow(Fraction(1, 4)), p)     # v itself is x
+    assert isinstance(v, Ext) and v.coeffs[1] == 1 and not v.coeffs[0]
 
 
 def test_monomial_denominator_shifts_and_scales():
