@@ -13,9 +13,9 @@ Subcommands
 Machine-readable JSON goes to stdout, a human-readable log to stderr.  Exit
 status is 0 when every check passes, 1 when some identity fails, and 2 on
 usage errors (including requests the exact-arithmetic guards refuse, with a
-hint to pass an evaluation point).  All arithmetic is exact: ``--q a/b``
-evaluates at a rational q; without it a suite runs symbolically, or at its
-own default points, whenever the size guards allow it.  Only the
+message naming the bound and a cheaper request).  All arithmetic is exact:
+``--q a/b`` evaluates at a rational q; without it a suite runs symbolically,
+or at its own default points, whenever the size guards allow it.  Only the
 ``commute``, ``coideal`` and ``duality`` suites have a point path; the other
 suites refuse ``--q`` with exit 2 and a message naming the suite.  Output
 ordering is deterministic (labels sorted, fixed check order) so the JSON is

@@ -181,10 +181,13 @@ def embed_pair_operator(mat: SparseMat, d: int, i: int, n: int) -> SparseMat:
     return out
 
 
-def embed_ci(c: InvariantElement, i: int, n: int, *,
-             at: Specialization = SYMBOLIC) -> SparseMat:
-    """C_i: the invariant operator on slots (i, i+1) of the n-th power."""
-    return embed_pair_operator(c.mat.map_values(at.of), c.dim, i, n)
+def _embedded_family(mat: SparseMat, d: int, n: int,
+                     at: Specialization) -> list[SparseMat]:
+    """A Q(v) pair operator on d-dimensional slots, specialized once at
+    ``at`` and embedded into slots (i, i+1) of the n-th tensor power for
+    i = 1..n-1: the family C_1, ..., C_{n-1} when ``mat`` is C."""
+    mat = mat.map_values(at.of)
+    return [embed_pair_operator(mat, d, i, n) for i in range(1, n)]
 
 
 def _restrict_pair_operator(mat: SparseMat, d: int,
@@ -489,19 +492,27 @@ def _restriction_matches(big: InvariantElement, small: InvariantElement) -> bool
 
 
 # ---------------------------------------------------------------------------
+# size guards on the tensor power
+
+def _guard_power(suite: str, n: int, cost, bound: int, unit: str,
+                 alternative: str = "") -> None:
+    """Refuse the n-th tensor power when ``cost(n)``, counted in ``unit``,
+    passes ``bound``: SizeGuardError names the cost, the bound, the largest
+    power m < n within it (as ``--n m``) and then ``alternative``."""
+    need = cost(n)
+    if need <= bound:
+        return
+    fits = [m for m in range(2, n) if cost(m) <= bound]
+    hints = [f"try --n {fits[-1]}"] if fits else []
+    if alternative:
+        hints.append(alternative)
+    raise SizeGuardError(
+        f"{suite} at n = {n} needs {need} {unit}, past the bound {bound}"
+        + ("; " + " or ".join(hints) if hints else ""))
+
+
+# ---------------------------------------------------------------------------
 # coideal-type relations among the C_i
-
-def _coideal_generators(k: int, parity: str, n: int, at: Specialization
-                        ) -> tuple[InvariantElement, list[SparseMat], int]:
-    c = build_c(k, parity)
-    size = c.dim ** n
-    if at is SYMBOLIC and size > MAX_SYMBOLIC_DIM:
-        raise SizeGuardError(
-            f"dimension {size} too large for symbolic work; pass an EvalPoint")
-    if size > MAX_POINT_DIM:
-        raise SizeGuardError(f"dimension {size} exceeds the size bound")
-    return c, [embed_ci(c, i, n, at=at) for i in range(1, n)], size
-
 
 def verify_coideal(k: int, parity: str, n: int, *,
                    point: EvalPoint | None = None) -> VerificationReport:
@@ -532,8 +543,14 @@ def verify_coideal(k: int, parity: str, n: int, *,
         {"parity": parity, "k": k, "n": n,
          "point": str(point) if point is not None else "symbolic"})
     at = SYMBOLIC if point is None else point
-    c, gens, size = _coideal_generators(k, parity, n, at)
-    ident = SparseMat.identity(size, at.one)
+    c = build_c(k, parity)
+    if at is SYMBOLIC:
+        _guard_power("coideal", n, lambda m: c.dim ** m, MAX_SYMBOLIC_DIM,
+                     "dimensions over Q(v)", "pass --q")
+    _guard_power("coideal", n, lambda m: c.dim ** m, MAX_POINT_DIM,
+                 "dimensions at a point")
+    gens = _embedded_family(c.mat, c.dim, n, at)
+    ident = SparseMat.identity(c.dim ** n, at.one)
 
     def check_distant():
         for i, j in combinations(range(len(gens)), 2):
@@ -635,25 +652,52 @@ def _tensor_weights(g: GeneratorAction, n: int) -> list[tuple[Fraction, ...]]:
     return out
 
 
+def _module_actions(rd: RootData, n: int, at: Specialization
+                    ) -> tuple[list[tuple[Fraction, ...]], list[SparseMat]]:
+    """The weights of S^{ox n} and the operators its commutant is taken
+    against, at ``at``: Delta^n(E_i) and Delta^n(F_i) for each simple root
+    and, in type D, where the flip extends the module structure, t^{ox n}."""
+    g = spin_rep(rd, odd_doubled=False)
+    gids = [(kind, i) for i in range(1, g.nsimple + 1) for kind in ("E", "F")]
+    if g.t_perm is not None:
+        gids.append(("t", 0))
+    return (_tensor_weights(g, n),
+            [tensor_action(g, gid, n, at=at) for gid in gids])
+
+
+def _oracle_unknowns(k: int, n: int) -> int:
+    """The unknowns of :func:`commutant_dim_oracle`: sum_w mult(w)^2 over
+    the weights of S^{ox n}.  Each coordinate of a spin weight is +-1/2
+    independently, so this is (sum_m C(n, m)^2)^k = C(2n, n)^k."""
+    return comb(2 * n, n) ** k
+
+
+def _guard_duality(k: int, n: int) -> None:
+    """The one size guard of both duality counts: refuse a commutant system
+    of more than MAX_ORACLE_UNKNOWNS unknowns.  C(2n, n)^k is at least the
+    dimension 2^{kn} that the generated algebra acts on, so the guard bounds
+    that count too."""
+    _guard_power("duality", n, lambda m: _oracle_unknowns(k, m),
+                 MAX_ORACLE_UNKNOWNS, "commutant unknowns")
+
+
 def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
     """Dimension of the commutant of the quantum-group module structure on
     S^{ox n} at an exact evaluation point, at CLASSICAL (q = 1) or mod p
     at a :class:`ModPoint`.
 
     The unknown matrix is constrained to preserve weights (equivalently, to
-    commute with all torus operators), to commute with every Delta^n(E_i)
-    and Delta^n(F_i), and -- in type D, where the flip extends the module
-    structure -- with t^{ox n}.  The rank of the resulting sparse linear
-    system is computed exactly; the result is unknowns minus rank.
+    commute with all torus operators) and to commute with each operator of
+    :func:`_module_actions`: every Delta^n(E_i) and Delta^n(F_i) and, in
+    type D, t^{ox n}, which is one more operator in the same commutation
+    equations.  The rank of the resulting sparse linear system is computed
+    exactly; the result is unknowns minus rank.  :func:`_guard_duality`, the
+    guard of both duality counts, refuses an oversized system first.
     """
     if at is SYMBOLIC:
         raise DomainError("the oracle needs an EvalPoint or CLASSICAL")
-    g = spin_rep(rd, odd_doubled=False)
-    d = g.dim
-    size = d ** n
-    if size > 256:
-        raise SizeGuardError(f"oracle dimension {size} too large")
-    wts = _tensor_weights(g, n)
+    _guard_duality(rd.rank, n)
+    wts, actions = _module_actions(rd, n, at)
     blocks: dict[tuple, list[int]] = {}
     for u, w in enumerate(wts):
         blocks.setdefault(w, []).append(u)
@@ -663,13 +707,8 @@ def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
             for v in idxs:
                 unk[(u, v)] = len(unk)
 
-    gens: list[SparseMat] = []
-    for i in range(1, g.nsimple + 1):
-        for kind in ("E", "F"):
-            gens.append(tensor_action(g, (kind, i), n, at=at))
-
     red = at.reducer()
-    for G in gens:
+    for G in actions:
         eq: dict[tuple[int, int], dict[int, object]] = {}
         for u, grow in G.rows.items():
             for w, val in grow.items():
@@ -688,23 +727,6 @@ def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
                     row[key] = -val if cur is None else cur - val
         for row in eq.values():
             red.add_row(row)
-
-    if g.t_perm is not None:
-        # substitution constraints M[sigma a, sigma b] = M[a, b]
-        stride = [d ** (n - t - 1) for t in range(n)]
-
-        def sigma(u: int) -> int:
-            out = 0
-            for s in stride:
-                digit = (u // s) % d
-                out += g.t_perm[digit] * s
-            return out
-
-        for (a, b), key in list(unk.items()):
-            key2 = unk[(sigma(a), sigma(b))]
-            if key2 != key:
-                red.add_row({key: at.one, key2: -at.one})
-
     return len(unk) - red.rank
 
 
@@ -718,33 +740,24 @@ def _duality_pair(k: int, parity: str) -> tuple[SparseMat, int]:
     return csq_block_matrix(c), 1 << k
 
 
-def _duality_generators(pair: tuple[SparseMat, int], n: int,
-                        at: Specialization) -> tuple[list[SparseMat], int]:
-    """The embeddings of a :func:`_duality_pair` into the n-th tensor power
-    at ``at``, and the dimension they act on."""
-    mat, d = pair
-    mat = mat.map_values(at.of)
-    size = d ** n
-    if size > 256:
-        raise SizeGuardError(f"dimension {size} too large")
-    return [embed_pair_operator(mat, d, i, n) for i in range(1, n)], size
-
-
 def generated_algebra_dim(k: int, parity: str, n: int,
                           at: Specialization) -> int:
     """Dimension of the unital algebra generated by the C_i (odd parity:
     their squares, see :func:`_duality_pair`) on the n-th tensor power of
     the (2^k)-dimensional module, at an EvalPoint, at CLASSICAL or mod p at
-    a :class:`ModPoint`."""
+    a :class:`ModPoint`.  :func:`_guard_duality` refuses oversized powers."""
     if at is SYMBOLIC:
         raise DomainError("pass an EvalPoint or CLASSICAL")
+    _guard_duality(k, n)
     return _algebra_rank(_duality_pair(k, parity), n, at)
 
 
 def _algebra_rank(pair: tuple[SparseMat, int], n: int,
                   at: Specialization) -> int:
     """:func:`generated_algebra_dim` for a pair operator built already."""
-    gens, size = _duality_generators(pair, n, at)
+    mat, d = pair
+    size = d ** n
+    gens = _embedded_family(mat, d, n, at)
 
     def flatten(m: SparseMat) -> dict[int, object]:
         return {u * size + v: val
@@ -767,16 +780,11 @@ def _generators_in_commutant(gens: list[SparseMat], rd: RootData, n: int,
                              at: EvalPoint) -> bool:
     """Whether every generator lies in the commutant counted by
     :func:`commutant_dim_oracle`, tested exactly at ``at``: it is supported
-    on the weight blocks, commutes with each Delta^n(E_j) and Delta^n(F_j),
-    and in type D with t^{ox n}.  These are zero tests, not ranks.  The
+    on the weight blocks and commutes with each operator of
+    :func:`_module_actions`.  These are zero tests, not ranks.  The
     commutant is a unital algebra, so the algebra the generators generate
     then lies in it."""
-    g = spin_rep(rd, odd_doubled=False)
-    wts = _tensor_weights(g, n)
-    gids = [(kind, i) for i in range(1, g.nsimple + 1) for kind in ("E", "F")]
-    if g.t_perm is not None:
-        gids.append("t")
-    actions = [tensor_action(g, gid, n, at=at) for gid in gids]
+    wts, actions = _module_actions(rd, n, at)
     for m in gens:
         for u, row in m.rows.items():
             if any(wts[v] != wts[u] for v in row):
@@ -805,21 +813,14 @@ def _certify_duality(pair: tuple[SparseMat, int], n: int, rd: RootData,
             return False
     except PoleError:
         return False
-    gens, _ = _duality_generators(pair, n, at)
-    return _generators_in_commutant(gens, rd, n, at)
+    return _generators_in_commutant(_embedded_family(*pair, n, at), rd, n, at)
 
 
-def _exact_duality_counts(k: int, parity: str, n: int, rd: RootData,
+def _exact_duality_counts(pair: tuple[SparseMat, int], n: int, rd: RootData,
                           at: EvalPoint) -> tuple[int, int]:
-    """The generated-algebra and commutant dimensions, exactly at ``at``."""
-    return generated_algebra_dim(k, parity, n, at), commutant_dim_oracle(rd, n, at)
-
-
-def _oracle_unknowns(k: int, n: int) -> int:
-    """The unknowns of :func:`commutant_dim_oracle`: sum_w mult(w)^2 over
-    the weights of S^{ox n}.  Each coordinate of a spin weight is +-1/2
-    independently, so this is (sum_m C(n, m)^2)^k = C(2n, n)^k."""
-    return comb(2 * n, n) ** k
+    """The generated-algebra and commutant dimensions, exactly at ``at``,
+    for a pair operator built already."""
+    return _algebra_rank(pair, n, at), commutant_dim_oracle(rd, n, at)
 
 
 DEFAULT_DUALITY_POINTS = (Fraction(3, 2), Fraction(5, 2), "classical")
@@ -839,19 +840,14 @@ def verify_duality(k: int, parity: str, n: int,
     quantum group.  When it proves both counts equal the branching count,
     they are reported as such.  Otherwise -- a mismatch, or a value with no
     image mod p -- both counts are computed exactly at the point, as
-    before.  Either way the report is the same.  The Q(v) pair operator is
-    built once.  Before any rank, SizeGuardError refuses a commutant system
-    of more than MAX_ORACLE_UNKNOWNS unknowns.
+    before.  Either way the report is the same.  The quantum group here is
+    the set of operators of :func:`_module_actions`, t^{ox n} in type D
+    among them.  The Q(v) pair operator is built once, fallback included.
+    Before any rank, :func:`_guard_duality`, the one guard of both counts,
+    refuses a commutant system of more than MAX_ORACLE_UNKNOWNS unknowns.
     """
+    _guard_duality(k, n)
     rd = RootData("D" if parity == "even" else "B", k)
-    unknowns = _oracle_unknowns(k, n)
-    if unknowns > MAX_ORACLE_UNKNOWNS:
-        fits = [m for m in range(2, n)
-                if _oracle_unknowns(k, m) <= MAX_ORACLE_UNKNOWNS]
-        raise SizeGuardError(
-            f"duality at n = {n} needs {unknowns} commutant unknowns, past "
-            f"the bound {MAX_ORACLE_UNKNOWNS}"
-            + (f"; try --n {fits[-1]}" if fits else ""))
     rep = VerificationReport("duality", {"parity": parity, "k": k, "n": n})
     expected = centralizer_dims(bratteli(rd, n))[n - 1]
     rep.params["branching_dimension"] = expected
@@ -864,7 +860,7 @@ def verify_duality(k: int, parity: str, n: int,
         if _certify_duality(pair, n, rd, at, expected):
             gen_dim = ora_dim = expected
         else:
-            gen_dim, ora_dim = _exact_duality_counts(k, parity, n, rd, at)
+            gen_dim, ora_dim = _exact_duality_counts(pair, n, rd, at)
         rep.add(f"generated_vs_commutant[{tag}]", gen_dim == ora_dim,
                 None if gen_dim == ora_dim
                 else f"generated {gen_dim} != commutant {ora_dim}")
@@ -956,7 +952,7 @@ def third_power_profile(k: int, parity: str = "even") -> VerificationReport:
     c = build_c_even(k)
     # action on the highest-weight space, in the kernel basis
     lifted = [{idx_eps[p]: x for p, x in v.items()} for v in hw]
-    C1hw, C2hw = _matrices_in_basis([embed_ci(c, i, n) for i in (1, 2)],
+    C1hw, C2hw = _matrices_in_basis(_embedded_family(c.mat, d, n, SYMBOLIC),
                                     lifted, "highest-weight kernel basis")
     # branching order: v_r is the eigenvector of the alternating value
     # (-1)^r [k - r]; as a set these are exactly [k], [k-1], ..., [-k]

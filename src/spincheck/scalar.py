@@ -391,15 +391,6 @@ def curly(i) -> Scalar:
     return qpow(i) + qpow(-i)
 
 
-def qfact(n: int) -> Scalar:
-    if n < 0:
-        raise DomainError("negative factorial")
-    out = ONE
-    for j in range(2, n + 1):
-        out = out * qint(j)
-    return out
-
-
 def qbinom(n: int, m: int, c=1) -> Scalar:
     """The q-binomial coefficient in base q^c (see :func:`qint`)."""
     if not (0 <= m <= n):
@@ -772,11 +763,6 @@ CLASSICAL = EvalPoint(_F1, 1, _F1)
 # Where arithmetic happens: SYMBOLIC, an exact EvalPoint (CLASSICAL too),
 # or the reduction of one modulo a prime.
 Specialization = EvalPoint | ModPoint | _Symbolic
-
-
-def eval_at_one(s: Scalar) -> Fraction:
-    """The classical limit v = 1 (hence q = 1); PoleError on 0/0."""
-    return eval_scalar(s, CLASSICAL)
 
 
 # ---------------------------------------------------------------------------

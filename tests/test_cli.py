@@ -212,6 +212,18 @@ def test_guard_refusal_reports_reason(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+    # the symbolic bound and the point path that lifts it
+    assert "512" in err and "bound 64" in err and "--q" in err
+
+
+def test_point_guard_refusal_names_bound_and_smaller_power(capsys):
+    code, out, err = invoke(
+        capsys, "verify", "--suite", "coideal", "--rank", "4", "--n", "4",
+        "--q", "3/2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "65536" in err and "bound 4096" in err and "--n 3" in err
 
 
 def test_duality_past_unknown_bound_refused_up_front(capsys, monkeypatch):

@@ -1,0 +1,57 @@
+"""The seed-0 reports of the benchmark grid against ``perfbench/golden.json``.
+
+``perfbench/grid.py`` splits ``spincheck all --max-rank 3`` into jobs, and
+``perfbench/golden.json`` pins each job's reports by SHA-256.  This runs
+every job that takes under half a second and compares its report texts with
+the golden ones, so a change to any report shows up in Tier-1 and not only
+in a benchmark run.  The grid module is loaded read-only from its file.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import spincheck.clifford  # noqa: F401  (the grid reads these modules)
+import spincheck.invariant  # noqa: F401
+import spincheck.qspin  # noqa: F401
+import spincheck.scalar  # noqa: F401
+import spincheck.weights  # noqa: F401
+
+GRID_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "grid.py"
+
+# jobs of 0.5 s or more; the benchmark still checks them
+SLOW_JOBS = frozenset({"spectrum:even:k=3", "spectrum:odd:k=2",
+                       "third-power:k=3", "coideal:odd:k=1",
+                       "coideal:odd:k=2:point", "duality:odd:k=2:n=3"})
+
+
+def _load_grid():
+    spec = importlib.util.spec_from_file_location("perfbench_grid", GRID_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look it up there
+    keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = keep
+    return module
+
+
+grid = _load_grid()
+JOBS = [job for job in grid.all_jobs(spincheck, seed=0)
+        if job.name not in SLOW_JOBS]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return grid.load_golden()
+
+
+@pytest.mark.parametrize("job", JOBS, ids=[job.name for job in JOBS])
+def test_report_matches_golden(golden, job):
+    texts = [grid.report_text(rep.as_json()) for rep in job.run()]
+    assert texts == grid.expected_texts(golden, job)

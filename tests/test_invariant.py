@@ -23,7 +23,7 @@ from spincheck import invariant
 from spincheck.errors import DomainError, PoleError, SizeGuardError
 from spincheck.invariant import (MAX_SYMBOLIC_DIM, build_c_even, build_c_odd,
                                  commutant_dim_oracle, csq_block_matrix,
-                                 embed_ci, generated_algebra_dim,
+                                 embed_pair_operator, generated_algebra_dim,
                                  generator_action_for, markov_property_check,
                                  spectrum_check, third_power_profile,
                                  verify_coideal, verify_commutation,
@@ -217,7 +217,7 @@ def test_squared_block_rejects_even():
 
 def test_embed_slot_one_of_two_is_identity_embedding():
     c = build_c_even(1)
-    assert embed_ci(c, 1, 2) == c.mat
+    assert embed_pair_operator(c.mat, c.dim, 1, 2) == c.mat
 
 
 def test_embed_matches_explicit_kronecker():
@@ -230,14 +230,15 @@ def test_embed_matches_explicit_kronecker():
         for x in range(d):
             left.set_entry(r * d + x, col * d + x, v)
             right.set_entry(x * d * d + r, x * d * d + col, v)
-    assert embed_ci(c, 1, 3) == left
-    assert embed_ci(c, 2, 3) == right
+    assert embed_pair_operator(c.mat, d, 1, 3) == left
+    assert embed_pair_operator(c.mat, d, 2, 3) == right
 
 
 @pytest.mark.parametrize("slot", [0, 2, 5])
 def test_embed_rejects_bad_slot(slot):
+    c = build_c_even(1)
     with pytest.raises(DomainError):
-        embed_ci(build_c_even(1), slot, 2)
+        embed_pair_operator(c.mat, c.dim, slot, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +296,8 @@ def test_coideal_point_size_guard():
 
 
 @pytest.mark.parametrize("k,parity,n,want", [
-    (1, "odd", 2, 2), (1, "odd", 3, 5), (2, "even", 2, 5),
+    (1, "odd", 2, 2), (1, "odd", 3, 5), (2, "even", 2, 5), (3, "even", 2, 7),
+    (3, "odd", 2, 4),
 ])
 def test_duality_anchor_dimensions(k, parity, n, want):
     rep = verify_duality(k, parity, n)
@@ -339,11 +341,23 @@ def _spy_exact_counts(monkeypatch) -> list:
     calls = []
     exact = invariant._exact_duality_counts
 
-    def spy(k, parity, n, rd, at):
+    def spy(pair, n, rd, at):
         calls.append(at)
-        return exact(k, parity, n, rd, at)
+        return exact(pair, n, rd, at)
 
     monkeypatch.setattr(invariant, "_exact_duality_counts", spy)
+    return calls
+
+
+def _count_build_c(monkeypatch) -> list:
+    calls = []
+    build = invariant.build_c
+
+    def counting_build_c(k, parity):
+        calls.append((k, parity))
+        return build(k, parity)
+
+    monkeypatch.setattr(invariant, "build_c", counting_build_c)
     return calls
 
 
@@ -372,10 +386,13 @@ def test_duality_count_mismatch_mod_p_falls_back(monkeypatch):
         return oracle(rd, n, at) + isinstance(at, ModPoint)
 
     monkeypatch.setattr(invariant, "commutant_dim_oracle", off_by_one_mod_p)
+    builds = _count_build_c(monkeypatch)
     calls = _spy_exact_counts(monkeypatch)
     rep = verify_duality(2, "even", 2)
     assert calls == [EvalPoint.from_q(Fraction(3, 2)),
                      EvalPoint.from_q(Fraction(5, 2)), CLASSICAL]
+    # the fallback reuses the pair operator built for the certificate
+    assert builds == [(2, "even")]
     assert json.dumps(rep.as_json()) == want
 
 
@@ -383,8 +400,8 @@ def test_duality_count_mismatch_mod_p_falls_back(monkeypatch):
 def test_inclusion_check_rejects_mutated_generator(k, parity):
     n, at = 3, EvalPoint.from_q(Fraction(3, 2))
     rd = _rd(k, parity)
-    gens, size = invariant._duality_generators(
-        invariant._duality_pair(k, parity), n, at)
+    mat, d = invariant._duality_pair(k, parity)
+    gens = invariant._embedded_family(mat, d, n, at)
     assert invariant._generators_in_commutant(gens, rd, n, at)
     # one entry scaled by 2
     bent = gens[0].copy()
@@ -394,7 +411,7 @@ def test_inclusion_check_rejects_mutated_generator(k, parity):
     assert not invariant._generators_in_commutant([bent, *gens[1:]], rd, n, at)
     # one entry between the all-plus and the all-minus weight vector
     leak = gens[-1].copy()
-    leak.set_entry(0, size - 1, Fraction(1))
+    leak.set_entry(0, d ** n - 1, Fraction(1))
     assert not invariant._generators_in_commutant([*gens[:-1], leak], rd, n, at)
 
 
@@ -412,17 +429,10 @@ def test_duality_grid_certified_without_fallback(monkeypatch):
 
 
 def test_duality_builds_pair_operator_once(monkeypatch):
-    calls = []
-    build = invariant.build_c
-
-    def counting_build_c(k, parity):
-        calls.append((k, parity))
-        return build(k, parity)
-
     def no_exact_path(*args):
         raise AssertionError("the modular certificate fell back")
 
-    monkeypatch.setattr(invariant, "build_c", counting_build_c)
+    calls = _count_build_c(monkeypatch)
     monkeypatch.setattr(invariant, "_exact_duality_counts", no_exact_path)
     rep = verify_duality(2, "odd", 3)
     assert calls == [(2, "odd")]
@@ -458,6 +468,24 @@ def test_duality_refuses_past_unknown_bound(monkeypatch, parity):
     monkeypatch.setattr(invariant, "build_c", no_build)
     with pytest.raises(SizeGuardError, match="4900.*--n 3"):
         verify_duality(2, parity, 4)
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("an operator was built past the size guard")
+
+
+def test_oracle_refuses_past_unknown_bound(monkeypatch):
+    # dimension 4^4 = 256, but C(8, 4)^2 = 4900 unknowns
+    monkeypatch.setattr(invariant, "tensor_action", _no_build)
+    with pytest.raises(SizeGuardError, match="4900.*--n 3"):
+        commutant_dim_oracle(RootData("D", 2), 4, CLASSICAL)
+
+
+def test_generated_algebra_refuses_past_unknown_bound(monkeypatch):
+    # the same guard as the oracle's, although the algebra acts on 256
+    monkeypatch.setattr(invariant, "build_c", _no_build)
+    with pytest.raises(SizeGuardError, match="4900.*--n 3"):
+        generated_algebra_dim(2, "odd", 4, CLASSICAL)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from spincheck.errors import DomainError, PoleError
 from spincheck.scalar import (CLASSICAL, GAUSSIAN, ONE, SYMBOLIC, ZERO,
                               EvalPoint, Ext, ModPoint, Radical, Scalar,
-                              certificate_prime, curly, eval_at_one,
-                              eval_scalar, qbinom, qfact, qint, qpow,
-                              render_q)
+                              certificate_prime, curly, eval_scalar, qbinom,
+                              qint, qpow, render_q)
 
 _0 = Fraction(0)
 
@@ -74,7 +73,7 @@ def test_eval_point_validation():
 
 @pytest.mark.parametrize("n", range(-6, 7))
 def test_qint_specializes_to_integer(n):
-    assert eval_at_one(qint(n)) == n
+    assert CLASSICAL.of(qint(n)) == n
 
 
 def test_qint_values():
@@ -98,7 +97,7 @@ def test_curly_symmetric(i):
 @pytest.mark.parametrize("n,m", [(n, m) for n in range(0, 8) for m in range(0, n + 1)])
 def test_qbinom_against_rational_evaluation(n, m):
     from math import comb
-    assert eval_at_one(qbinom(n, m)) == comb(n, m)
+    assert CLASSICAL.of(qbinom(n, m)) == comb(n, m)
     assert qbinom(n, m) == qbinom(n, n - m)
     p = EvalPoint.from_q(Fraction(9, 4))
     got = eval_scalar(qbinom(n, m), p)
@@ -121,23 +120,16 @@ def test_qbinom_pascal():
             assert lhs == rhs
 
 
-def test_qfact_product():
-    acc = ONE
-    for j in range(1, 6):
-        acc = acc * qint(j)
-        assert qfact(j) == acc
-
-
 def test_base_variants_match_quarter_powers():
     # the base-c forms express the same combinatorics in another unit;
     # base q^(1/2) is the one the short simple root of type B uses
     for c in (1, Fraction(1, 2)):
         for n in range(0, 6):
-            assert eval_at_one(qint(n, c)) == n
+            assert CLASSICAL.of(qint(n, c)) == n
         for n in range(0, 6):
             for m in range(0, n + 1):
                 from math import comb
-                assert eval_at_one(qbinom(n, m, c)) == comb(n, m)
+                assert CLASSICAL.of(qbinom(n, m, c)) == comb(n, m)
     half = Fraction(1, 2)
     assert qint(2, half) == qpow(half) + qpow(-half) != qint(2)
 
@@ -319,10 +311,10 @@ def test_eval_at_one_sums_coefficients(pair):
     s = Scalar(num, den)
     top, bottom = sum(num.values()), sum(den.values())
     if bottom:
-        assert eval_at_one(s) == top / bottom
+        assert CLASSICAL.of(s) == top / bottom
     elif top:
         with pytest.raises(PoleError):
-            eval_at_one(s)
+            CLASSICAL.of(s)
 
 
 def test_classical_point_and_pole():
@@ -330,4 +322,4 @@ def test_classical_point_and_pole():
     assert (CLASSICAL.degree, CLASSICAL.radicand) == (1, 1)
     # 1/(1 - v) has a pole at v = 1
     with pytest.raises(PoleError):
-        eval_at_one(ONE / (ONE - qpow(Fraction(1, 4))))
+        CLASSICAL.of(ONE / (ONE - qpow(Fraction(1, 4))))

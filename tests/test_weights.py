@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spincheck.errors import DomainError
 from spincheck.linalg import SparseMat
-from spincheck.scalar import ONE, ZERO, Scalar, eval_at_one, qint
+from spincheck.scalar import CLASSICAL, ONE, ZERO, Scalar, qint
 from spincheck.weights import (PinLabel, RootData, basic_construction_dim,
                                bratteli, centralizer_dims,
                                classical_dimension, module_weights,
@@ -150,7 +150,7 @@ def test_qdim_specializes_to_classical_dimension():
         diag = bratteli(rd, 3)
         for level in diag.levels:
             for lbl in level:
-                assert eval_at_one(qdimension(lbl, rd)) == \
+                assert CLASSICAL.of(qdimension(lbl, rd)) == \
                     classical_dimension(lbl, rd)
 
 
