@@ -241,13 +241,6 @@ def c_rs(N: int, l: int, r: int, s: int, primed: bool = False) -> CliffordElemen
     return acc.scale(_HALF)
 
 
-def _c_signed(N: int, l: int, a: int, b: int, primed: bool) -> CliffordElement:
-    """Antisymmetric extension: C_ab for a < b, -C_ba for a > b."""
-    if a < b:
-        return c_rs(N, l, a, b, primed)
-    return -c_rs(N, l, b, a, primed)
-
-
 def verify_so_relations(N: int, l: int, primed: bool = False) -> VerificationReport:
     """Check the orthogonal-type bracket relations of the quadratic family.
 
@@ -261,6 +254,10 @@ def verify_so_relations(N: int, l: int, primed: bool = False) -> VerificationRep
         raise DomainError("primed elements need N >= 2")
     pairs = list(combinations(range(1, l + 1), 2))
     elements = {(r, s): c_rs(N, l, r, s, primed) for r, s in pairs}
+
+    def c_signed(a: int, b: int) -> CliffordElement:
+        """Antisymmetric extension: C_ab for a < b, -C_ba for a > b."""
+        return elements[(a, b)] if a < b else -elements[(b, a)]
 
     def check_disjoint():
         for (r, s), (p, q) in combinations(pairs, 2):
@@ -277,9 +274,8 @@ def verify_so_relations(N: int, l: int, primed: bool = False) -> VerificationRep
                 for c in range(1, l + 1):
                     if len({a, b, c}) < 3:
                         continue
-                    lhs = _c_signed(N, l, a, b, primed).commutator(
-                        _c_signed(N, l, b, c, primed))
-                    rhs = _c_signed(N, l, a, c, primed)
+                    lhs = c_signed(a, b).commutator(c_signed(b, c))
+                    rhs = c_signed(a, c)
                     if lhs != rhs:
                         return f"[C_{a}{b}, C_{b}{c}] != C_{a}{c}"
         return True

@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -258,42 +259,27 @@ def verify_commutation(c: InvariantElement, g: GeneratorAction, *,
 # ---------------------------------------------------------------------------
 # spectra
 
-def _shifted_products(mat: SparseMat, eigs: list,
-                      one) -> tuple[SparseMat, list[SparseMat]]:
-    """Products of (mat - e * I) over the eigenvalue list: the full product,
-    and for each i the product over every factor except the i-th."""
-    size = mat.nrows
-    ident = SparseMat.identity(size, one)
-    prefix = [ident]
-    for e in eigs:
-        prefix.append(prefix[-1] * (mat - ident.scale(e)))
-    suffix = [ident]
-    for e in reversed(eigs):
-        suffix.append(suffix[-1] * (mat - ident.scale(e)))
-    suffix.reverse()   # suffix[i] = product over factors i..m-1
-    return prefix[-1], [prefix[i] * suffix[i + 1] for i in range(len(eigs))]
+def _factor_chain(mat: SparseMat, roots: list,
+                  ident: SparseMat) -> list[SparseMat]:
+    """The prefix products of (mat - r * I) over ``roots``, multiplied left
+    to right from ``ident``: entry i is the product of the factors before
+    the i-th, so the last entry is the full product."""
+    chain = [ident]
+    for r in roots:
+        chain.append(chain[-1] * (mat - ident.scale(r)))
+    return chain
 
 
-def _eigen_product(mat: SparseMat, eigs: list,
-                   ident: SparseMat) -> SparseMat:
-    """prod (mat - e * I) over the eigenvalue list, multiplied left to right."""
-    acc = ident
-    for e in eigs:
-        acc = acc * (mat - ident.scale(e))
-    return acc
-
-
-def _normalized_projections(others: list[SparseMat], eigs: list,
-                            one) -> list[SparseMat]:
-    """Scale each all-but-one product to its Lagrange projection."""
-    projs = []
-    for i, ei in enumerate(eigs):
-        denom = one
-        for j, ej in enumerate(eigs):
-            if j != i:
-                denom = denom * (ei - ej)
-        projs.append(others[i].scale(one / denom))
-    return projs
+def _lagrange_projection(product: SparseMat, roots: list[Scalar],
+                         i: int) -> SparseMat:
+    """Scale ``product``, the product of (M - r * I) over every root but the
+    i-th, to the projection onto the roots[i]-eigenspace of M: divide by
+    prod_{j != i} (roots[i] - roots[j])."""
+    denom = ONE
+    for j, r in enumerate(roots):
+        if j != i:
+            denom = denom * (roots[i] - r)
+    return product.scale(ONE / denom)
 
 
 def spectrum_check(c: InvariantElement) -> VerificationReport:
@@ -322,9 +308,15 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
     rep = VerificationReport("spectrum", {"parity": c.parity, "k": c.k})
     eigs = c.eigenvalues()
     ident = SparseMat.identity(size, ONE)
-    # the product chain is built once: the all-but-one products serve both
-    # the minimality check and the projections
-    full, others = _shifted_products(c.mat, eigs, ONE)
+    # one factor chain over the m eigenvalues and one over them reversed,
+    # each built once: prefix[i] * suffix[m - 1 - i] is the product over
+    # every factor but the i-th, for both minimality and the projections;
+    # the chains are dropped so they do not stay alive through the checks
+    prefix = _factor_chain(c.mat, eigs, ident)
+    suffix = _factor_chain(c.mat, eigs[::-1], ident)
+    full = prefix[-1]
+    others = [p * s for p, s in zip(prefix, suffix[-2::-1])]
+    del prefix, suffix
 
     rep.record("annihilating_product",
                lambda: full.is_zero() or "product does not vanish")
@@ -337,7 +329,8 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
 
     rep.record("minimality", check_minimality)
 
-    projs = _normalized_projections(others, eigs, ONE)
+    projs = [_lagrange_projection(other, eigs, i)
+             for i, other in enumerate(others)]
 
     def check_partition():
         total = SparseMat(size, size)
@@ -537,6 +530,13 @@ def verify_coideal(k: int, parity: str, n: int, *,
     product over the half-integer eigenvalues, the squared-eigenvalue
     product with k+1 factors, and a witness that the product with only k
     factors does NOT annihilate (the shorter relation genuinely fails).
+
+    The ladder of eigenvalues is symmetric under e -> -e, so prod_e (x - e)
+    = x^z prod_{e>0} (x^2 - e^2), z = 1 (even) or 0 (odd): at odd parity the
+    eigenvalue product and the squared product are one polynomial, computed
+    once.  It ends one factor chain per generator over the squared positive
+    eigenvalues (even: times C_i), whose second-to-last entry is the k-factor
+    witness.  Each C_i^2 is built once.
     """
     rep = VerificationReport(
         "coideal",
@@ -563,6 +563,7 @@ def verify_coideal(k: int, parity: str, n: int, *,
     rep.record("distant_commutation", check_distant)
 
     coeff = at.of(curly(1))
+    squares = [a * a for a in gens]
 
     def check_cubic():
         for i in range(len(gens)):
@@ -570,7 +571,7 @@ def verify_coideal(k: int, parity: str, n: int, *,
                 if not 0 <= j < len(gens):
                     continue
                 a, b = gens[i], gens[j]
-                lhs = a * a * b + (a * b * a).scale(coeff) + b * a * a
+                lhs = squares[i] * b + (a * b * a).scale(coeff) + b * squares[i]
                 if lhs != b:
                     return f"cubic relation fails at (C_{i + 1}, C_{j + 1})"
         return True
@@ -579,20 +580,18 @@ def verify_coideal(k: int, parity: str, n: int, *,
 
     def check_minus_variant():
         a, b = gens[0], gens[1]
-        mid = a * b * a
         if parity == "even" and k == 1:
             # degenerate smallest case: the middle word vanishes, so the
             # two sign conventions agree
-            return mid.is_zero() or "middle word expected to vanish at k = 1"
-        lhs = a * a * b - mid.scale(coeff) + b * a * a
+            return ((a * b * a).is_zero()
+                    or "middle word expected to vanish at k = 1")
+        lhs = squares[0] * b - (a * b * a).scale(coeff) + b * squares[0]
         return (lhs != b) or "minus-sign variant unexpectedly holds"
 
     if len(gens) >= 2:
         rep.record("minus_variant_distinct", check_minus_variant)
 
     if parity == "odd":
-        squares = [a * a for a in gens]
-
         def check_distant_squares():
             for i, j in combinations(range(len(gens)), 2):
                 if abs(i - j) < 2:
@@ -603,23 +602,28 @@ def verify_coideal(k: int, parity: str, n: int, *,
 
         rep.record("distant_commutation_squares", check_distant_squares)
 
-    eigs = [at.of(e) for e in c.eigenvalues()]
+    eigs = c.eigenvalues()
+    sq_eigs = [at.of(e * e) for e in reversed(eigs[:len(eigs) // 2])]
+
+    @cache
+    def chain_vanishes(idx: int) -> tuple[bool, bool]:
+        # is the eigenvalue product zero; is the second-to-last entry zero
+        chain = _factor_chain(squares[idx], sq_eigs, ident)
+        full = chain[-1] if parity == "odd" else gens[idx] * chain[-1]
+        return full.is_zero(), chain[-2].is_zero()
 
     def check_poly():
-        for idx, a in enumerate(gens):
-            if not _eigen_product(a, eigs, ident).is_zero():
+        for idx in range(len(gens)):
+            if not chain_vanishes(idx)[0]:
                 return f"eigenvalue product does not vanish for C_{idx + 1}"
         return True
 
     rep.record("eigenvalue_product", check_poly)
 
     if parity == "odd":
-        sq_eigs = [at.of(qint(Fraction(2 * j - 1, 2)) ** 2)
-                   for j in range(1, k + 2)]
-
         def check_square_poly():
-            for idx, a in enumerate(squares):
-                if not _eigen_product(a, sq_eigs, ident).is_zero():
+            for idx in range(len(gens)):
+                if not chain_vanishes(idx)[0]:
                     return f"squared product does not vanish for C_{idx + 1}^2"
             return True
 
@@ -627,8 +631,8 @@ def verify_coideal(k: int, parity: str, n: int, *,
 
         def check_short_product_nonzero():
             # the same product with only k factors must NOT annihilate
-            short = _eigen_product(squares[0], sq_eigs[:-1], ident)
-            return (not short.is_zero()) or "k-factor product already vanishes"
+            return (not chain_vanishes(0)[1]
+                    or "k-factor product already vanishes")
 
         rep.record("short_square_product_nonzero", check_short_product_nonzero)
     return rep
@@ -1041,10 +1045,8 @@ def third_power_profile(k: int, parity: str = "even") -> VerificationReport:
     rep.record("entry_reconstruction", check_reconstruction)
 
     def check_projection():
-        denom = ONE
-        for e in eigs[1:]:
-            denom = denom * (eigs[0] - e)
-        p = _eigen_product(X, eigs[1:], identh).scale(ONE / denom)
+        p = _lagrange_projection(_factor_chain(X, eigs[1:], identh)[-1],
+                                 eigs, 0)
         if p * p != p:
             return "not idempotent"
         if matrix_rank(p) != 1:

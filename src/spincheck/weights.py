@@ -151,12 +151,12 @@ class PinLabel:
         if not entries:
             raise DomainError("empty label")
         if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
-            raise DomainError(f"label {entries} is not dominant")
+            raise DomainError(f"label {self} is not dominant")
         if entries[-1] < 0:
-            raise DomainError(f"label {entries} has negative last entry")
+            raise DomainError(f"label {self} has negative last entry")
         classes = {(2 * e).numerator % 2 for e in entries}
         if len(classes) > 1:
-            raise DomainError(f"label {entries} mixes integers and half-integers")
+            raise DomainError(f"label {self} mixes integers and half-integers")
         if self.assoc:
             if self.family != "D":
                 raise DomainError("only type D labels carry the twist flag")

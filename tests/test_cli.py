@@ -74,6 +74,19 @@ def test_qdim_golden(capsys):
     assert "qdim" in err
 
 
+@pytest.mark.parametrize("label, shown", [
+    ("1,1/2", "(1,1/2)"),        # mixes integers and half-integers
+    ("1/2,3/2", "(1/2,3/2)"),    # not dominant
+    ("1,-1", "(1,-1)"),          # negative last entry
+])
+def test_bad_label_printed_like_a_label(capsys, label, shown):
+    code, out, err = invoke(
+        capsys, "qdim", "--family", "B", "--rank", "2", "--label", label)
+    assert code == 2
+    assert shown in err
+    assert "Fraction(" not in err
+
+
 def test_eigen_even_rank_two(capsys):
     code, payload, _ = invoke_json(
         capsys, "eigen", "--rank", "2", "--parity", "even")

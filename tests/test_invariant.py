@@ -21,16 +21,17 @@ import pytest
 import spincheck
 from spincheck import invariant
 from spincheck.errors import DomainError, PoleError, SizeGuardError
-from spincheck.invariant import (MAX_SYMBOLIC_DIM, build_c_even, build_c_odd,
-                                 commutant_dim_oracle, csq_block_matrix,
-                                 embed_pair_operator, generated_algebra_dim,
-                                 generator_action_for, markov_property_check,
+from spincheck.invariant import (MAX_SYMBOLIC_DIM, build_c, build_c_even,
+                                 build_c_odd, commutant_dim_oracle,
+                                 csq_block_matrix, embed_pair_operator,
+                                 generated_algebra_dim, generator_action_for,
+                                 markov_property_check,
                                  spectrum_check, third_power_profile,
                                  verify_coideal, verify_commutation,
                                  verify_duality)
 from spincheck.linalg import SparseMat
 from spincheck.qspin import spin_rep
-from spincheck.scalar import (CLASSICAL, ONE, EvalPoint, ModPoint,
+from spincheck.scalar import (CLASSICAL, ONE, ZERO, EvalPoint, ModPoint,
                               certificate_prime, curly, qint, qpow, render_q)
 from spincheck.weights import RootData, one_column_label
 
@@ -108,6 +109,17 @@ def test_eigenvalues_ladder():
     assert build_c_even(2).eigenvalues() == [qint(j) for j in (2, 1, 0, -1, -2)]
     assert build_c_odd(1).eigenvalues() == [
         qint(Fraction(3, 2)), qint(HALF), qint(-HALF), qint(Fraction(-3, 2))]
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_eigenvalues_symmetric(k, parity):
+    # verify_coideal writes the eigenvalue product as C^z times a product
+    # over the squared positive eigenvalues, which needs this symmetry
+    eigs = build_c(k, parity).eigenvalues()
+    assert all(eigs[i] == -eigs[-1 - i] for i in range(len(eigs)))
+    if parity == "even":
+        assert eigs[k] == ZERO
 
 
 def test_eigen_label_heights_alternate():
