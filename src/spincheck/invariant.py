@@ -25,7 +25,10 @@ independently computed commutant dimension and against the branching
 combinatorics.
 
 Everything is exact: symbolic over Q(v) when sizes allow, otherwise at an
-exact rational evaluation point.
+exact rational evaluation point.  The eigenprojection identities of
+``spectrum_check`` hold over Q(v) and are decided with plain ints at one
+integer point past an a-priori coefficient bound, where an integer
+polynomial vanishes only if it is zero.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from .errors import DomainError, PoleError, SizeGuardError
 from .linalg import SparseMat, SpanSolver, kernel_basis, matrix_rank
@@ -262,24 +265,83 @@ def verify_commutation(c: InvariantElement, g: GeneratorAction, *,
 def _factor_chain(mat: SparseMat, roots: list,
                   ident: SparseMat) -> list[SparseMat]:
     """The prefix products of (mat - r * I) over ``roots``, multiplied left
-    to right from ``ident``: entry i is the product of the factors before
-    the i-th, so the last entry is the full product."""
+    to right: entry i is the product of the factors before the i-th, so
+    entry 0 is ``ident``, entry 1 the first factor itself and the last entry
+    the full product."""
     chain = [ident]
     for r in roots:
-        chain.append(chain[-1] * (mat - ident.scale(r)))
+        factor = mat - ident.scale(r)
+        chain.append(chain[-1] * factor if len(chain) > 1 else factor)
     return chain
 
 
-def _lagrange_projection(product: SparseMat, roots: list[Scalar],
-                         i: int) -> SparseMat:
-    """Scale ``product``, the product of (M - r * I) over every root but the
-    i-th, to the projection onto the roots[i]-eigenspace of M: divide by
-    prod_{j != i} (roots[i] - roots[j])."""
+def _lagrange_denominator(roots: list[Scalar], i: int) -> Scalar:
+    """prod_{j != i} (roots[i] - roots[j]).  The product of (M - r * I)
+    over every root but the i-th, divided by it, is the projection onto the
+    roots[i]-eigenspace of M."""
     denom = ONE
     for j, r in enumerate(roots):
         if j != i:
             denom = denom * (roots[i] - r)
-    return product.scale(ONE / denom)
+    return denom
+
+
+def _l1(s: Scalar) -> int:
+    """The sum of the absolute coefficients of s, a Laurent polynomial with
+    integer coefficients."""
+    return sum(map(abs, s.integer_coefficients().values()))
+
+
+def _zero_test_point(bound: int) -> EvalPoint:
+    """The degree-1 point v = bound + 2.  A nonzero Laurent polynomial with
+    integer coefficients of absolute value at most ``bound`` does not vanish
+    there: every root z of an integer polynomial with leading coefficient
+    c_d and other coefficients c_i has |z| < 1 + max |c_i / c_d| (Cauchy)."""
+    v0 = Fraction(bound + 2)
+    return EvalPoint(v0 ** 4, 1, v0)
+
+
+def _cleared_products(c: InvariantElement, const: int
+                      ) -> tuple[EvalPoint, SparseMat, list[SparseMat],
+                                 list[int]]:
+    """The point v0 of ``spectrum_check`` and, as plain ints there, the
+    cleared full product, the cleared products O_i over every eigenvalue
+    but the i-th, and the cleared Lagrange denominators L_i.  ``const``
+    bounds the l1 norm of each factor (a quantum dimension or an expected
+    rank) that an L_i is multiplied by in a comparison."""
+    eigs = c.eigenvalues()
+    m, n = len(eigs), c.dim * c.dim
+    D = ONE if c.parity == "even" else ONE + qpow(1)
+    entries = [x for row in c.mat.rows.values() for x in row.values()]
+    low = min(min((D * x).integer_coefficients(), default=0)
+              for x in entries + eigs)
+    scale = D * Scalar.v_power(max(0, -low))
+    cmat = c.mat.scale(scale)
+    ceigs = [e * scale for e in eigs]
+    lags = [_lagrange_denominator(ceigs, i) for i in range(m)]
+    row = max(map(_l1, ceigs)) + max(
+        (sum(map(_l1, r.values())) for r in cmat.rows.values()), default=0)
+    lag = max(map(_l1, lags))
+    one_out = row ** (m - 1)
+    at = _zero_test_point(row ** m + one_out * (one_out + lag)
+                          + m * lag ** (m - 1) * one_out + lag ** m
+                          + (n + 2) * one_out + const * lag)
+
+    def value(s: Scalar) -> int:
+        return int(at.of(s))
+
+    imat = cmat.map_values(value)
+    ieigs = [value(e) for e in ceigs]
+    ident = SparseMat.identity(n, 1)
+    # a forward chain and a chain over every eigenvalue but the first,
+    # reversed: O_i = prefix[i] * suffix[m - 1 - i], and both ends are chain
+    # entries themselves
+    prefix = _factor_chain(imat, ieigs, ident)
+    suffix = _factor_chain(imat, ieigs[:0:-1], ident)
+    others = ([suffix[-1]]
+              + [p * s for p, s in zip(prefix[1:-2], suffix[-2:0:-1])]
+              + [prefix[-2]])
+    return at, prefix[-1], others, [value(x) for x in lags]
 
 
 def spectrum_check(c: InvariantElement) -> VerificationReport:
@@ -294,6 +356,28 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
     (even), the block-swap property (odd), and compatibility with freezing
     trailing coordinate pairs to the rank-r operator.
 
+    The eigenprojection identities are decided over plain ints at one
+    integer point v = v0.  With s = D v^E (D = q + 1 at odd parity, turning
+    1/{1/2} into v^2, else 1; v^E the least power lifting every exponent of
+    D*C and D*e_i to 0 or more), sC and s e_i lie in Z[v].  With O_i the
+    product of (sC - s e_j) over j != i and L_i = prod_{j != i} (s e_i -
+    s e_j), the projection is P_i = O_i / L_i, and each claim is an identity
+    in Z[v]: full product = 0, O_i != 0 (minimality), O_i^2 = L_i O_i
+    (idempotence), sum_i (prod_{j != i} L_j) O_i = (prod_j L_j) I
+    (partition), tr_q(O_i) = dim_q L_i and the t ox t sign of a column of
+    O_i (even), and tr(O_i) = mult C(N, i) L_i (ranks: the rank of an
+    idempotent is its trace).
+
+    Cauchy's bound: a nonzero Laurent polynomial with integer coefficients
+    of absolute value at most B has no root v0 >= B + 2, so one exact
+    evaluation decides each identity both ways.  B takes integer arithmetic
+    only: ||(XY)_ab||_1 <= sum_c ||X_ac||_1 ||Y_cb||_1, so a product of t
+    factors has entries of l1 norm at most R^t, R the largest l1 row sum of
+    a factor.  With Lambda = max ||L_i||_1, n = dim^2 and K the largest of
+    ||dim_q||_1 and mult C(N, i), the identities have l1 norms at most R^m,
+    R^{m-1} (R^{m-1} + Lambda), m Lambda^{m-1} R^{m-1} + Lambda^m and
+    (n + 2) R^{m-1} + K Lambda (t ox t is a permutation); B is their sum.
+
     Raises SizeGuardError when S ox S is larger than MAX_SYMBOLIC_DIM.
     """
     size = c.dim * c.dim
@@ -307,16 +391,15 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
             f"accepted is {top}")
     rep = VerificationReport("spectrum", {"parity": c.parity, "k": c.k})
     eigs = c.eigenvalues()
-    ident = SparseMat.identity(size, ONE)
-    # one factor chain over the m eigenvalues and one over them reversed,
-    # each built once: prefix[i] * suffix[m - 1 - i] is the product over
-    # every factor but the i-th, for both minimality and the projections;
-    # the chains are dropped so they do not stay alive through the checks
-    prefix = _factor_chain(c.mat, eigs, ident)
-    suffix = _factor_chain(c.mat, eigs[::-1], ident)
-    full = prefix[-1]
-    others = [p * s for p, s in zip(prefix, suffix[-2::-1])]
-    del prefix, suffix
+    even = c.parity == "even"
+    N = 2 * c.k + (0 if even else 1)
+    mult = 1 if even else 2
+    labels = c.eigen_labels() if even else []
+    qdims = [qdimension(lbl, c.rd) for lbl in labels]
+    ranks = [mult * comb(N, i) for i in range(len(eigs))]
+    at, full, others, lags = _cleared_products(
+        c, max(ranks + [_l1(q) for q in qdims]))
+    idempotent = [o * o == o.scale(lag) for o, lag in zip(others, lags)]
 
     rep.record("annihilating_product",
                lambda: full.is_zero() or "product does not vanish")
@@ -329,22 +412,24 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
 
     rep.record("minimality", check_minimality)
 
-    projs = [_lagrange_projection(other, eigs, i)
-             for i, other in enumerate(others)]
-
     def check_partition():
+        if False in idempotent:
+            return f"projection {idempotent.index(False)} is not idempotent"
+        everything = prod(lags)
         total = SparseMat(size, size)
-        for i, p in enumerate(projs):
-            if p * p != p:
-                return f"projection {i} is not idempotent"
-            total = total + p
-        if total != ident:
+        for o, lag in zip(others, lags):
+            cofactor, rest = divmod(everything, lag)
+            if rest:
+                raise DomainError("a Lagrange denominator does not divide "
+                                  "their product")
+            total = total + o.scale(cofactor)
+        if total != SparseMat.identity(size, everything):
             return "projections do not sum to the identity"
         return True
 
     rep.record("idempotent_partition", check_partition)
 
-    if c.parity == "even":
+    if even:
         k, d = c.k, c.dim
         rho = c.rd.rho()
         eps = c.rd.epsilon()
@@ -382,11 +467,11 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
 
         rep.record("extreme_eigenvector", check_extreme)
 
-        labels = c.eigen_labels()
-
         def check_traces():
-            for p, lbl in zip(projs, labels):
-                if qtrace(p, c.rd) != qdimension(lbl, c.rd):
+            for o, lag, qdim, lbl in zip(others, lags, qdims, labels):
+                # qtrace weights the diagonal by powers of v, which at.of
+                # evaluates at v0
+                if at.of(qtrace(o, c.rd)) != at.of(qdim) * lag:
                     return f"trace of projection for {lbl} mismatches"
             return True
 
@@ -400,7 +485,7 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
             # (-1)^{k+1} for every plain label (r < k) and (-1)^k for every
             # associate (r > k).  This pins the alternating correspondence
             # r = i (i even) / 2k - i (i odd) of eigen_label_heights.
-            tflip = tensor_action(spin_rep(c.rd), ("t", 0), 2)
+            tflip = tensor_action(spin_rep(c.rd), ("t", 0), 2, at=at)
             plain_sign = 1 if k % 2 else -1
             for i, r in enumerate(c.eigen_label_heights()):
                 if r == k:
@@ -413,7 +498,7 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
                         if tuple(x + y for x, y in zip(wts[a], wts[b])) != lam:
                             continue
                         col = {}
-                        for rr, row in projs[i].rows.items():
+                        for rr, row in others[i].rows.items():
                             if a * d + b in row:
                                 col[rr] = row[a * d + b]
                         if col:
@@ -451,14 +536,16 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
 
     def check_ranks():
         # eigenspace dimensions follow the binomial profile of one-column
-        # constituents; the doubled module carries each one twice
-        N = 2 * c.k + (0 if c.parity == "even" else 1)
-        mult = 1 if c.parity == "even" else 2
-        for i, p in enumerate(projs):
-            want = mult * comb(N, i)
-            got = matrix_rank(p)
-            if got != want:
-                return f"projection {i}: rank {got}, expected {want}"
+        # constituents; the doubled module carries each one twice.  An
+        # idempotent has rank equal to its trace.
+        for i, (o, lag) in enumerate(zip(others, lags)):
+            if not idempotent[i]:
+                return f"projection {i} is not idempotent"
+            want = ranks[i]
+            trace = sum(row.get(r, 0) for r, row in o.rows.items())
+            if trace != want * lag:
+                return (f"projection {i}: rank {Fraction(trace, lag)}, "
+                        f"expected {want}")
         return True
 
     rep.record("projection_ranks", check_ranks)
@@ -1045,8 +1132,8 @@ def third_power_profile(k: int, parity: str = "even") -> VerificationReport:
     rep.record("entry_reconstruction", check_reconstruction)
 
     def check_projection():
-        p = _lagrange_projection(_factor_chain(X, eigs[1:], identh)[-1],
-                                 eigs, 0)
+        p = _factor_chain(X, eigs[1:], identh)[-1].scale(
+            ONE / _lagrange_denominator(eigs, 0))
         if p * p != p:
             return "not idempotent"
         if matrix_rank(p) != 1:

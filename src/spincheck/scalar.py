@@ -286,6 +286,15 @@ class Scalar:
     def is_laurent_polynomial(self) -> bool:
         return self._den == {0: _F1}
 
+    def integer_coefficients(self) -> dict[int, int]:
+        """{exponent of v: coefficient} of a Laurent polynomial with integer
+        coefficients; DomainError for any other value."""
+        if (not self.is_laurent_polynomial
+                or any(c.denominator != 1 for c in self._num.values())):
+            raise DomainError(f"{self} is not a Laurent polynomial with "
+                              f"integer coefficients")
+        return {e: c.numerator for e, c in self._num.items()}
+
     def __str__(self) -> str:
         return render_q(self)
 

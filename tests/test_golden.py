@@ -2,9 +2,9 @@
 
 ``perfbench/grid.py`` splits ``spincheck all --max-rank 3`` into jobs, and
 ``perfbench/golden.json`` pins each job's reports by SHA-256.  This runs
-every job that takes 2 s or less and compares its report texts with
-the golden ones, so a change to any report shows up in Tier-1 and not only
-in a benchmark run.  The grid module is loaded read-only from its file.
+every job and compares its report texts with the golden ones, so a change
+to any report shows up in Tier-1 and not only in a benchmark run.  The grid
+module is loaded read-only from its file.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ import spincheck.weights  # noqa: F401
 
 GRID_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "grid.py"
 
-# jobs of over 2 s; the benchmark still checks them
-SLOW_JOBS = frozenset({"spectrum:odd:k=2"})
-
 
 def _load_grid():
     spec = importlib.util.spec_from_file_location("perfbench_grid", GRID_PATH)
@@ -40,8 +37,7 @@ def _load_grid():
 
 
 grid = _load_grid()
-JOBS = [job for job in grid.all_jobs(spincheck, seed=0)
-        if job.name not in SLOW_JOBS]
+JOBS = grid.all_jobs(spincheck, seed=0)
 
 
 @pytest.fixture(scope="module")

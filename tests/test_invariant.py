@@ -17,6 +17,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spincheck
 from spincheck import invariant
@@ -32,7 +34,8 @@ from spincheck.invariant import (MAX_SYMBOLIC_DIM, build_c, build_c_even,
 from spincheck.linalg import SparseMat
 from spincheck.qspin import spin_rep
 from spincheck.scalar import (CLASSICAL, ONE, ZERO, EvalPoint, ModPoint,
-                              certificate_prime, curly, qint, qpow, render_q)
+                              Scalar, certificate_prime, curly, qint, qpow,
+                              render_q)
 from spincheck.weights import RootData, one_column_label
 
 HALF = Fraction(1, 2)
@@ -204,6 +207,108 @@ def test_spectrum_odd_rank_one():
     assert "block_swap" in names
     assert "projection_traces" not in names
     assert "projection_label_fingerprint" not in names
+
+
+@pytest.mark.parametrize("k,parity", [(1, "even"), (2, "even"), (1, "odd")])
+def test_spectrum_certificate_matches_symbolic_reference(k, parity):
+    # each cleared all-but-one product at the integer point gives the verdicts
+    # of the Q(v) projection: zero or not, idempotent or not, and its trace
+    c = build_c(k, parity)
+    eigs = c.eigenvalues()
+    ident = SparseMat.identity(c.dim ** 2, ONE)
+    # const enters only the bounds of the trace and rank comparisons, and
+    # this test compares traces as exact rationals
+    at, full, others, lags = invariant._cleared_products(c, 1)
+    assert full.is_zero()
+    for i, (o, lag) in enumerate(zip(others, lags)):
+        ref = invariant._factor_chain(c.mat, eigs[:i] + eigs[i + 1:],
+                                      ident)[-1]
+        proj = ref.scale(ONE / invariant._lagrange_denominator(eigs, i))
+        assert o.is_zero() == ref.is_zero()
+        assert (o * o == o.scale(lag)) == (proj * proj == proj)
+        trace = sum(row.get(r, 0) for r, row in o.rows.items())
+        ref_trace = sum((row.get(r, ZERO) for r, row in proj.rows.items()),
+                        ZERO)
+        assert Scalar.from_fraction(Fraction(trace, lag)) == ref_trace
+
+
+@pytest.mark.parametrize("k,parity", [(1, "even"), (2, "even"), (1, "odd")])
+def test_spectrum_certificate_catches_entry_scaled_by_q(k, parity):
+    c = build_c(k, parity)
+    r, row = next(iter(c.mat.rows.items()))
+    col, val = next(iter(row.items()))
+    c.mat.set_entry(r, col, val * qpow(1))
+    verdicts = {ch.name: ch.passed for ch in spectrum_check(c).checks}
+    assert verdicts["annihilating_product"] is False
+
+
+def test_spectrum_rank_by_trace_names_the_wrong_rank():
+    # a diagonal operator with the odd k = 1 ladder but multiplicities
+    # 3, 5, 6, 2 in place of 2, 6, 6, 2: every projection is idempotent, and
+    # its rank is read off its trace
+    c = build_c_odd(1)
+    diag = SparseMat(16, 16)
+    for a, e in enumerate([e for e, times in zip(c.eigenvalues(), (3, 5, 6, 2))
+                           for _ in range(times)]):
+        diag.set_entry(a, a, e)
+    c.mat = diag
+    rep = spectrum_check(c)
+    verdicts = {ch.name: (ch.passed, ch.witness) for ch in rep.checks}
+    assert verdicts["idempotent_partition"] == (True, None)
+    assert verdicts["projection_ranks"] == (
+        False, "projection 0: rank 3, expected 2")
+
+
+@pytest.mark.parametrize("bound", [0, 1, 6, 2 ** 80 + 3])
+def test_zero_test_point_lies_past_the_bound(bound):
+    at = invariant._zero_test_point(bound)
+    assert at.degree == 1
+    assert at.radicand.denominator == 1 and at.radicand >= bound + 2
+    assert at.q0 == at.radicand ** 4
+
+
+def test_zero_test_point_does_not_certify_a_small_root():
+    p = qpow(Fraction(1, 4)) - 5                       # v - 5
+    assert EvalPoint(Fraction(5) ** 4, 1, Fraction(5)).of(p) == 0
+    assert invariant._zero_test_point(invariant._l1(p)).of(p) != 0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(-40, 40), max_size=6),
+       st.lists(st.integers(-30, 30), max_size=3),
+       st.integers(-8, 8), st.integers(0, 5))
+def test_zero_test_point_decides_zero(coeffs, roots, low, slack):
+    # any integer Laurent polynomial, times linear factors with integer
+    # roots; its value at the point past its l1 norm is 0 iff it is 0
+    v = qpow(Fraction(1, 4))
+    p = Scalar({low + e: Fraction(x) for e, x in enumerate(coeffs)})
+    for r in roots:
+        p = p * (v - r)
+    at = invariant._zero_test_point(invariant._l1(p) + slack)
+    assert (at.of(p) == 0) == (not p)
+
+
+def test_spectrum_same_under_optimize():
+    # python -O strips asserts; the reports must not depend on them
+    code = ("import json\n"
+            "from spincheck.invariant import build_c, spectrum_check\n"
+            "for k, parity in ((2, 'even'), (1, 'odd')):\n"
+            "    print(json.dumps(spectrum_check(build_c(k, parity))"
+            ".as_json()))\n")
+    # the child imports the same spincheck as this process
+    src = os.path.dirname(os.path.dirname(spincheck.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 2
 
 
 def test_squared_block_spectrum_rank_one():

@@ -16,6 +16,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ["bratteli_table.py"],
     ["spectrum_demo.py", "--skip-checks", "--parity", "even"],
     ["spectrum_demo.py", "--skip-checks", "--parity", "odd"],
+    ["spectrum_demo.py", "--parity", "odd", "--rank", "2"],
 ])
 def test_script_runs(argv):
     # the child imports the same spincheck as this process
