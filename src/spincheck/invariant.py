@@ -24,11 +24,13 @@ dimension count comparing the algebra generated by the C_i against an
 independently computed commutant dimension and against the branching
 combinatorics.
 
-Everything is exact: symbolic over Q(v) when sizes allow, otherwise at an
-exact rational evaluation point.  The eigenprojection identities of
-``spectrum_check`` hold over Q(v) and are decided with plain ints at one
-integer point past an a-priori coefficient bound, where an integer
-polynomial vanishes only if it is zero.
+Everything is exact.  The eigenprojection identities of ``spectrum_check``
+and the relations of ``verify_coideal`` hold over Q(v), and are decided
+with plain ints at one integer point past an a-priori coefficient bound,
+where an integer polynomial vanishes only if it is zero.  At a rational
+point, ``verify_coideal`` proves its nonzero claims mod a large prime, and
+both it and the duality counts fall back to exact point arithmetic when
+the cheap test proves nothing.  The other checks run over Q(v).
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 from math import comb, prod
+from typing import Callable
 
 from .errors import DomainError, PoleError, SizeGuardError
 from .linalg import SparseMat, SpanSolver, kernel_basis, matrix_rank
@@ -301,6 +304,24 @@ def _zero_test_point(bound: int) -> EvalPoint:
     return EvalPoint(v0 ** 4, 1, v0)
 
 
+def _clearing(c: InvariantElement
+              ) -> tuple[Scalar, SparseMat, list[Scalar], int]:
+    """s = D v^E, sC, the s e_i over the eigenvalues of C, and R, the
+    largest l1 row sum of sC.  D = q + 1 at odd parity (turning 1/{1/2}
+    into v^2) and 1 at even, and v^E is the least power lifting every
+    exponent of D*C and D*e_i to 0 or more, so sC and s e_i lie in Z[v]."""
+    eigs = c.eigenvalues()
+    D = ONE if c.parity == "even" else ONE + qpow(1)
+    entries = [x for row in c.mat.rows.values() for x in row.values()]
+    low = min(min((D * x).integer_coefficients(), default=0)
+              for x in entries + eigs)
+    scale = D * Scalar.v_power(max(0, -low))
+    cmat = c.mat.scale(scale)
+    row = max((sum(map(_l1, r.values())) for r in cmat.rows.values()),
+              default=0)
+    return scale, cmat, [e * scale for e in eigs], row
+
+
 def _cleared_products(c: InvariantElement, const: int
                       ) -> tuple[EvalPoint, SparseMat, list[SparseMat],
                                  list[int]]:
@@ -309,18 +330,10 @@ def _cleared_products(c: InvariantElement, const: int
     but the i-th, and the cleared Lagrange denominators L_i.  ``const``
     bounds the l1 norm of each factor (a quantum dimension or an expected
     rank) that an L_i is multiplied by in a comparison."""
-    eigs = c.eigenvalues()
-    m, n = len(eigs), c.dim * c.dim
-    D = ONE if c.parity == "even" else ONE + qpow(1)
-    entries = [x for row in c.mat.rows.values() for x in row.values()]
-    low = min(min((D * x).integer_coefficients(), default=0)
-              for x in entries + eigs)
-    scale = D * Scalar.v_power(max(0, -low))
-    cmat = c.mat.scale(scale)
-    ceigs = [e * scale for e in eigs]
+    _, cmat, ceigs, norm = _clearing(c)
+    m, n = len(ceigs), c.dim * c.dim
     lags = [_lagrange_denominator(ceigs, i) for i in range(m)]
-    row = max(map(_l1, ceigs)) + max(
-        (sum(map(_l1, r.values())) for r in cmat.rows.values()), default=0)
+    row = max(map(_l1, ceigs)) + norm
     lag = max(map(_l1, lags))
     one_out = row ** (m - 1)
     at = _zero_test_point(row ** m + one_out * (one_out + lag)
@@ -594,6 +607,108 @@ def _guard_power(suite: str, n: int, cost, bound: int, unit: str,
 # ---------------------------------------------------------------------------
 # coideal-type relations among the C_i
 
+def _coideal_bound(cleared: tuple[Scalar, SparseMat, list[Scalar], int]
+                   ) -> int:
+    """B of :func:`verify_coideal` for the output of :func:`_clearing`: an
+    upper bound on the l1 norm of each entry of each cleared identity."""
+    scale, _, ceigs, row = cleared
+    factor = row * row + max(_l1(e * e) for e in ceigs)
+    return max(2 * row ** 4, 4 * row ** 3 + _l1(scale * scale) * row,
+               row * factor ** (len(ceigs) // 2))
+
+
+def _coideal_relations(c: InvariantElement, cleared: tuple, n: int, of,
+                       mod: int = 0
+                       ) -> dict[str, tuple[bool, Callable[[], bool | str]]]:
+    """The checks of :func:`verify_coideal` in report order, by name: whether
+    the check claims that its identities vanish, and the check, which
+    returns True or the witness of its first failure.  Each identity is the
+    cleared one (see there), built from the output of :func:`_clearing`
+    mapped by ``of``: ints at v0, ints read mod ``mod``, or point values.
+    Nothing is multiplied before a check runs."""
+    scale, cmat, ceigs, _ = cleared
+    pair = cmat.map_values(of)
+    gens = [embed_pair_operator(pair, c.dim, i, n) for i in range(1, n)]
+    q, mid, rhs = of(qpow(1)), of(qpow(2) + ONE), of(scale * scale * qpow(1))
+    sq_eigs = [of(e * e) for e in reversed(ceigs[:len(ceigs) // 2])]
+    ident = SparseMat.identity(c.dim ** n, 1)
+    odd = c.parity == "odd"
+
+    def vanishes(m: SparseMat) -> bool:
+        return not any(x % mod if mod else x
+                       for row in m.rows.values() for x in row.values())
+
+    @cache
+    def square(i: int) -> SparseMat:
+        return gens[i] * gens[i]
+
+    def distant(power, label: str):
+        for i, j in combinations(range(len(gens)), 2):
+            if j - i > 1 and not vanishes(power(i).commutator(power(j))):
+                return f"[C_{i + 1}{label}, C_{j + 1}{label}] != 0"
+        return True
+
+    @cache
+    def cubic(i: int, j: int) -> tuple[bool, bool, bool]:
+        # at (C_i, C_j): does the cubic vanish with the plus sign, with the
+        # minus sign; does the middle word
+        a, b = gens[i], gens[j]
+        outer = (square(i) * b + b * square(i)).scale(q) - b.scale(rhs)
+        middle = (a * b * a).scale(mid)
+        return (vanishes(outer + middle), vanishes(outer - middle),
+                vanishes(middle))
+
+    def check_cubic():
+        for i in range(len(gens)):
+            for j in (i - 1, i + 1):
+                if 0 <= j < len(gens) and not cubic(i, j)[0]:
+                    return f"cubic relation fails at (C_{i + 1}, C_{j + 1})"
+        return True
+
+    degenerate = c.parity == "even" and c.k == 1
+
+    def check_minus_variant():
+        if degenerate:
+            # smallest case: the middle word vanishes, so the two sign
+            # conventions agree
+            return (cubic(0, 1)[2]
+                    or "middle word expected to vanish at k = 1")
+        return (not cubic(0, 1)[1]
+                or "minus-sign variant unexpectedly holds")
+
+    @cache
+    def chain_vanishes(idx: int) -> tuple[bool, bool]:
+        # is the eigenvalue product zero; is the second-to-last entry zero
+        chain = _factor_chain(square(idx), sq_eigs, ident)
+        full = chain[-1] if odd else gens[idx] * chain[-1]
+        return vanishes(full), vanishes(chain[-2])
+
+    def annihilated(what: str, label: str):
+        for idx in range(len(gens)):
+            if not chain_vanishes(idx)[0]:
+                return f"{what} does not vanish for C_{idx + 1}{label}"
+        return True
+
+    checks = {"distant_commutation": (True, lambda: distant(gens.__getitem__,
+                                                            "")),
+              "adjacent_cubic": (True, check_cubic)}
+    if len(gens) >= 2:
+        checks["minus_variant_distinct"] = (degenerate, check_minus_variant)
+    if odd:
+        checks["distant_commutation_squares"] = (
+            True, lambda: distant(square, "^2"))
+    checks["eigenvalue_product"] = (
+        True, lambda: annihilated("eigenvalue product", ""))
+    if odd:
+        checks["squared_eigenvalue_product"] = (
+            True, lambda: annihilated("squared product", "^2"))
+        # the same product with only k factors must NOT annihilate
+        checks["short_square_product_nonzero"] = (
+            False, lambda: (not chain_vanishes(0)[1]
+                            or "k-factor product already vanishes"))
+    return checks
+
+
 def verify_coideal(k: int, parity: str, n: int, *,
                    point: EvalPoint | None = None) -> VerificationReport:
     """Relations of the generating family C_1, ..., C_{n-1}.
@@ -624,104 +739,66 @@ def verify_coideal(k: int, parity: str, n: int, *,
     once.  It ends one factor chain per generator over the squared positive
     eigenvalues (even: times C_i), whose second-to-last entry is the k-factor
     witness.  Each C_i^2 is built once.
+
+    Every relation is decided in cleared form.  With s = D v^E and sC from
+    :func:`_clearing`, the generators G_i = I ox sC ox I have entries in
+    Z[v], and with q = v^4 the cubic times s^3 q is the identity
+
+        q (G_i^2 G_j + G_j G_i^2) + (q^2 + 1) G_i G_j G_i - s^2 q G_j = 0
+
+    in Z[v]; the minus variant changes the middle sign, the commutators are
+    [G_i, G_j] and [G_i^2, G_j^2], and the products are chains of
+    G_i^2 - (s e)^2 I.  The bound B (:func:`_coideal_bound`): with R the
+    largest l1 row sum of sC, and so of each G_i, an entry of a product of
+    matrices with row sums R_1, ..., R_t has l1 norm at most R_1 ... R_t.
+    The commutators are then bounded by 2 R^2 and 2 R^4, the cubic and its
+    variant by 4 R^3 + ||s^2||_1 R, and the products by R F^m, with
+    F = R^2 + max ||(s e)^2||_1 and m the number of positive eigenvalues; B
+    is the largest.  By Cauchy's bound (:func:`_zero_test_point`) each
+    identity vanishes at v0 = B + 2 exactly when it is zero, so without a
+    point every check is decided both ways with plain ints at v0.
+
+    At a point q0 > 0, s and v are invertible, so a cleared identity holds
+    there exactly when the relation does.  An identity that is zero in Z[v]
+    holds at every point, so a zero claim that passes at v0 passes at q0.
+    A nonzero claim (the minus variant, the k-factor witness) is read at
+    the reduction mod the prime of :func:`certificate_prime`
+    (:meth:`ModPoint.reducing`), a ring map on the point's values of Z[v]:
+    a nonzero image proves a nonzero value.  Any other outcome -- a zero
+    claim failing at v0, a zero image, a point with no reduction -- reruns
+    that check with exact point values, so the report is the same either
+    way.  SizeGuardError refuses powers past MAX_POINT_DIM dimensions.
     """
     rep = VerificationReport(
         "coideal",
         {"parity": parity, "k": k, "n": n,
          "point": str(point) if point is not None else "symbolic"})
-    at = SYMBOLIC if point is None else point
     c = build_c(k, parity)
-    if at is SYMBOLIC:
-        _guard_power("coideal", n, lambda m: c.dim ** m, MAX_SYMBOLIC_DIM,
-                     "dimensions over Q(v)", "pass --q")
     _guard_power("coideal", n, lambda m: c.dim ** m, MAX_POINT_DIM,
                  "dimensions at a point")
-    gens = _embedded_family(c.mat, c.dim, n, at)
-    ident = SparseMat.identity(c.dim ** n, at.one)
-
-    def check_distant():
-        for i, j in combinations(range(len(gens)), 2):
-            if abs(i - j) < 2:
-                continue
-            if not gens[i].commutator(gens[j]).is_zero():
-                return f"[C_{i + 1}, C_{j + 1}] != 0"
-        return True
-
-    rep.record("distant_commutation", check_distant)
-
-    coeff = at.of(curly(1))
-    squares = [a * a for a in gens]
-
-    def check_cubic():
-        for i in range(len(gens)):
-            for j in (i - 1, i + 1):
-                if not 0 <= j < len(gens):
-                    continue
-                a, b = gens[i], gens[j]
-                lhs = squares[i] * b + (a * b * a).scale(coeff) + b * squares[i]
-                if lhs != b:
-                    return f"cubic relation fails at (C_{i + 1}, C_{j + 1})"
-        return True
-
-    rep.record("adjacent_cubic", check_cubic)
-
-    def check_minus_variant():
-        a, b = gens[0], gens[1]
-        if parity == "even" and k == 1:
-            # degenerate smallest case: the middle word vanishes, so the
-            # two sign conventions agree
-            return ((a * b * a).is_zero()
-                    or "middle word expected to vanish at k = 1")
-        lhs = squares[0] * b - (a * b * a).scale(coeff) + b * squares[0]
-        return (lhs != b) or "minus-sign variant unexpectedly holds"
-
-    if len(gens) >= 2:
-        rep.record("minus_variant_distinct", check_minus_variant)
-
-    if parity == "odd":
-        def check_distant_squares():
-            for i, j in combinations(range(len(gens)), 2):
-                if abs(i - j) < 2:
-                    continue
-                if not squares[i].commutator(squares[j]).is_zero():
-                    return f"[C_{i + 1}^2, C_{j + 1}^2] != 0"
-            return True
-
-        rep.record("distant_commutation_squares", check_distant_squares)
-
-    eigs = c.eigenvalues()
-    sq_eigs = [at.of(e * e) for e in reversed(eigs[:len(eigs) // 2])]
+    cleared = _clearing(c)
+    v0 = _zero_test_point(_coideal_bound(cleared))
+    checks = _coideal_relations(c, cleared, n, lambda s: int(v0.of(s)))
 
     @cache
-    def chain_vanishes(idx: int) -> tuple[bool, bool]:
-        # is the eigenvalue product zero; is the second-to-last entry zero
-        chain = _factor_chain(squares[idx], sq_eigs, ident)
-        full = chain[-1] if parity == "odd" else gens[idx] * chain[-1]
-        return full.is_zero(), chain[-2].is_zero()
+    def images():
+        try:
+            mod = ModPoint.reducing(point, certificate_prime(point))
+        except PoleError:
+            return {}
+        return _coideal_relations(c, cleared, n, mod.of, mod.p)
 
-    def check_poly():
-        for idx in range(len(gens)):
-            if not chain_vanishes(idx)[0]:
-                return f"eigenvalue product does not vanish for C_{idx + 1}"
-        return True
+    exact = cache(lambda: _coideal_relations(c, cleared, n, point.of))
 
-    rep.record("eigenvalue_product", check_poly)
+    def decide(name: str, zero: bool, check) -> bool | str:
+        # at the point: a zero claim by v0, a nonzero claim mod p, or exactly
+        if not zero:
+            check = images().get(name, (zero, lambda: False))[1]
+        return check() is True or exact()[name][1]()
 
-    if parity == "odd":
-        def check_square_poly():
-            for idx in range(len(gens)):
-                if not chain_vanishes(idx)[0]:
-                    return f"squared product does not vanish for C_{idx + 1}^2"
-            return True
-
-        rep.record("squared_eigenvalue_product", check_square_poly)
-
-        def check_short_product_nonzero():
-            # the same product with only k factors must NOT annihilate
-            return (not chain_vanishes(0)[1]
-                    or "k-factor product already vanishes")
-
-        rep.record("short_square_product_nonzero", check_short_product_nonzero)
+    for name, (zero, check) in checks.items():
+        rep.record(name, check if point is None
+                   else partial(decide, name, zero, check))
     return rep
 
 

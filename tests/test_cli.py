@@ -157,7 +157,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     ("qdim", "--family", "D", "--rank", "2", "--label", "1"),  # rank mismatch
     ("eigen", "--rank", "9", "--parity", "even"),        # rank guard
     # size guard
-    ("verify", "--suite", "coideal", "--rank", "2", "--parity", "odd"),
+    ("verify", "--suite", "coideal", "--rank", "4", "--n", "4"),
     ("verify", "--suite", "spectrum", "--rank", "3", "--parity", "odd"),
     ("--threads", "4", "eigen", "--rank", "1", "--parity", "even"),  # no flag
     ("verify", "--suite", "spectrum", "--rank", "1", "--parity", "even",
@@ -220,13 +220,12 @@ def test_q_refused_where_no_point_path(capsys, suite):
 
 def test_guard_refusal_reports_reason(capsys):
     code, out, err = invoke(
-        capsys, "verify", "--suite", "coideal", "--rank", "2",
-        "--parity", "odd")
+        capsys, "verify", "--suite", "coideal", "--rank", "4", "--n", "4")
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
-    # the symbolic bound and the point path that lifts it
-    assert "512" in err and "bound 64" in err and "--q" in err
+    # without --q the coideal suite has the point bound and its hint
+    assert "65536" in err and "bound 4096" in err and "--n 3" in err
 
 
 def test_point_guard_refusal_names_bound_and_smaller_power(capsys):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ import spincheck.invariant  # noqa: F401
 import spincheck.qspin  # noqa: F401
 import spincheck.scalar  # noqa: F401
 import spincheck.weights  # noqa: F401
+from spincheck.linalg import SparseMat
 
 GRID_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "grid.py"
 
@@ -49,3 +51,22 @@ def golden():
 def test_report_matches_golden(golden, job):
     texts = [grid.report_text(rep.as_json()) for rep in job.run()]
     assert texts == grid.expected_texts(golden, job)
+
+
+def test_coideal_jobs_multiply_plain_ints(monkeypatch):
+    # the coideal relations are decided at the integer point, or mod p for
+    # the nonzero claims at a point: no product over Q(v) or a point field
+    coideal = [job for job in JOBS if job.name.startswith("coideal:")]
+    types = Counter()
+    product = SparseMat.__mul__
+
+    def counting(a, b):
+        types.update({type(v).__name__
+                      for row in a.rows.values() for v in row.values()})
+        return product(a, b)
+
+    monkeypatch.setattr(SparseMat, "__mul__", counting)
+    for job in coideal:
+        job.run()
+    assert len(coideal) == 5
+    assert set(types) == {"int"}

@@ -33,9 +33,10 @@ from spincheck.invariant import (MAX_SYMBOLIC_DIM, build_c, build_c_even,
                                  verify_duality)
 from spincheck.linalg import SparseMat
 from spincheck.qspin import spin_rep
-from spincheck.scalar import (CLASSICAL, ONE, ZERO, EvalPoint, ModPoint,
-                              Scalar, certificate_prime, curly, qint, qpow,
-                              render_q)
+from spincheck.report import VerificationReport
+from spincheck.scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint,
+                              ModPoint, Scalar, certificate_prime, curly, qint,
+                              qpow, render_q)
 from spincheck.weights import RootData, one_column_label
 
 HALF = Fraction(1, 2)
@@ -386,11 +387,156 @@ def test_coideal_at_a_point():
 
 
 def test_coideal_symbolic_size_guard():
-    # the doubled rank-2 module has dimension 8, and 8^3 = 512 columns is
-    # past the symbolic comfort zone
-    assert (1 << 3) ** 3 > MAX_SYMBOLIC_DIM
-    with pytest.raises(SizeGuardError):
-        verify_coideal(2, "odd", 3)
+    # symbolic requests share the point bound: 16^4 = 65536 dimensions at
+    # even k = 4 is past it, and the refusal names the largest --n within it
+    with pytest.raises(SizeGuardError, match="65536.*bound 4096.*--n 3"):
+        verify_coideal(4, "even", 4)
+
+
+def test_coideal_symbolic_admits_former_refusal():
+    # 8^3 = 512 dimensions, refused without --q while the symbolic bound was
+    # 64; it runs at the integer point now, with the verdicts of q = 3/2
+    rep = verify_coideal(2, "odd", 3)
+    assert rep.passed and len(rep.checks) == 7, rep.summary()
+    at_point = verify_coideal(2, "odd", 3,
+                              point=EvalPoint.from_q(Fraction(3, 2)))
+    assert ([ch.as_json() for ch in rep.checks]
+            == [ch.as_json() for ch in at_point.checks])
+
+
+def _coideal_reference(c, n, at):
+    """The coideal verdicts with the uncleared C_i multiplied at ``at``
+    (SYMBOLIC: over Q(v)), and, over Q(v), each identity and each word of
+    the cubic times the power of s that clears it."""
+    s = invariant._clearing(c)[0]
+    gens = [embed_pair_operator(c.mat.map_values(at.of), c.dim, i, n)
+            for i in range(1, n)]
+    sq = [g * g for g in gens]
+    coeff, q = at.of(curly(1)), qpow(1)
+    cleared = []
+
+    def zero(m, power, factor=ONE):
+        if at is SYMBOLIC:
+            cleared.append(m.scale(s ** power * factor))
+        return m.is_zero()
+
+    def cubic(i, j, sign):
+        a, b = gens[i], gens[j]
+        words = [sq[i] * b, b * sq[i], (a * b * a).scale(sign * coeff)]
+        for w in words:
+            zero(w, 3, q)
+        return words[0] + words[1] + words[2] - b
+
+    last = len(gens)
+    distant = [(i, j) for i in range(last) for j in range(i + 2, last)]
+    adjacent = [(i, j) for i in range(last) for j in (i - 1, i + 1)
+                if 0 <= j < last]
+    verdicts = {
+        "distant_commutation": all([zero(gens[i].commutator(gens[j]), 2)
+                                    for i, j in distant]),
+        "adjacent_cubic": all([zero(cubic(i, j, 1), 3, q)
+                               for i, j in adjacent])}
+    if last >= 2:
+        if c.parity == "even" and c.k == 1:
+            verdicts["minus_variant_distinct"] = zero(
+                gens[0] * gens[1] * gens[0], 3)
+        else:
+            verdicts["minus_variant_distinct"] = not zero(
+                cubic(0, 1, -1), 3, q)
+    eigs = c.eigenvalues()
+    pos = [at.of(e * e) for e in reversed(eigs[:len(eigs) // 2])]
+    m = len(pos)
+    ident = SparseMat.identity(c.dim ** n, at.one)
+    chains = [invariant._factor_chain(g2, pos, ident) for g2 in sq]
+    if c.parity == "even":
+        full = [zero(g * ch[-1], 2 * m + 1) for g, ch in zip(gens, chains)]
+        verdicts["eigenvalue_product"] = all(full)
+        return verdicts, cleared
+    verdicts["distant_commutation_squares"] = all(
+        [zero(sq[i].commutator(sq[j]), 4) for i, j in distant])
+    verdicts["eigenvalue_product"] = verdicts["squared_eigenvalue_product"] = (
+        all([zero(ch[-1], 2 * m) for ch in chains]))
+    verdicts["short_square_product_nonzero"] = not zero(chains[0][-2],
+                                                        2 * m - 2)
+    return verdicts, cleared
+
+
+def _scale_one_entry(c, factor):
+    r, row = next(iter(c.mat.rows.items()))
+    col, val = next(iter(row.items()))
+    c.mat.set_entry(r, col, val * factor)
+    return c
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("k,parity,n", [
+    (1, "even", 3), (1, "even", 4), (2, "even", 3), (1, "odd", 3),
+])
+def test_coideal_integer_point_matches_symbolic_reference(
+        monkeypatch, k, parity, n, perturbed):
+    # the verdicts at the integer point equal those of the Q(v) products,
+    # on C and on C with one entry times q, where relations fail; every
+    # cleared identity and cubic word has coefficients within the bound
+    c = build_c(k, parity)
+    if perturbed:
+        c = _scale_one_entry(c, qpow(1))
+        monkeypatch.setattr(invariant, "build_c", lambda *args: c)
+    verdicts, cleared = _coideal_reference(c, n, SYMBOLIC)
+    rep = verify_coideal(k, parity, n)
+    assert {ch.name: ch.passed for ch in rep.checks} == verdicts
+    assert perturbed != rep.passed
+    bound = invariant._coideal_bound(invariant._clearing(c))
+    top = max(abs(x) for m in cleared for row in m.rows.values()
+              for val in row.values()
+              for x in val.integer_coefficients().values())
+    assert 0 < top <= bound
+
+
+def _exact_coideal_report(k, parity, n, point):
+    """The coideal report with every check run on the exact point path."""
+    c = invariant.build_c(k, parity)
+    rep = VerificationReport("coideal", {"parity": parity, "k": k, "n": n,
+                                         "point": str(point)})
+    relations = invariant._coideal_relations(c, invariant._clearing(c), n,
+                                             point.of)
+    for name, (_, check) in relations.items():
+        rep.record(name, check)
+    return rep
+
+
+@pytest.mark.parametrize("defect,fails", [
+    # one entry times q: zero claims fail generically, so they fall back
+    ("entry", {"adjacent_cubic", "eigenvalue_product",
+               "squared_eigenvalue_product"}),
+    # C = [1/2] I: the k-factor product is zero, so its image mod p is zero
+    # too and it falls back; the cubic holds, since [1/2]^2 {1/2}^2 = 1
+    ("scalar", {"short_square_product_nonzero"}),
+])
+def test_coideal_point_fallback_matches_exact_path(monkeypatch, defect,
+                                                   fails):
+    c = build_c(1, "odd")
+    if defect == "entry":
+        c = _scale_one_entry(c, qpow(1))
+    else:
+        c.mat = SparseMat.identity(c.dim ** 2, qint(HALF))
+    monkeypatch.setattr(invariant, "build_c", lambda *args: c)
+    point = EvalPoint.from_q(Fraction(3, 2))
+    exact_runs = []
+    relations = invariant._coideal_relations
+
+    def spy(c, cleared, n, of, mod=0):
+        if of == point.of:
+            exact_runs.append(n)
+        return relations(c, cleared, n, of, mod)
+
+    monkeypatch.setattr(invariant, "_coideal_relations", spy)
+    rep = verify_coideal(1, "odd", 3, point=point)
+    assert exact_runs == [3]
+    assert {ch.name for ch in rep.checks if not ch.passed} == fails
+    assert rep.as_json() == _exact_coideal_report(1, "odd", 3,
+                                                  point).as_json()
+    verdicts, _ = _coideal_reference(c, 3, point)
+    assert {ch.name: ch.passed for ch in rep.checks} == verdicts
 
 
 @pytest.mark.parametrize("build,k,top", [(build_c_odd, 3, 2),
