@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
-from math import comb, prod
-from typing import Callable
+from math import comb, gcd, prod
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, PoleError, SizeGuardError
 from .linalg import SparseMat, SpanSolver, kernel_basis, matrix_rank
@@ -58,7 +58,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 _HALF = Fraction(1, 2)
 
-MAX_SYMBOLIC_DIM = 64       # largest tensor-power dimension handled over Q(v)
+MAX_SYMBOLIC_DIM = 256      # largest tensor-power dimension handled over Q(v)
 MAX_POINT_DIM = 4096        # largest dimension handled at an evaluation point
 MAX_ORACLE_UNKNOWNS = 2048  # largest commutant system verify_duality solves
 
@@ -295,21 +295,59 @@ def _l1(s: Scalar) -> int:
     return sum(map(abs, s.integer_coefficients().values()))
 
 
-def _zero_test_point(bound: int) -> EvalPoint:
-    """The degree-1 point v = bound + 2.  A nonzero Laurent polynomial with
-    integer coefficients of absolute value at most ``bound`` does not vanish
-    there: every root z of an integer polynomial with leading coefficient
-    c_d and other coefficients c_i has |z| < 1 + max |c_i / c_d| (Cauchy)."""
-    v0 = Fraction(bound + 2)
-    return EvalPoint(v0 ** 4, 1, v0)
+def _l1_of_product(polys) -> int:
+    """The l1 norm of the product of integer Laurent polynomials, each given
+    as {exponent: coefficient}, multiplied out with integer arithmetic."""
+    acc = {0: 1}
+    for p in polys:
+        out: dict[int, int] = {}
+        for ea, ca in acc.items():
+            for eb, cb in p.items():
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+        acc = out
+    return sum(map(abs, acc.values()))
 
 
-def _clearing(c: InvariantElement
-              ) -> tuple[Scalar, SparseMat, list[Scalar], int]:
-    """s = D v^E, sC, the s e_i over the eigenvalues of C, and R, the
-    largest l1 row sum of sC.  D = q + 1 at odd parity (turning 1/{1/2}
-    into v^2) and 1 at even, and v^E is the least power lifting every
-    exponent of D*C and D*e_i to 0 or more, so sC and s e_i lie in Z[v]."""
+def _zero_test_point(bound: int, g: int) -> EvalPoint:
+    """The point w = bound + 2 in w = v^g (g = 1, 2 or 4), the EvalPoint of
+    v = w^(1/g).  A nonzero Laurent polynomial in w with integer
+    coefficients of absolute value at most ``bound`` does not vanish there:
+    every root z of an integer polynomial with leading coefficient c_d and
+    other coefficients c_i has |z| < 1 + max |c_i / c_d| (Cauchy).  Read
+    values there with :func:`_at_w`, which refuses a scalar that is no such
+    polynomial."""
+    w0 = Fraction(bound + 2)
+    return EvalPoint(w0 ** (4 // g), g, w0)
+
+
+def _at_w(at: EvalPoint, s: Scalar) -> Fraction:
+    """The value of ``s`` at the point w = v^g of :func:`_zero_test_point`
+    (g = at.degree), a Fraction.  DomainError when ``s`` is not a Laurent
+    polynomial in w with integer coefficients, whose value Cauchy's bound
+    would not decide."""
+    if any(e % at.degree for e in s.integer_coefficients()):
+        raise DomainError(f"{s} is not a Laurent polynomial in "
+                          f"v^{at.degree}")
+    return at.of(s)
+
+
+class _Cleared(NamedTuple):
+    """The output of :func:`_clearing`."""
+
+    scale: Scalar           # s = D v^E
+    mat: SparseMat          # sC
+    eigs: list[Scalar]      # s e_i over the eigenvalues e_i of C
+    row: int                # R, the largest l1 row sum of sC
+    g: int                  # sC and the s e_i lie in Z[w], w = v^g
+
+
+def _clearing(c: InvariantElement) -> _Cleared:
+    """s = D v^E, sC, the s e_i over the eigenvalues of C, R, the largest l1
+    row sum of sC, and g = gcd(4, every exponent of sC and of the s e_i).
+    D = q + 1 at odd parity (turning 1/{1/2} into v^2) and 1 at even, and
+    v^E is the least power lifting every exponent of D*C and D*e_i to 0 or
+    more, so sC and s e_i lie in Z[v], and in fact in Z[w] for w = v^g:
+    g = 4 at even parity and 2 at odd for C itself."""
     eigs = c.eigenvalues()
     D = ONE if c.parity == "even" else ONE + qpow(1)
     entries = [x for row in c.mat.rows.values() for x in row.values()]
@@ -317,33 +355,44 @@ def _clearing(c: InvariantElement
               for x in entries + eigs)
     scale = D * Scalar.v_power(max(0, -low))
     cmat = c.mat.scale(scale)
+    ceigs = [e * scale for e in eigs]
     row = max((sum(map(_l1, r.values())) for r in cmat.rows.values()),
               default=0)
-    return scale, cmat, [e * scale for e in eigs], row
+    values = [x for r in cmat.rows.values() for x in r.values()] + ceigs
+    g = gcd(4, *(e for x in values for e in x.integer_coefficients()))
+    return _Cleared(scale, cmat, ceigs, row, g)
 
 
 def _cleared_products(c: InvariantElement, const: int
                       ) -> tuple[EvalPoint, SparseMat, list[SparseMat],
-                                 list[int]]:
-    """The point v0 of ``spectrum_check`` and, as plain ints there, the
+                                 list[int], int]:
+    """The point w0 of ``spectrum_check`` and, as plain ints there, the
     cleared full product, the cleared products O_i over every eigenvalue
-    but the i-th, and the cleared Lagrange denominators L_i.  ``const``
-    bounds the l1 norm of each factor (a quantum dimension or an expected
-    rank) that an L_i is multiplied by in a comparison."""
-    _, cmat, ceigs, norm = _clearing(c)
+    but the i-th, the cleared Lagrange denominators L_i and the Vandermonde
+    product V = prod_{a<b} (s e_a - s e_b).  ``const`` bounds the l1 norm of
+    each factor (a quantum dimension or an expected rank) that an L_i is
+    multiplied by in a comparison."""
+    cleared = _clearing(c)
+    ceigs = cleared.eigs
     m, n = len(ceigs), c.dim * c.dim
     lags = [_lagrange_denominator(ceigs, i) for i in range(m)]
-    row = max(map(_l1, ceigs)) + norm
+    row = max(map(_l1, ceigs)) + cleared.row
     lag = max(map(_l1, lags))
+    # V, and V / L_i = +-(the product over the pairs without i)
+    pairs = {(a, b): (ceigs[a] - ceigs[b]).integer_coefficients()
+             for a, b in combinations(range(m), 2)}
+    vand = _l1_of_product(pairs.values())
+    cofactor = max(_l1_of_product(p for ab, p in pairs.items() if i not in ab)
+                   for i in range(m))
     one_out = row ** (m - 1)
     at = _zero_test_point(row ** m + one_out * (one_out + lag)
-                          + m * lag ** (m - 1) * one_out + lag ** m
-                          + (n + 2) * one_out + const * lag)
+                          + m * cofactor * one_out + vand
+                          + (n + 2) * one_out + const * lag, cleared.g)
 
     def value(s: Scalar) -> int:
-        return int(at.of(s))
+        return int(_at_w(at, s))
 
-    imat = cmat.map_values(value)
+    imat = cleared.mat.map_values(value)
     ieigs = [value(e) for e in ceigs]
     ident = SparseMat.identity(n, 1)
     # a forward chain and a chain over every eigenvalue but the first,
@@ -354,7 +403,8 @@ def _cleared_products(c: InvariantElement, const: int
     others = ([suffix[-1]]
               + [p * s for p, s in zip(prefix[1:-2], suffix[-2:0:-1])]
               + [prefix[-2]])
-    return at, prefix[-1], others, [value(x) for x in lags]
+    return (at, prefix[-1], others, [value(x) for x in lags],
+            prod(a - b for a, b in combinations(ieigs, 2)))
 
 
 def spectrum_check(c: InvariantElement) -> VerificationReport:
@@ -370,26 +420,32 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
     trailing coordinate pairs to the rank-r operator.
 
     The eigenprojection identities are decided over plain ints at one
-    integer point v = v0.  With s = D v^E (D = q + 1 at odd parity, turning
+    integer point.  With s = D v^E (D = q + 1 at odd parity, turning
     1/{1/2} into v^2, else 1; v^E the least power lifting every exponent of
-    D*C and D*e_i to 0 or more), sC and s e_i lie in Z[v].  With O_i the
-    product of (sC - s e_j) over j != i and L_i = prod_{j != i} (s e_i -
-    s e_j), the projection is P_i = O_i / L_i, and each claim is an identity
-    in Z[v]: full product = 0, O_i != 0 (minimality), O_i^2 = L_i O_i
-    (idempotence), sum_i (prod_{j != i} L_j) O_i = (prod_j L_j) I
-    (partition), tr_q(O_i) = dim_q L_i and the t ox t sign of a column of
-    O_i (even), and tr(O_i) = mult C(N, i) L_i (ranks: the rank of an
-    idempotent is its trace).
+    D*C and D*e_i to 0 or more), sC and s e_i lie in Z[w], w = v^g with g
+    the gcd of 4 and their exponents (:func:`_clearing`; 4 at even parity,
+    2 at odd).  With O_i the product of (sC - s e_j) over j != i,
+    L_i = prod_{j != i} (s e_i - s e_j) and the Vandermonde product
+    V = prod_{a<b} (s e_a - s e_b), which L_i divides, the projection is
+    P_i = O_i / L_i, and each claim is an identity in Z[w^{+-1}]: full
+    product = 0, O_i != 0 (minimality), O_i^2 = L_i O_i (idempotence),
+    sum_i (V / L_i) O_i = V I (partition), tr_q(O_i) = dim_q L_i and the
+    t ox t sign of a column of O_i (even; q-trace weights and quantum
+    dimensions are Laurent polynomials in q = v^4), and tr(O_i) =
+    mult C(N, i) L_i (ranks: the rank of an idempotent is its trace).
 
-    Cauchy's bound: a nonzero Laurent polynomial with integer coefficients
-    of absolute value at most B has no root v0 >= B + 2, so one exact
-    evaluation decides each identity both ways.  B takes integer arithmetic
-    only: ||(XY)_ab||_1 <= sum_c ||X_ac||_1 ||Y_cb||_1, so a product of t
-    factors has entries of l1 norm at most R^t, R the largest l1 row sum of
-    a factor.  With Lambda = max ||L_i||_1, n = dim^2 and K the largest of
-    ||dim_q||_1 and mult C(N, i), the identities have l1 norms at most R^m,
-    R^{m-1} (R^{m-1} + Lambda), m Lambda^{m-1} R^{m-1} + Lambda^m and
-    (n + 2) R^{m-1} + K Lambda (t ox t is a permutation); B is their sum.
+    Cauchy's bound: a nonzero Laurent polynomial in w with integer
+    coefficients of absolute value at most B has no root w0 >= B + 2, so
+    one exact evaluation at w0 decides each identity both ways.  B takes
+    integer arithmetic only: ||(XY)_ab||_1 <= sum_c ||X_ac||_1 ||Y_cb||_1,
+    so a product of t factors has entries of l1 norm at most R^t, R the
+    largest l1 row sum of a factor.  With Lambda = max ||L_i||_1, n = dim^2
+    and K the largest of ||dim_q||_1 and mult C(N, i), the identities have
+    l1 norms at most R^m, R^{m-1} (R^{m-1} + Lambda),
+    m max_i ||V / L_i||_1 R^{m-1} + ||V||_1 and (n + 2) R^{m-1} + K Lambda
+    (t ox t is a permutation); B is their sum.  V / L_i is, up to sign, the
+    Vandermonde product over the pairs without i, so both of its norms come
+    from multiplying the pair differences out as integer polynomials.
 
     Raises SizeGuardError when S ox S is larger than MAX_SYMBOLIC_DIM.
     """
@@ -410,7 +466,7 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
     labels = c.eigen_labels() if even else []
     qdims = [qdimension(lbl, c.rd) for lbl in labels]
     ranks = [mult * comb(N, i) for i in range(len(eigs))]
-    at, full, others, lags = _cleared_products(
+    at, full, others, lags, vand = _cleared_products(
         c, max(ranks + [_l1(q) for q in qdims]))
     idempotent = [o * o == o.scale(lag) for o, lag in zip(others, lags)]
 
@@ -428,15 +484,14 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
     def check_partition():
         if False in idempotent:
             return f"projection {idempotent.index(False)} is not idempotent"
-        everything = prod(lags)
         total = SparseMat(size, size)
         for o, lag in zip(others, lags):
-            cofactor, rest = divmod(everything, lag)
+            cofactor, rest = divmod(vand, lag)
             if rest:
                 raise DomainError("a Lagrange denominator does not divide "
-                                  "their product")
+                                  "the Vandermonde product")
             total = total + o.scale(cofactor)
-        if total != SparseMat.identity(size, everything):
+        if total != SparseMat.identity(size, vand):
             return "projections do not sum to the identity"
         return True
 
@@ -482,9 +537,9 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
 
         def check_traces():
             for o, lag, qdim, lbl in zip(others, lags, qdims, labels):
-                # qtrace weights the diagonal by powers of v, which at.of
-                # evaluates at v0
-                if at.of(qtrace(o, c.rd)) != at.of(qdim) * lag:
+                # qtrace weights the diagonal by powers of q, polynomials
+                # in w like the quantum dimensions
+                if _at_w(at, qtrace(o, c.rd)) != _at_w(at, qdim) * lag:
                     return f"trace of projection for {lbl} mismatches"
             return True
 
@@ -607,26 +662,25 @@ def _guard_power(suite: str, n: int, cost, bound: int, unit: str,
 # ---------------------------------------------------------------------------
 # coideal-type relations among the C_i
 
-def _coideal_bound(cleared: tuple[Scalar, SparseMat, list[Scalar], int]
-                   ) -> int:
+def _coideal_bound(cleared: _Cleared) -> int:
     """B of :func:`verify_coideal` for the output of :func:`_clearing`: an
     upper bound on the l1 norm of each entry of each cleared identity."""
-    scale, _, ceigs, row = cleared
+    scale, ceigs, row = cleared.scale, cleared.eigs, cleared.row
     factor = row * row + max(_l1(e * e) for e in ceigs)
     return max(2 * row ** 4, 4 * row ** 3 + _l1(scale * scale) * row,
                row * factor ** (len(ceigs) // 2))
 
 
-def _coideal_relations(c: InvariantElement, cleared: tuple, n: int, of,
+def _coideal_relations(c: InvariantElement, cleared: _Cleared, n: int, of,
                        mod: int = 0
                        ) -> dict[str, tuple[bool, Callable[[], bool | str]]]:
     """The checks of :func:`verify_coideal` in report order, by name: whether
     the check claims that its identities vanish, and the check, which
     returns True or the witness of its first failure.  Each identity is the
     cleared one (see there), built from the output of :func:`_clearing`
-    mapped by ``of``: ints at v0, ints read mod ``mod``, or point values.
+    mapped by ``of``: ints at w0, ints read mod ``mod``, or point values.
     Nothing is multiplied before a check runs."""
-    scale, cmat, ceigs, _ = cleared
+    scale, cmat, ceigs = cleared.scale, cleared.mat, cleared.eigs
     pair = cmat.map_values(of)
     gens = [embed_pair_operator(pair, c.dim, i, n) for i in range(1, n)]
     q, mid, rhs = of(qpow(1)), of(qpow(2) + ONE), of(scale * scale * qpow(1))
@@ -742,30 +796,32 @@ def verify_coideal(k: int, parity: str, n: int, *,
 
     Every relation is decided in cleared form.  With s = D v^E and sC from
     :func:`_clearing`, the generators G_i = I ox sC ox I have entries in
-    Z[v], and with q = v^4 the cubic times s^3 q is the identity
+    Z[w], w = v^g (g = 4 at even parity, 2 at odd), and with q = v^4 the
+    cubic times s^3 q is the identity
 
         q (G_i^2 G_j + G_j G_i^2) + (q^2 + 1) G_i G_j G_i - s^2 q G_j = 0
 
-    in Z[v]; the minus variant changes the middle sign, the commutators are
-    [G_i, G_j] and [G_i^2, G_j^2], and the products are chains of
-    G_i^2 - (s e)^2 I.  The bound B (:func:`_coideal_bound`): with R the
-    largest l1 row sum of sC, and so of each G_i, an entry of a product of
-    matrices with row sums R_1, ..., R_t has l1 norm at most R_1 ... R_t.
-    The commutators are then bounded by 2 R^2 and 2 R^4, the cubic and its
-    variant by 4 R^3 + ||s^2||_1 R, and the products by R F^m, with
-    F = R^2 + max ||(s e)^2||_1 and m the number of positive eigenvalues; B
-    is the largest.  By Cauchy's bound (:func:`_zero_test_point`) each
-    identity vanishes at v0 = B + 2 exactly when it is zero, so without a
-    point every check is decided both ways with plain ints at v0.
+    in Z[w] (q, q^2 + 1 and s^2 q lie there too); the minus variant changes
+    the middle sign, the commutators are [G_i, G_j] and [G_i^2, G_j^2], and
+    the products are chains of G_i^2 - (s e)^2 I.  The bound B
+    (:func:`_coideal_bound`): with R the largest l1 row sum of sC, and so
+    of each G_i, an entry of a product of matrices with row sums R_1, ...,
+    R_t has l1 norm at most R_1 ... R_t.  The commutators are then bounded
+    by 2 R^2 and 2 R^4, the cubic and its variant by 4 R^3 + ||s^2||_1 R,
+    and the products by R F^m, with F = R^2 + max ||(s e)^2||_1 and m the
+    number of positive eigenvalues; B is the largest.  An l1 norm is the
+    same read in v or in w, so by Cauchy's bound (:func:`_zero_test_point`)
+    each identity vanishes at w0 = B + 2 exactly when it is zero, and
+    without a point every check is decided both ways with plain ints at w0.
 
     At a point q0 > 0, s and v are invertible, so a cleared identity holds
-    there exactly when the relation does.  An identity that is zero in Z[v]
-    holds at every point, so a zero claim that passes at v0 passes at q0.
+    there exactly when the relation does.  An identity that is zero in Z[w]
+    holds at every point, so a zero claim that passes at w0 passes at q0.
     A nonzero claim (the minus variant, the k-factor witness) is read at
     the reduction mod the prime of :func:`certificate_prime`
     (:meth:`ModPoint.reducing`), a ring map on the point's values of Z[v]:
     a nonzero image proves a nonzero value.  Any other outcome -- a zero
-    claim failing at v0, a zero image, a point with no reduction -- reruns
+    claim failing at w0, a zero image, a point with no reduction -- reruns
     that check with exact point values, so the report is the same either
     way.  SizeGuardError refuses powers past MAX_POINT_DIM dimensions.
     """
@@ -777,8 +833,8 @@ def verify_coideal(k: int, parity: str, n: int, *,
     _guard_power("coideal", n, lambda m: c.dim ** m, MAX_POINT_DIM,
                  "dimensions at a point")
     cleared = _clearing(c)
-    v0 = _zero_test_point(_coideal_bound(cleared))
-    checks = _coideal_relations(c, cleared, n, lambda s: int(v0.of(s)))
+    w0 = _zero_test_point(_coideal_bound(cleared), cleared.g)
+    checks = _coideal_relations(c, cleared, n, lambda s: int(_at_w(w0, s)))
 
     @cache
     def images():
@@ -791,7 +847,7 @@ def verify_coideal(k: int, parity: str, n: int, *,
     exact = cache(lambda: _coideal_relations(c, cleared, n, point.of))
 
     def decide(name: str, zero: bool, check) -> bool | str:
-        # at the point: a zero claim by v0, a nonzero claim mod p, or exactly
+        # at the point: a zero claim by w0, a nonzero claim mod p, or exactly
         if not zero:
             check = images().get(name, (zero, lambda: False))[1]
         return check() is True or exact()[name][1]()

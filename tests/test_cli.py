@@ -158,7 +158,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     ("eigen", "--rank", "9", "--parity", "even"),        # rank guard
     # size guard
     ("verify", "--suite", "coideal", "--rank", "4", "--n", "4"),
-    ("verify", "--suite", "spectrum", "--rank", "3", "--parity", "odd"),
+    ("verify", "--suite", "spectrum", "--rank", "4", "--parity", "odd"),
     ("--threads", "4", "eigen", "--rank", "1", "--parity", "even"),  # no flag
     ("verify", "--suite", "spectrum", "--rank", "1", "--parity", "even",
      "--q", "3/2"),                                      # no point path

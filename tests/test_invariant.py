@@ -219,11 +219,19 @@ def test_spectrum_certificate_matches_symbolic_reference(k, parity):
     ident = SparseMat.identity(c.dim ** 2, ONE)
     # const enters only the bounds of the trace and rank comparisons, and
     # this test compares traces as exact rationals
-    at, full, others, lags = invariant._cleared_products(c, 1)
+    at, full, others, lags, vand = invariant._cleared_products(c, 1)
     assert full.is_zero()
+    assert all(vand % lag == 0 for lag in lags)
+    s = invariant._clearing(c).scale ** (len(eigs) - 1)
     for i, (o, lag) in enumerate(zip(others, lags)):
         ref = invariant._factor_chain(c.mat, eigs[:i] + eigs[i + 1:],
                                       ident)[-1]
+        # o is the cleared product at w0, and w0 lies past its coefficients
+        cleared = ref.scale(s)
+        assert o == cleared.map_values(lambda x: int(invariant._at_w(at, x)))
+        assert all(abs(x) + 2 <= at.radicand
+                   for row in cleared.rows.values() for val in row.values()
+                   for x in val.integer_coefficients().values())
         proj = ref.scale(ONE / invariant._lagrange_denominator(eigs, i))
         assert o.is_zero() == ref.is_zero()
         assert (o * o == o.scale(lag)) == (proj * proj == proj)
@@ -262,31 +270,76 @@ def test_spectrum_rank_by_trace_names_the_wrong_rank():
 
 @pytest.mark.parametrize("bound", [0, 1, 6, 2 ** 80 + 3])
 def test_zero_test_point_lies_past_the_bound(bound):
-    at = invariant._zero_test_point(bound)
-    assert at.degree == 1
-    assert at.radicand.denominator == 1 and at.radicand >= bound + 2
-    assert at.q0 == at.radicand ** 4
+    # for each step g, w = v^g lies past the bound, and q = v^4 = w^(4 / g)
+    for g in (1, 2, 4):
+        at = invariant._zero_test_point(bound, g)
+        assert at.degree == g
+        assert at.radicand.denominator == 1 and at.radicand >= bound + 2
+        assert at.q0 == at.radicand ** (4 // g)
+        assert invariant._at_w(at, qpow(1)) == at.q0
+        assert invariant._at_w(at, Scalar.v_power(g)) == at.radicand
 
 
 def test_zero_test_point_does_not_certify_a_small_root():
     p = qpow(Fraction(1, 4)) - 5                       # v - 5
     assert EvalPoint(Fraction(5) ** 4, 1, Fraction(5)).of(p) == 0
-    assert invariant._zero_test_point(invariant._l1(p)).of(p) != 0
+    assert invariant._zero_test_point(invariant._l1(p), 1).of(p) != 0
+
+
+@pytest.mark.parametrize("g,exponent", [(2, 1), (2, 3), (4, 2), (4, -1)])
+def test_zero_test_point_refuses_an_exponent_off_the_step(g, exponent):
+    # v^e with g not dividing e is no polynomial in w = v^g: its value would
+    # lie in an extension, which Cauchy's bound does not decide
+    at = invariant._zero_test_point(10, g)
+    p = Scalar.v_power(exponent) + 1
+    with pytest.raises(DomainError, match=f"v\\^{g}"):
+        invariant._at_w(at, p)
+    with pytest.raises(DomainError):
+        invariant._at_w(at, qpow(1) / 2)        # a non-integer coefficient
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.lists(st.integers(-40, 40), max_size=6),
+@given(st.sampled_from([1, 2, 4]),
+       st.lists(st.integers(-40, 40), max_size=6),
        st.lists(st.integers(-30, 30), max_size=3),
        st.integers(-8, 8), st.integers(0, 5))
-def test_zero_test_point_decides_zero(coeffs, roots, low, slack):
-    # any integer Laurent polynomial, times linear factors with integer
-    # roots; its value at the point past its l1 norm is 0 iff it is 0
-    v = qpow(Fraction(1, 4))
-    p = Scalar({low + e: Fraction(x) for e, x in enumerate(coeffs)})
+def test_zero_test_point_decides_zero(g, coeffs, roots, low, slack):
+    # any integer Laurent polynomial in w = v^g, times linear factors
+    # w - r with integer roots; its value at the point past its l1 norm is
+    # 0 iff it is 0
+    w = Scalar.v_power(g)
+    p = Scalar({g * (low + e): Fraction(x) for e, x in enumerate(coeffs)})
     for r in roots:
-        p = p * (v - r)
-    at = invariant._zero_test_point(invariant._l1(p) + slack)
-    assert (at.of(p) == 0) == (not p)
+        p = p * (w - r)
+    at = invariant._zero_test_point(invariant._l1(p) + slack, g)
+    assert (invariant._at_w(at, p) == 0) == (not p)
+
+
+@pytest.mark.parametrize("k,parity,g", [(1, "even", 4), (3, "even", 4),
+                                        (1, "odd", 2), (2, "odd", 2)])
+def test_clearing_step_is_the_gcd_of_the_exponents(k, parity, g):
+    cleared = invariant._clearing(build_c(k, parity))
+    assert cleared.g == g
+    values = [x for row in cleared.mat.rows.values() for x in row.values()]
+    assert all(e % g == 0 for x in values + cleared.eigs
+               for e in x.integer_coefficients())
+
+
+def test_clearing_step_follows_an_odd_exponent():
+    # one entry times v: the cleared entries are polynomials in v only
+    c = _scale_one_entry(build_c(1, "even"), Scalar.v_power(1))
+    assert invariant._clearing(c).g == 1
+
+
+@pytest.mark.parametrize("k,parity", [(3, "even"), (2, "odd")])
+def test_spectrum_point_and_products_stay_small(k, parity):
+    # evaluating in w = v^g and clearing the partition by the Vandermonde
+    # product keep the point under 48 bits (76 and 79 bits at v = B + 2 with
+    # the prod_j L_j clearing) and every O_i entry under 2,000 bits
+    at, _, others, _, _ = invariant._cleared_products(build_c(k, parity), 1)
+    assert at.radicand.numerator.bit_length() <= 48
+    assert max(abs(x).bit_length() for o in others
+               for row in o.rows.values() for x in row.values()) < 2000
 
 
 def test_spectrum_same_under_optimize():
@@ -539,14 +592,27 @@ def test_coideal_point_fallback_matches_exact_path(monkeypatch, defect,
     assert {ch.name: ch.passed for ch in rep.checks} == verdicts
 
 
-@pytest.mark.parametrize("build,k,top", [(build_c_odd, 3, 2),
-                                         (build_c_even, 4, 3)])
+@pytest.mark.parametrize("build,k,top", [(build_c_odd, 4, 3),
+                                         (build_c_even, 5, 4)])
 def test_spectrum_symbolic_size_guard(build, k, top):
-    # S ox S has dimension 256 here, past the symbolic bound
+    # S ox S has dimension 1024 here, past the symbolic bound
     c = build(k)
     assert c.dim ** 2 > MAX_SYMBOLIC_DIM
-    with pytest.raises(SizeGuardError, match=f"256.*rank accepted is {top}"):
+    with pytest.raises(SizeGuardError,
+                       match=f"1024.*rank accepted is {top}"):
         spectrum_check(c)
+
+
+@pytest.mark.parametrize("k,parity", [(4, "even"), (3, "odd")])
+def test_spectrum_admits_former_refusal(k, parity):
+    # 256 dimensions, refused while the symbolic bound was 64
+    rep = spectrum_check(build_c(k, parity))
+    assert rep.passed, rep.summary()
+    names = {ch.name for ch in rep.checks}
+    assert {"idempotent_partition", "projection_ranks",
+            "freezing_restriction"} <= names
+    if parity == "even":
+        assert rep.params["top_eigenvector"] == "twisted"
 
 
 def test_coideal_point_size_guard():

@@ -17,6 +17,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ["spectrum_demo.py", "--skip-checks", "--parity", "even"],
     ["spectrum_demo.py", "--skip-checks", "--parity", "odd"],
     ["spectrum_demo.py", "--parity", "odd", "--rank", "2"],
+    ["spectrum_demo.py", "--parity", "even", "--rank", "4"],
 ])
 def test_script_runs(argv):
     # the child imports the same spincheck as this process
