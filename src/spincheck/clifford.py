@@ -43,7 +43,7 @@ from itertools import combinations
 from .errors import DomainError
 from .linalg import SparseMat
 from .report import VerificationReport
-from .scalar import GAUSSIAN, Ext, _pmul
+from .scalar import GAUSSIAN, Ext, _lmul
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -463,10 +463,13 @@ def classical_spectrum_check(N: int) -> VerificationReport:
         return img.is_zero() or "P_{N+1}(N, E-F) != 0"
 
     def check_roots():
-        expanded = [_F1]
+        # {exponent: coefficient} products; _lmul only adds and multiplies,
+        # so it takes the Ext roots as coefficients
+        expanded = {0: _F1}
         for lam in lambdas:
-            expanded = _pmul(expanded, [-lam, _F1])
-        return (expanded == list(polys[N + 1])
+            expanded = _lmul(expanded, {0: -lam, 1: _F1})
+        want = {e: c for e, c in enumerate(polys[N + 1]) if c}
+        return ({e: c for e, c in expanded.items() if c} == want
                 or "root product differs from P_{N+1}")
 
     rep.record("right_eigenvectors", check_right)

@@ -44,7 +44,7 @@ from math import comb, gcd, prod
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, PoleError, SizeGuardError
-from .linalg import SparseMat, SpanSolver, kernel_basis, matrix_rank
+from .linalg import RowReducer, SparseMat, kernel_basis, matrix_rank
 from .qspin import GeneratorAction, block_lift, spin_rep, tensor_action
 from .report import VerificationReport
 from .scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint, ModPoint,
@@ -58,7 +58,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 _HALF = Fraction(1, 2)
 
-MAX_SYMBOLIC_DIM = 256      # largest tensor-power dimension handled over Q(v)
+MAX_SYMBOLIC_DIM = 256      # largest S ox S that spectrum_check admits
 MAX_POINT_DIM = 4096        # largest dimension handled at an evaluation point
 MAX_ORACLE_UNKNOWNS = 2048  # largest commutant system verify_duality solves
 
@@ -189,11 +189,12 @@ def embed_pair_operator(mat: SparseMat, d: int, i: int, n: int) -> SparseMat:
 
 
 def _embedded_family(mat: SparseMat, d: int, n: int,
-                     at: Specialization) -> list[SparseMat]:
-    """A Q(v) pair operator on d-dimensional slots, specialized once at
-    ``at`` and embedded into slots (i, i+1) of the n-th tensor power for
-    i = 1..n-1: the family C_1, ..., C_{n-1} when ``mat`` is C."""
-    mat = mat.map_values(at.of)
+                     of: Callable) -> list[SparseMat]:
+    """A Q(v) pair operator on d-dimensional slots, its values mapped once
+    by ``of`` (such as ``at.of``) and embedded into slots (i, i+1) of the
+    n-th tensor power for i = 1..n-1: the family C_1, ..., C_{n-1} when
+    ``mat`` is C."""
+    mat = mat.map_values(of)
     return [embed_pair_operator(mat, d, i, n) for i in range(1, n)]
 
 
@@ -680,9 +681,8 @@ def _coideal_relations(c: InvariantElement, cleared: _Cleared, n: int, of,
     cleared one (see there), built from the output of :func:`_clearing`
     mapped by ``of``: ints at w0, ints read mod ``mod``, or point values.
     Nothing is multiplied before a check runs."""
-    scale, cmat, ceigs = cleared.scale, cleared.mat, cleared.eigs
-    pair = cmat.map_values(of)
-    gens = [embed_pair_operator(pair, c.dim, i, n) for i in range(1, n)]
+    scale, ceigs = cleared.scale, cleared.eigs
+    gens = _embedded_family(cleared.mat, c.dim, n, of)
     q, mid, rhs = of(qpow(1)), of(qpow(2) + ONE), of(scale * scale * qpow(1))
     sq_eigs = [of(e * e) for e in reversed(ceigs[:len(ceigs) // 2])]
     ident = SparseMat.identity(c.dim ** n, 1)
@@ -981,7 +981,7 @@ def _algebra_rank(pair: tuple[SparseMat, int], n: int,
     """:func:`generated_algebra_dim` for a pair operator built already."""
     mat, d = pair
     size = d ** n
-    gens = _embedded_family(mat, d, n, at)
+    gens = _embedded_family(mat, d, n, at.of)
 
     def flatten(m: SparseMat) -> dict[int, object]:
         return {u * size + v: val
@@ -1037,7 +1037,8 @@ def _certify_duality(pair: tuple[SparseMat, int], n: int, rd: RootData,
             return False
     except PoleError:
         return False
-    return _generators_in_commutant(_embedded_family(*pair, n, at), rd, n, at)
+    return _generators_in_commutant(_embedded_family(*pair, n, at.of),
+                                    rd, n, at)
 
 
 def _exact_duality_counts(pair: tuple[SparseMat, int], n: int, rd: RootData,
@@ -1101,22 +1102,31 @@ def _matrices_in_basis(mats: list[SparseMat], basis: list[dict],
                        what: str) -> list[SparseMat]:
     """The action of each matrix on span(basis), written in that basis.
 
+    Gauss-Jordan with tags: basis vector j enters the reducer with a unit
+    entry in tag column size + j, past the matrices' own columns, so each
+    pivot row carries the combination of basis vectors it stands for.  The
+    basis is dependent when a pivot lands on a tag column.  An image lies
+    in the span when it reduces to tag entries only, and its coordinates
+    are then minus those entries.
+
     ``what`` names the basis in the DomainError raised when it is dependent
     or when a matrix maps a basis vector out of its span.
     """
-    solver = SpanSolver()
-    for v in basis:
-        if not solver.add(v):
+    size = mats[0].ncols
+    red = RowReducer()
+    for j, v in enumerate(basis):
+        red.add_row({**v, size + j: 1})
+        if red.order[-1][0] >= size:
             raise DomainError(f"{what} is dependent")
     out = []
     for mat in mats:
         m = SparseMat(len(basis), len(basis))
         for j, v in enumerate(basis):
-            coords = solver.express(mat.apply_to(v))
-            if coords is None:
+            rest = red.reduce(mat.apply_to(v))
+            if min(rest, default=size) < size:
                 raise DomainError(f"operator leaves the span of the {what}")
-            for i, val in coords.items():
-                m.set_entry(i, j, val)
+            for t, val in rest.items():
+                m.set_entry(t - size, j, -val)
         out.append(m)
     return out
 
@@ -1176,8 +1186,9 @@ def third_power_profile(k: int, parity: str = "even") -> VerificationReport:
     c = build_c_even(k)
     # action on the highest-weight space, in the kernel basis
     lifted = [{idx_eps[p]: x for p, x in v.items()} for v in hw]
-    C1hw, C2hw = _matrices_in_basis(_embedded_family(c.mat, d, n, SYMBOLIC),
-                                    lifted, "highest-weight kernel basis")
+    C1hw, C2hw = _matrices_in_basis(
+        _embedded_family(c.mat, d, n, SYMBOLIC.of), lifted,
+        "highest-weight kernel basis")
     # branching order: v_r is the eigenvector of the alternating value
     # (-1)^r [k - r]; as a set these are exactly [k], [k-1], ..., [-k]
     eigs = [qint(k - r) if r % 2 == 0 else -qint(k - r)

@@ -13,14 +13,16 @@ term pairs to the entry type's ``dot`` when it has one, and otherwise add
 the products one by one.  Over Q(v) that is :meth:`Scalar.dot`, which
 canonicalizes once per output entry instead of after every ``*`` and ``+``.
 
-Row reduction is incremental (:class:`RowReducer`): rows arrive one at a
-time and the reducer reports whether each enlarges the span.  Pivot rows are
-normalized once on insertion, so the inner elimination loop multiplies but
-never divides -- a significant saving when coefficients are rational
-functions.  Incoming rows are reduced against pivots in insertion order;
-since every pivot row is fully reduced against all earlier pivots, a single
-pass suffices.  :class:`ModRowReducer` does the same over F_p with plain
-ints.
+There is one field eliminator, :class:`RowReducer`, and its F_p twin
+:class:`ModRowReducer` for plain ints.  Reduction is incremental: rows
+arrive one at a time and the reducer reports whether each enlarges the
+span.  Pivot rows are normalized once on insertion, so the inner
+elimination loop multiplies but never divides -- a significant saving when
+coefficients are rational functions.  Incoming rows are reduced against
+pivots in insertion order; since every pivot row is fully reduced against
+all earlier pivots, a single pass suffices.  :func:`matrix_rank` and
+:func:`kernel_basis` run on it, and so do callers that append tag columns
+to solve for coordinates in a basis.
 """
 
 from __future__ import annotations
@@ -299,61 +301,6 @@ class ModRowReducer:
         inv = pow(row[c], -1, p)
         self.order.append((c, {j: v * inv % p for j, v in row.items()}))
         return True
-
-
-class SpanSolver:
-    """Track a growing span and express new vectors in the original basis.
-
-    :meth:`add` returns whether the vector was accepted, i.e. whether it was
-    independent of the vectors accepted before it.  Accepted vectors carry
-    integer tags ``0..rank-1``: a tag is the vector's 0-based position among
-    the accepted vectors only, so a zero or dependent vector gets no tag.
-    :meth:`express` returns the coordinates of a target as ``{tag: coeff}``
-    over the accepted vectors, or None when the target lies outside the span.
-    """
-
-    __slots__ = ("order",)
-
-    def __init__(self):
-        self.order: list[tuple[int, dict[int, Any], dict[int, Any]]] = []
-
-    def add(self, vec: dict[int, Any]) -> bool:
-        # Invariant for every stored triple: prow == sum_j ptag[j] * basis_j,
-        # with prow normalized to pivot coefficient 1.
-        row = {j: v for j, v in vec.items() if v}
-        tag: dict[int, Any] = {}
-        for c, prow, ptag in self.order:
-            f = row.get(c)
-            if f is not None:
-                vec_sub_scaled(row, f, prow)
-                vec_sub_scaled(tag, f, ptag)
-        if not row:
-            return False
-        c = min(row)
-        piv = row[c]
-        inv = 1 / piv
-        tag[len(self.order)] = piv * inv  # the field's one
-        self.order.append((c, {j: v * inv for j, v in row.items()},
-                           {j: v * inv for j, v in tag.items()}))
-        return True
-
-    def express(self, vec: dict[int, Any]) -> dict[int, Any] | None:
-        row = {j: v for j, v in vec.items() if v}
-        acc: dict[int, Any] = {}
-        for c, prow, ptag in self.order:
-            f = row.get(c)
-            if f is not None:
-                vec_sub_scaled(row, f, prow)
-                for j, t in ptag.items():
-                    cur = acc.get(j)
-                    new = f * t if cur is None else cur + f * t
-                    if new:
-                        acc[j] = new
-                    elif cur is not None:
-                        del acc[j]
-        if row:
-            return None
-        return acc
 
 
 def matrix_rank(mat: SparseMat) -> int:

@@ -144,20 +144,6 @@ def block_lift(x: int, k: int) -> int:
     return (x << 1) | (x.bit_count() & 1)
 
 
-def parse_generator_id(gid) -> tuple[str, int]:
-    """Accept 'E1', 'F2', 'K1', 'Khalf2', 't' or ('E', 1) style ids."""
-    if isinstance(gid, tuple):
-        kind, idx = (gid[0], gid[1]) if len(gid) == 2 else (gid[0], 0)
-        return str(kind), int(idx)
-    s = str(gid)
-    if s == "t":
-        return "t", 0
-    for kind in ("Khalf", "E", "F", "K"):
-        if s.startswith(kind) and s[len(kind):].isdigit():
-            return kind, int(s[len(kind):])
-    raise DomainError(f"unknown generator id {gid!r}")
-
-
 def _digits(u: int, d: int, n: int) -> list[int]:
     out = [0] * n
     for t in range(n - 1, -1, -1):
@@ -166,9 +152,12 @@ def _digits(u: int, d: int, n: int) -> list[int]:
     return out
 
 
-def tensor_action(g: GeneratorAction, gid, n: int, *,
+def tensor_action(g: GeneratorAction, gid: tuple[str, int], n: int, *,
                   at: Specialization = SYMBOLIC) -> SparseMat:
     """Matrix of a generator on the n-fold tensor power, specialized by ``at``.
+
+    ``gid`` is a (kind, index) pair: ("E", i), ("F", i), ("K", i),
+    ("Khalf", i) or the flip ("t", 0).
 
     Quantum coproduct: K^{1/2} twists to the left of the acting slot,
     K^{-1/2} to the right.  Each power of q is mapped through ``at.of``, so
@@ -176,7 +165,7 @@ def tensor_action(g: GeneratorAction, gid, n: int, *,
     """
     if n < 1:
         raise DomainError("need at least one tensor factor")
-    kind, i = parse_generator_id(gid)
+    kind, i = gid
     d = g.dim
     size = d ** n
 
@@ -339,7 +328,7 @@ def verify_serre(rd: RootData, odd_doubled: bool = False) -> VerificationReport:
     rep.record("distant_commutation", check_distant)
 
     if g.t_perm is not None:
-        T = tensor_action(g, "t", 1)
+        T = tensor_action(g, ("t", 0), 1)
 
         def check_flip():
             if T * T != ident:

@@ -59,26 +59,12 @@ _F1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers (coefficient lists, index = degree), over Fraction;
-# _pmul only adds and multiplies, so it also takes Ext coefficients
+# dense polynomial helpers (coefficient lists, index = degree), over Fraction
 
 def _ptrim(p: list[Fraction]) -> list[Fraction]:
     while p and not p[-1]:
         p.pop()
     return p
-
-
-def _pmul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return _ptrim(out)
 
 
 def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:

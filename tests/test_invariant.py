@@ -31,7 +31,7 @@ from spincheck.invariant import (MAX_SYMBOLIC_DIM, build_c, build_c_even,
                                  spectrum_check, third_power_profile,
                                  verify_coideal, verify_commutation,
                                  verify_duality)
-from spincheck.linalg import SparseMat
+from spincheck.linalg import SparseMat, matrix_rank
 from spincheck.qspin import spin_rep
 from spincheck.report import VerificationReport
 from spincheck.scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint,
@@ -730,7 +730,7 @@ def test_inclusion_check_rejects_mutated_generator(k, parity):
     n, at = 3, EvalPoint.from_q(Fraction(3, 2))
     rd = _rd(k, parity)
     mat, d = invariant._duality_pair(k, parity)
-    gens = invariant._embedded_family(mat, d, n, at)
+    gens = invariant._embedded_family(mat, d, n, at.of)
     assert invariant._generators_in_commutant(gens, rd, n, at)
     # one entry scaled by 2
     bent = gens[0].copy()
@@ -853,6 +853,69 @@ def test_third_power_profile_same_under_optimize():
 def test_third_power_rejects_odd():
     with pytest.raises(DomainError):
         third_power_profile(1, parity="odd")
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def invariant_subspaces(draw):
+    """(mats, basis): r independent vectors spanning the coordinate
+    subspace perm[:r] of Q^size, and two matrices mapping it into itself."""
+    size = draw(st.integers(1, 4))
+    r = draw(st.integers(1, size))
+    perm = draw(st.permutations(range(size)))
+    inside = set(perm[:r])
+    basis = [{perm[i]: x for i in range(r) if (x := draw(small))}
+             for _ in range(r)]
+    mats = [SparseMat(size, size, {
+        u: {v: draw(small) for v in range(size)
+            if u in inside or v not in inside}
+        for u in range(size)}) for _ in range(2)]
+    return mats, basis
+
+
+@given(invariant_subspaces())
+@settings(max_examples=60, deadline=None)
+def test_matrices_in_basis_coordinates_rebuild_images(case):
+    mats, basis = case
+    try:
+        coords = invariant._matrices_in_basis(mats, basis, "basis")
+    except DomainError as exc:
+        # only a drawn basis that is dependent may be refused
+        assert str(exc) == "basis is dependent"
+        assert matrix_rank(SparseMat(len(basis), mats[0].ncols,
+                                     dict(enumerate(basis)))) < len(basis)
+        return
+    for mat, x in zip(mats, coords):
+        for j, v in enumerate(basis):
+            rebuilt = {}
+            for i, w in enumerate(basis):
+                for u, y in w.items():
+                    rebuilt[u] = rebuilt.get(u, 0) + (x.entry(i, j) or 0) * y
+            assert {u: y for u, y in rebuilt.items() if y} == mat.apply_to(v)
+
+
+@pytest.mark.parametrize("basis", [
+    [{}, {0: ONE}],                                      # zero vector first
+    [{0: ONE, 1: Fraction(2)}, {}],                      # zero vector last
+    [{0: ONE, 1: Fraction(2)}, {0: Fraction(-3), 1: Fraction(-6)}],
+    [{0: ONE}, {1: ONE}, {0: Fraction(5), 1: Fraction(-1, 2)}],
+])
+def test_matrices_in_basis_rejects_dependent_basis(basis):
+    with pytest.raises(DomainError, match="^test basis is dependent$"):
+        invariant._matrices_in_basis([SparseMat.identity(3, ONE)], basis,
+                                     "test basis")
+
+
+def test_matrices_in_basis_rejects_operator_leaving_span():
+    basis = [{0: ONE}, {0: ONE, 1: ONE}]
+    shift = SparseMat(3, 3, {2: {1: ONE}, 1: {0: ONE}})
+    # the identity keeps the span, the shift maps e_1 to e_2 outside it
+    with pytest.raises(DomainError,
+                       match="^operator leaves the span of the test basis$"):
+        invariant._matrices_in_basis([SparseMat.identity(3, ONE), shift],
+                                     basis, "test basis")
 
 
 # ---------------------------------------------------------------------------

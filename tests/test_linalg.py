@@ -1,4 +1,4 @@
-"""Sparse exact linear algebra: row reduction, spans, kernels."""
+"""Sparse exact linear algebra: products, row reduction, kernels."""
 
 import os
 import subprocess
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import spincheck
 from spincheck.errors import DomainError
 from spincheck.linalg import (ModRowReducer, RowReducer, SparseMat,
-                              SpanSolver, kernel_basis)
+                              kernel_basis)
 from spincheck.scalar import ZERO, Scalar, curly, qint
 
 ONE = Fraction(1)
@@ -70,32 +70,6 @@ def test_transpose_involution(m):
     assert dense(m.transpose().transpose()) == dense(m)
 
 
-@given(matrices(max_n=4))
-@settings(max_examples=30, deadline=None)
-@example(SparseMat(1, 2, {0: {1: ONE}}))
-def test_span_solver_expresses_members(m):
-    solver = SpanSolver()
-    cols = []
-    for j in range(m.ncols):
-        col = {i: v for i, row in m.rows.items() if (v := row.get(j))}
-        if solver.add(col):
-            cols.append((j, col))
-    # any member of the span must be expressible, and the coordinates
-    # must reconstruct it
-    combo: dict[int, Fraction] = {}
-    for t, (_, col) in enumerate(cols):
-        for i, v in col.items():
-            combo[i] = combo.get(i, Fraction(0)) + (t + 1) * v
-    combo = {i: v for i, v in combo.items() if v}
-    coords = solver.express(combo)
-    assert coords is not None
-    rebuilt: dict[int, Fraction] = {}
-    for t, c in coords.items():
-        for i, v in cols[t][1].items():
-            rebuilt[i] = rebuilt.get(i, Fraction(0)) + c * v
-    assert {i: v for i, v in rebuilt.items() if v} == combo
-
-
 @given(matrices())
 @settings(max_examples=50, deadline=None)
 def test_mod_row_reducer_rank_matches_rationals(m):
@@ -118,25 +92,6 @@ def test_mod_row_reducer_rank_drops_mod_a_divisor_of_a_minor():
     assert not mod.add_row({0: 1, 1: 4})
     assert not mod.add_row({0: -3, 1: 6})     # zero mod 3
     assert mod.rank == 1
-
-
-def test_span_solver_rejects_outsiders():
-    solver = SpanSolver()
-    assert solver.add({0: ONE})
-    assert solver.add({1: ONE}) and not solver.add({0: ONE, 1: ONE})
-    assert solver.express({2: ONE}) is None
-
-
-def test_span_solver_tags_count_accepted_vectors_only():
-    solver = SpanSolver()
-    accepted = [solver.add({}),                       # zero vector
-                solver.add({0: ONE, 1: Fraction(2)}),  # independent
-                solver.add({0: Fraction(-3), 1: Fraction(-6)}),  # dependent
-                solver.add({1: ONE, 2: ONE})]          # independent
-    assert accepted == [False, True, False, True]
-    # 5 * first accepted + (-1/2) * second accepted
-    target = {0: Fraction(5), 1: Fraction(19, 2), 2: Fraction(-1, 2)}
-    assert solver.express(target) == {0: Fraction(5), 1: Fraction(-1, 2)}
 
 
 def test_identity_and_commutator():

@@ -6,8 +6,7 @@ import pytest
 
 from spincheck.errors import DomainError
 from spincheck.linalg import SparseMat
-from spincheck.qspin import (block_lift, parse_generator_id, spin_rep,
-                             tensor_action, verify_serre)
+from spincheck.qspin import block_lift, spin_rep, tensor_action, verify_serre
 from spincheck.scalar import CLASSICAL, ONE, qpow
 from spincheck.weights import RootData, inner
 
@@ -150,9 +149,7 @@ def test_block_lift_round_trip():
     assert len(seen) == 1 << k
 
 
-def test_parse_generator_id():
-    assert parse_generator_id(("E", 2)) == ("E", 2)
-    assert parse_generator_id("E2") == ("E", 2)
-    assert parse_generator_id("t") == ("t", 0)
-    with pytest.raises(DomainError):
-        parse_generator_id("X9")
+def test_tensor_action_rejects_unknown_kind():
+    g = spin_rep(RootData("D", 2))
+    with pytest.raises(DomainError, match="unknown generator kind 'X'"):
+        tensor_action(g, ("X", 9), 1)
