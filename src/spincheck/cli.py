@@ -17,9 +17,10 @@ message naming the bound and a cheaper request).  All arithmetic is exact:
 ``--q a/b`` evaluates at a rational q; without it a suite runs symbolically,
 or at its own default points, whenever the size guards allow it.  Only the
 ``commute``, ``coideal`` and ``duality`` suites have a point path; the other
-suites refuse ``--q`` with exit 2 and a message naming the suite.  Output
-ordering is deterministic (labels sorted, fixed check order) so the JSON is
-suitable for golden-file diffing.
+suites refuse ``--q`` with exit 2 and a message naming the suite.  The
+``third-power`` and ``trace`` suites are stated for even parity and refuse
+``--parity odd`` the same way.  Output ordering is deterministic (labels
+sorted, fixed check order) so the JSON is suitable for golden-file diffing.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ MAX_CLI_POWER = 5
 _SUITES = ("clifford", "serre", "commute", "spectrum", "coideal",
            "duality", "third-power", "trace")
 _POINT_SUITES = ("commute", "coideal", "duality")     # the ones --q reaches
+_EVEN_SUITES = ("third-power", "trace")               # stated for type D only
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,8 @@ class Command:
         if "point" in self.params and suite not in _POINT_SUITES:
             raise DomainError(f"suite {suite} has no point path; --q applies "
                               f"only to {', '.join(_POINT_SUITES)}")
+        if suite in _EVEN_SUITES and self.params.get("parity") == "odd":
+            raise DomainError(f"suite {suite} is stated for even parity")
 
 
 def _parse_q(text: str) -> EvalPoint:
@@ -185,7 +189,7 @@ def _verify_reports(suite: str, rank: int | None, parity: str, n: int,
         else:
             reps.append(verify_duality(k, parity, n))
     elif suite == "third-power":
-        reps.append(third_power_profile(rank or 2, parity))
+        reps.append(third_power_profile(rank or 2))
     elif suite == "trace":
         reps.append(markov_property_check(rank or 2))
     else:  # pragma: no cover - argparse restricts choices

@@ -28,9 +28,11 @@ Everything is exact.  The eigenprojection identities of ``spectrum_check``
 and the relations of ``verify_coideal`` hold over Q(v), and are decided
 with plain ints at one integer point past an a-priori coefficient bound,
 where an integer polynomial vanishes only if it is zero.  At a rational
-point, ``verify_coideal`` proves its nonzero claims mod a large prime, and
-both it and the duality counts fall back to exact point arithmetic when
-the cheap test proves nothing.  The other checks run over Q(v).
+point, ``verify_coideal`` proves its nonzero claims mod a large prime.  The
+duality counts are proved mod a large prime too, once one test over Q(v) on
+S ox S has put the generators into the commutant.  Both fall back to exact
+point arithmetic when the cheap test proves nothing.  The other checks run
+over Q(v).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd, prod
 from typing import Callable, NamedTuple
 
@@ -862,18 +864,10 @@ def verify_coideal(k: int, parity: str, n: int, *,
 # duality: generated algebra vs commutant dimension
 
 def _tensor_weights(g: GeneratorAction, n: int) -> list[tuple[Fraction, ...]]:
-    d = g.dim
-    out = []
-    for u in range(d ** n):
-        tot = [Fraction(0)] * g.rd.rank
-        x = u
-        for _ in range(n):
-            w = g.weights[x % d]
-            for i, wi in enumerate(w):
-                tot[i] += wi
-            x //= d
-        out.append(tuple(tot))
-    return out
+    """The weight of each basis vector of S^{ox n}: the sum of its slot
+    weights, slot 1 the most significant digit of the index."""
+    return [tuple(map(sum, zip(*slots)))
+            for slots in product(g.weights, repeat=n)]
 
 
 def _module_actions(rd: RootData, n: int, at: Specialization
@@ -955,13 +949,16 @@ def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
 
 
 def _duality_pair(k: int, parity: str) -> tuple[SparseMat, int]:
-    """The Q(v) pair operator whose embeddings generate the algebra counted
-    by :func:`generated_algebra_dim`, and its slot dimension: C for even
-    parity; for odd, C^2 restricted to the parity block (C swaps blocks)."""
+    """The pair operator whose embeddings generate the algebra counted by
+    :func:`generated_algebra_dim`, and its slot dimension: C for even
+    parity; for odd, C^2 restricted to the parity block (C swaps blocks)
+    times (q + 1)^2, which clears its denominators.  The factor is nonzero
+    at every q0 > 0 and at q = 1, so the generated unital algebra stays the
+    same there; mod p a zero image of it can only drop the modular rank."""
     c = build_c(k, parity)
     if parity == "even":
         return c.mat, c.dim
-    return csq_block_matrix(c), 1 << k
+    return csq_block_matrix(c).scale((ONE + qpow(1)) ** 2), 1 << k
 
 
 def generated_algebra_dim(k: int, parity: str, n: int,
@@ -1000,51 +997,32 @@ def _algebra_rank(pair: tuple[SparseMat, int], n: int,
     return red.rank
 
 
-def _generators_in_commutant(gens: list[SparseMat], rd: RootData, n: int,
-                             at: EvalPoint) -> bool:
-    """Whether every generator lies in the commutant counted by
-    :func:`commutant_dim_oracle`, tested exactly at ``at``: it is supported
-    on the weight blocks and commutes with each operator of
-    :func:`_module_actions`.  These are zero tests, not ranks.  The
-    commutant is a unital algebra, so the algebra the generators generate
-    then lies in it."""
-    wts, actions = _module_actions(rd, n, at)
-    for m in gens:
-        for u, row in m.rows.items():
-            if any(wts[v] != wts[u] for v in row):
-                return False
-        if not all(m.commutator(x).is_zero() for x in actions):
+def _pair_in_commutant(pair: tuple[SparseMat, int], rd: RootData) -> bool:
+    """Whether the pair operator X lies in the commutant on S ox S over
+    Q(v): it preserves weights and commutes with each operator of
+    :func:`_module_actions` at n = 2.
+
+    Then I ox X ox I (X on slots j, j + 1) lies in the commutant on S^{ox n}
+    for every n.  In Delta^n(E) as :func:`tensor_action` builds it, a term
+    on another slot puts K^{+-1/2} ox K^{+-1/2} on the pair's slots, a
+    scalar on each weight space of S ox S; the two terms on the pair's slots
+    sum to (K^{1/2})^{ox (j-1)} ox Delta^2(E) ox (K^{-1/2})^{ox (n-j-1)};
+    t^{ox n} contains t ox t; and weights add over the slots.  X has Laurent
+    polynomial entries (:func:`_duality_pair`), so this holds at every
+    q0 > 0 and at q = 1, and then for the unital algebra the embedded X
+    generate too."""
+    mat, _ = pair
+    wts, actions = _module_actions(rd, 2, SYMBOLIC)
+    for u, row in mat.rows.items():
+        if any(wts[v] != wts[u] for v in row):
             return False
-    return True
+    return all(mat.commutator(x).is_zero() for x in actions)
 
 
-def _certify_duality(pair: tuple[SparseMat, int], n: int, rd: RootData,
-                     at: EvalPoint, expected: int) -> bool:
-    """The modular sandwich; True proves gen = comm = expected at ``at``.
-
-    Reduce mod the prime of :func:`certificate_prime`.  Ranks can only drop
-    under that reduction, so gen_p <= gen and comm <= comm_p.  If gen_p and
-    comm_p both equal ``expected`` and every generator passes the exact
-    :func:`_generators_in_commutant` test (so gen <= comm), then
-    expected <= gen <= comm <= expected.  False means "not certified": a
-    mismatch, or an entry with no image mod p.
-    """
-    try:
-        mod = ModPoint.reducing(at, certificate_prime(at))
-        if _algebra_rank(pair, n, mod) != expected:
-            return False
-        if commutant_dim_oracle(rd, n, mod) != expected:
-            return False
-    except PoleError:
-        return False
-    return _generators_in_commutant(_embedded_family(*pair, n, at.of),
-                                    rd, n, at)
-
-
-def _exact_duality_counts(pair: tuple[SparseMat, int], n: int, rd: RootData,
-                          at: EvalPoint) -> tuple[int, int]:
-    """The generated-algebra and commutant dimensions, exactly at ``at``,
-    for a pair operator built already."""
+def _duality_counts(pair: tuple[SparseMat, int], n: int, rd: RootData,
+                    at: Specialization) -> tuple[int, int]:
+    """The generated-algebra and commutant dimensions at ``at``, for a pair
+    operator built already."""
     return _algebra_rank(pair, n, at), commutant_dim_oracle(rd, n, at)
 
 
@@ -1059,13 +1037,15 @@ def verify_duality(k: int, parity: str, n: int,
     branching diagram.  ``points`` holds rationals q0 and the string
     'classical' for q = 1.
 
-    At each point a modular certificate runs first (:func:`_certify_duality`):
-    both ranks modulo one large prime, which bound the exact ones from the
-    two sides, plus an exact zero test that each generator commutes with the
-    quantum group.  When it proves both counts equal the branching count,
-    they are reported as such.  Otherwise -- a mismatch, or a value with no
-    image mod p -- both counts are computed exactly at the point, as
-    before.  Either way the report is the same.  The quantum group here is
+    Both counts come from :func:`_duality_counts`.  Once per call,
+    :func:`_pair_in_commutant` shows over Q(v) that every embedded generator
+    lies in the commutant at every point, so gen <= comm.  Each point then
+    takes both counts mod the prime of :func:`certificate_prime`; ranks only
+    drop there, so gen_p <= gen <= comm <= comm_p, and gen_p = comm_p = the
+    branching count proves all three equal.  Any other outcome -- a failed
+    inclusion, a mismatch, a value with no image mod p -- takes both counts
+    exactly at the point.  The report is the same either way, and a
+    certified point does no exact-field arithmetic.  The quantum group is
     the set of operators of :func:`_module_actions`, t^{ox n} in type D
     among them.  The Q(v) pair operator is built once, fallback included.
     Before any rank, :func:`_guard_duality`, the one guard of both counts,
@@ -1077,15 +1057,22 @@ def verify_duality(k: int, parity: str, n: int,
     expected = centralizer_dims(bratteli(rd, n))[n - 1]
     rep.params["branching_dimension"] = expected
     pair = _duality_pair(k, parity)
+    included = _pair_in_commutant(pair, rd)
     for pt in points:
         if pt == "classical":
             at, tag = CLASSICAL, "classical"
         else:
             at, tag = EvalPoint.from_q(Fraction(pt)), f"q0={pt}"
-        if _certify_duality(pair, n, rd, at, expected):
-            gen_dim = ora_dim = expected
-        else:
-            gen_dim, ora_dim = _exact_duality_counts(pair, n, rd, at)
+        counts = None
+        if included:
+            try:
+                counts = _duality_counts(
+                    pair, n, rd, ModPoint.reducing(at, certificate_prime(at)))
+            except PoleError:
+                pass            # no certificate at this point
+        if counts != (expected, expected):
+            counts = _duality_counts(pair, n, rd, at)
+        gen_dim, ora_dim = counts
         rep.add(f"generated_vs_commutant[{tag}]", gen_dim == ora_dim,
                 None if gen_dim == ora_dim
                 else f"generated {gen_dim} != commutant {ora_dim}")
@@ -1131,7 +1118,7 @@ def _matrices_in_basis(mats: list[SparseMat], basis: list[dict],
     return out
 
 
-def third_power_profile(k: int, parity: str = "even") -> VerificationReport:
+def third_power_profile(k: int) -> VerificationReport:
     """Fine structure of C_1, C_2 on the highest-weight space of S^{ox 3}.
 
     Valid for even parity only.  Inside the weight-epsilon block of the
@@ -1151,8 +1138,6 @@ def third_power_profile(k: int, parity: str = "even") -> VerificationReport:
     dimension.  (Ordering the basis monotonically by eigenvalue instead
     scrambles the band: tridiagonality singles out the branching order.)
     """
-    if parity != "even":
-        raise DomainError("the third-power profile is stated for even parity")
     rep = VerificationReport("third_power", {"k": k})
     rd = RootData("D", k)
     g = spin_rep(rd)

@@ -162,6 +162,9 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     ("--threads", "4", "eigen", "--rank", "1", "--parity", "even"),  # no flag
     ("verify", "--suite", "spectrum", "--rank", "1", "--parity", "even",
      "--q", "3/2"),                                      # no point path
+    ("verify", "--suite", "third-power", "--rank", "1",
+     "--parity", "odd"),                                 # even parity only
+    ("verify", "--suite", "trace", "--rank", "1", "--parity", "odd"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code = cli.run(list(argv))
@@ -216,6 +219,19 @@ def test_q_refused_where_no_point_path(capsys, suite):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: suite {suite} has no point path")
+
+
+@pytest.mark.parametrize("suite", ["third-power", "trace"])
+def test_odd_parity_refused_where_stated_for_even(capsys, monkeypatch, suite):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran before --parity was checked")
+
+    monkeypatch.setattr(cli, "_verify_reports", no_suite)
+    code, out, err = invoke(capsys, "verify", "--suite", suite, "--rank", "1",
+                            "--parity", "odd")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: suite {suite} is stated for even parity\n"
 
 
 def test_guard_refusal_reports_reason(capsys):

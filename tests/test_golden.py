@@ -70,3 +70,23 @@ def test_coideal_jobs_multiply_plain_ints(monkeypatch):
         job.run()
     assert len(coideal) == 5
     assert set(types) == {"int"}
+
+
+def test_duality_jobs_build_no_ext(monkeypatch):
+    # every seed-0 duality point is certified mod p, after one inclusion
+    # test over Q(v): no job computes in a point field
+    duality = [job for job in JOBS if job.name.startswith("duality:")]
+    built = Counter()
+    init = spincheck.scalar.Ext.__init__
+    job_name = None
+
+    def counting(self, *args):
+        built[job_name] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(spincheck.scalar.Ext, "__init__", counting)
+    for job in duality:
+        job_name = job.name
+        job.run()
+    assert len(duality) == 10
+    assert built == Counter()

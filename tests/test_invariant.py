@@ -46,6 +46,16 @@ def entries(mat: SparseMat) -> dict[tuple[int, int], object]:
     return {(r, c): v for r, rw in mat.rows.items() for c, v in rw.items()}
 
 
+def _child_env() -> dict[str, str]:
+    """The environment of a child Python that imports the same spincheck as
+    this process."""
+    src = os.path.dirname(os.path.dirname(spincheck.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 # ---------------------------------------------------------------------------
 # the matrices themselves
 
@@ -349,16 +359,11 @@ def test_spectrum_same_under_optimize():
             "for k, parity in ((2, 'even'), (1, 'odd')):\n"
             "    print(json.dumps(spectrum_check(build_c(k, parity))"
             ".as_json()))\n")
-    # the child imports the same spincheck as this process
-    src = os.path.dirname(os.path.dirname(spincheck.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     outs = []
     for flags in ([], ["-O"]):
         proc = subprocess.run([sys.executable, *flags, "-c", code],
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
+                              capture_output=True, text=True,
+                              env=_child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
@@ -667,14 +672,17 @@ def test_modular_counts_match_exact(k, parity, n, q0):
 
 
 def _spy_exact_counts(monkeypatch) -> list:
+    """The points at which the duality counts are taken exactly: the calls
+    of ``_duality_counts`` at an EvalPoint (CLASSICAL included), not mod p."""
     calls = []
-    exact = invariant._exact_duality_counts
+    counts = invariant._duality_counts
 
     def spy(pair, n, rd, at):
-        calls.append(at)
-        return exact(pair, n, rd, at)
+        if isinstance(at, EvalPoint):
+            calls.append(at)
+        return counts(pair, n, rd, at)
 
-    monkeypatch.setattr(invariant, "_exact_duality_counts", spy)
+    monkeypatch.setattr(invariant, "_duality_counts", spy)
     return calls
 
 
@@ -725,46 +733,109 @@ def test_duality_count_mismatch_mod_p_falls_back(monkeypatch):
     assert json.dumps(rep.as_json()) == want
 
 
-@pytest.mark.parametrize("k,parity", [(2, "even"), (1, "odd")])
-def test_inclusion_check_rejects_mutated_generator(k, parity):
-    n, at = 3, EvalPoint.from_q(Fraction(3, 2))
-    rd = _rd(k, parity)
-    mat, d = invariant._duality_pair(k, parity)
-    gens = invariant._embedded_family(mat, d, n, at.of)
-    assert invariant._generators_in_commutant(gens, rd, n, at)
-    # one entry scaled by 2
-    bent = gens[0].copy()
+def test_duality_failed_inclusion_takes_exact_counts(monkeypatch):
+    want = json.dumps(verify_duality(1, "odd", 3).as_json())
+
+    def no_certificate(at):
+        raise AssertionError("a mod-p count ran without the inclusion")
+
+    monkeypatch.setattr(invariant, "_pair_in_commutant",
+                        lambda pair, rd: False)
+    monkeypatch.setattr(invariant, "certificate_prime", no_certificate)
+    calls = _spy_exact_counts(monkeypatch)
+    rep = verify_duality(1, "odd", 3)
+    assert calls == [EvalPoint.from_q(Fraction(3, 2)),
+                     EvalPoint.from_q(Fraction(5, 2)), CLASSICAL]
+    assert json.dumps(rep.as_json()) == want
+
+
+def _generators_in_commutant(gens: list[SparseMat], rd: RootData, n: int,
+                             at) -> bool:
+    """The inclusion test on S^{ox n} itself, at ``at``: every generator is
+    supported on the weight blocks and commutes with each operator of
+    ``_module_actions``.  The reference for the test on S ox S."""
+    wts, actions = invariant._module_actions(rd, n, at)
+    for m in gens:
+        for u, row in m.rows.items():
+            if any(wts[v] != wts[u] for v in row):
+                return False
+        if not all(m.commutator(x).is_zero() for x in actions):
+            return False
+    return True
+
+
+def _doubled_first_entry(mat: SparseMat) -> SparseMat:
+    bent = mat.copy()
     u, row = next(iter(bent.rows.items()))
     v, val = next(iter(row.items()))
     bent.set_entry(u, v, val * 2)
-    assert not invariant._generators_in_commutant([bent, *gens[1:]], rd, n, at)
-    # one entry between the all-plus and the all-minus weight vector
-    leak = gens[-1].copy()
-    leak.set_entry(0, d ** n - 1, Fraction(1))
-    assert not invariant._generators_in_commutant([*gens[:-1], leak], rd, n, at)
+    return bent
+
+
+@pytest.mark.parametrize("q0", [Fraction(3, 2), 1])
+@pytest.mark.parametrize("k,parity,n", DUALITY_CASES)
+def test_pair_inclusion_agrees_with_tensor_power(k, parity, n, q0):
+    at = CLASSICAL if q0 == 1 else EvalPoint.from_q(q0)
+    rd = _rd(k, parity)
+    pair = invariant._duality_pair(k, parity)
+    gens = invariant._embedded_family(*pair, n, at.of)
+    assert invariant._pair_in_commutant(pair, rd)
+    assert _generators_in_commutant(gens, rd, n, at)
+    # and both reject the pair with its first entry doubled
+    bent, d = _doubled_first_entry(pair[0]), pair[1]
+    assert not invariant._pair_in_commutant((bent, d), rd)
+    assert not _generators_in_commutant(
+        invariant._embedded_family(bent, d, n, at.of), rd, n, at)
+
+
+@pytest.mark.parametrize("k,parity", [(2, "even"), (1, "odd")])
+def test_duality_pair_has_laurent_entries(k, parity):
+    mat, _ = invariant._duality_pair(k, parity)
+    assert all(x.is_laurent_polynomial
+               for row in mat.rows.values() for x in row.values())
+
+
+@pytest.mark.parametrize("k,parity", [(2, "even"), (1, "odd"), (1, "even")])
+def test_inclusion_check_rejects_mutated_generator(k, parity):
+    rd = _rd(k, parity)
+    mat, d = invariant._duality_pair(k, parity)
+    assert invariant._pair_in_commutant((mat, d), rd)
+    assert not invariant._pair_in_commutant((_doubled_first_entry(mat), d), rd)
+    # entries between the all-plus and the all-minus vector of S ox S, both
+    # ways: at even k = 1, where t ox t is the only action, they commute with
+    # it, and only the weight test rejects them
+    leak = mat.copy()
+    leak.set_entry(0, d * d - 1, ONE)
+    leak.set_entry(d * d - 1, 0, ONE)
+    assert not invariant._pair_in_commutant((leak, d), rd)
 
 
 def test_duality_grid_certified_without_fallback(monkeypatch):
-    def no_exact_path(*args):
-        raise AssertionError("the modular certificate fell back")
-
-    monkeypatch.setattr(invariant, "_exact_duality_counts", no_exact_path)
+    calls = _spy_exact_counts(monkeypatch)
     grids = [("even", 1, (2, 3, 4)), ("even", 2, (2, 3)),
              ("odd", 1, (2, 3, 4)), ("odd", 2, (2, 3))]
     for parity, k, powers in grids:
         for n in powers:
             rep = verify_duality(k, parity, n)
             assert rep.passed, rep.summary()
+    assert calls == []
 
 
 def test_duality_builds_pair_operator_once(monkeypatch):
-    def no_exact_path(*args):
-        raise AssertionError("the modular certificate fell back")
-
     calls = _count_build_c(monkeypatch)
-    monkeypatch.setattr(invariant, "_exact_duality_counts", no_exact_path)
+    exact = _spy_exact_counts(monkeypatch)
+    tests = []
+    included = invariant._pair_in_commutant
+
+    def counting_inclusion(pair, rd):
+        tests.append(rd)
+        return included(pair, rd)
+
+    monkeypatch.setattr(invariant, "_pair_in_commutant", counting_inclusion)
     rep = verify_duality(2, "odd", 3)
     assert calls == [(2, "odd")]
+    assert tests == [RootData("B", 2)]
+    assert exact == []
     tags = ("q0=3/2", "q0=5/2", "classical")
     assert rep.as_json() == {
         "suite": "duality",
@@ -773,6 +844,21 @@ def test_duality_builds_pair_operator_once(monkeypatch):
                    for check in ("generated_vs_commutant", "matches_branching")],
         "pass": True,
     }
+
+
+def test_duality_same_under_optimize():
+    # python -O strips asserts; the counts must not depend on them
+    code = ("import json\n"
+            "from spincheck.invariant import verify_duality\n"
+            "print(json.dumps([verify_duality(1, 'odd', 3).as_json(),\n"
+            "                  verify_duality(2, 'even', 2).as_json()]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    want = [verify_duality(1, "odd", 3).as_json(),
+            verify_duality(2, "even", 2).as_json()]
+    assert json.loads(proc.stdout) == want
 
 
 @pytest.mark.parametrize("k,parity,n", [(1, "even", 4), (1, "odd", 5),
@@ -837,22 +923,12 @@ def test_third_power_profile_same_under_optimize():
             "from spincheck.invariant import third_power_profile\n"
             "rep = third_power_profile(1)\n"
             "print(json.dumps([[c.name, c.passed] for c in rep.checks]))\n")
-    # the child imports the same spincheck as this process
-    src = os.path.dirname(os.path.dirname(spincheck.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=_child_env(),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     want = [[c.name, c.passed] for c in third_power_profile(1).checks]
     assert json.loads(proc.stdout) == want
-
-
-def test_third_power_rejects_odd():
-    with pytest.raises(DomainError):
-        third_power_profile(1, parity="odd")
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
