@@ -24,11 +24,13 @@ dimension count comparing the algebra generated by the C_i against an
 independently computed commutant dimension and against the branching
 combinatorics.
 
-Everything is exact.  The eigenprojection identities of ``spectrum_check``
-and the relations of ``verify_coideal`` hold over Q(v), and are decided
-with plain ints at one integer point past an a-priori coefficient bound,
-where an integer polynomial vanishes only if it is zero.  At a rational
-point, ``verify_coideal`` proves its nonzero claims mod a large prime.  The
+Everything is exact.  The eigenprojection identities of ``spectrum_check``,
+the relations of ``verify_coideal``, the characteristic polynomial and
+extreme projection of ``third_power_profile`` and the trace identity of
+``markov_property_check`` hold over Q(v), and are decided with plain ints
+at one integer point past an a-priori coefficient bound, where an integer
+polynomial vanishes only if it is zero.  At a rational point,
+``verify_coideal`` proves its nonzero claims mod a large prime.  The
 duality counts are proved mod a large prime too, once one test over Q(v) on
 S ox S has put the generators into the commutant.  Both fall back to exact
 point arithmetic when the cheap test proves nothing.  The other checks run
@@ -43,10 +45,11 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, product
 from math import comb, gcd, prod
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, PoleError, SizeGuardError
-from .linalg import RowReducer, SparseMat, kernel_basis, matrix_rank
+from .linalg import RowReducer, SparseMat, kernel_basis
 from .qspin import GeneratorAction, block_lift, spin_rep, tensor_action
 from .report import VerificationReport
 from .scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint, ModPoint,
@@ -337,33 +340,64 @@ def _at_w(at: EvalPoint, s: Scalar) -> Fraction:
 class _Cleared(NamedTuple):
     """The output of :func:`_clearing`."""
 
-    scale: Scalar           # s = D v^E
-    mat: SparseMat          # sC
-    eigs: list[Scalar]      # s e_i over the eigenvalues e_i of C
-    row: int                # R, the largest l1 row sum of sC
-    g: int                  # sC and the s e_i lie in Z[w], w = v^g
+    scale: Scalar           # s = factor * v^E
+    mat: SparseMat          # sM
+    eigs: list[Scalar]      # s e_i over the eigenvalues e_i of M
+    row: int                # R, the largest l1 row sum of sM
+    g: int                  # sM and the s e_i lie in Z[w], w = v^g
 
 
-def _clearing(c: InvariantElement) -> _Cleared:
-    """s = D v^E, sC, the s e_i over the eigenvalues of C, R, the largest l1
-    row sum of sC, and g = gcd(4, every exponent of sC and of the s e_i).
-    D = q + 1 at odd parity (turning 1/{1/2} into v^2) and 1 at even, and
-    v^E is the least power lifting every exponent of D*C and D*e_i to 0 or
-    more, so sC and s e_i lie in Z[v], and in fact in Z[w] for w = v^g:
-    g = 4 at even parity and 2 at odd for C itself."""
-    eigs = c.eigenvalues()
-    D = ONE if c.parity == "even" else ONE + qpow(1)
-    entries = [x for row in c.mat.rows.values() for x in row.values()]
-    low = min(min((D * x).integer_coefficients(), default=0)
-              for x in entries + eigs)
-    scale = D * Scalar.v_power(max(0, -low))
-    cmat = c.mat.scale(scale)
-    ceigs = [e * scale for e in eigs]
+def _lift(values) -> Scalar:
+    """v^E for the least E >= 0 that lifts every exponent of ``values``,
+    Laurent polynomials with integer coefficients, to 0 or more."""
+    low = min((min(x.integer_coefficients(), default=0) for x in values),
+              default=0)
+    return Scalar.v_power(max(0, -low))
+
+
+def _w_step(values) -> int:
+    """gcd(4, every exponent of ``values``), Laurent polynomials with
+    integer coefficients: the largest g in {1, 2, 4} with every value a
+    Laurent polynomial in w = v^g."""
+    return gcd(4, *(e for x in values for e in x.integer_coefficients()))
+
+
+def _common_denominator(values) -> Scalar:
+    """delta in Z[v] with every delta x, x in ``values``, a Laurent
+    polynomial with integer coefficients: the product of their distinct
+    integer denominators (:meth:`Scalar.integer_denominator`), each of
+    which clears its own values."""
+    dens: list[Scalar] = []
+    for x in values:
+        den = x.integer_denominator()
+        if den not in dens:
+            dens.append(den)
+    return prod(dens, start=ONE)
+
+
+def _clearing(mat: SparseMat, eigs: list[Scalar],
+              factor: Scalar) -> _Cleared:
+    """s = factor * v^E, sM, the s e_i over the eigenvalues e_i of M, R, the
+    largest l1 row sum of sM, and g = gcd(4, every exponent of sM and of the
+    s e_i).  ``factor`` must turn every entry of M and every e_i into a
+    Laurent polynomial with integer coefficients, and v^E is the least power
+    that lifts every exponent of those to 0 or more, so sM and the s e_i lie
+    in Z[v], and in fact in Z[w] for w = v^g."""
+    fmat, feigs = mat.scale(factor), [factor * e for e in eigs]
+    lift = _lift([x for r in fmat.rows.values() for x in r.values()] + feigs)
+    cmat, ceigs = fmat.scale(lift), [e * lift for e in feigs]
     row = max((sum(map(_l1, r.values())) for r in cmat.rows.values()),
               default=0)
-    values = [x for r in cmat.rows.values() for x in r.values()] + ceigs
-    g = gcd(4, *(e for x in values for e in x.integer_coefficients()))
-    return _Cleared(scale, cmat, ceigs, row, g)
+    g = _w_step([x for r in cmat.rows.values() for x in r.values()] + ceigs)
+    return _Cleared(factor * lift, cmat, ceigs, row, g)
+
+
+def _clearing_of(c: InvariantElement) -> _Cleared:
+    """:func:`_clearing` of C over its eigenvalues.  The factor is D = q + 1
+    at odd parity, turning 1/{1/2} into v^2, and 1 at even; g is 4 at even
+    parity and 2 at odd."""
+    return _clearing(c.mat, c.eigenvalues(),
+                     ONE if c.parity == "even" else ONE + qpow(1))
 
 
 def _cleared_products(c: InvariantElement, const: int
@@ -375,7 +409,7 @@ def _cleared_products(c: InvariantElement, const: int
     product V = prod_{a<b} (s e_a - s e_b).  ``const`` bounds the l1 norm of
     each factor (a quantum dimension or an expected rank) that an L_i is
     multiplied by in a comparison."""
-    cleared = _clearing(c)
+    cleared = _clearing_of(c)
     ceigs = cleared.eigs
     m, n = len(ceigs), c.dim * c.dim
     lags = [_lagrange_denominator(ceigs, i) for i in range(m)]
@@ -426,7 +460,7 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
     integer point.  With s = D v^E (D = q + 1 at odd parity, turning
     1/{1/2} into v^2, else 1; v^E the least power lifting every exponent of
     D*C and D*e_i to 0 or more), sC and s e_i lie in Z[w], w = v^g with g
-    the gcd of 4 and their exponents (:func:`_clearing`; 4 at even parity,
+    the gcd of 4 and their exponents (:func:`_clearing_of`; 4 at even parity,
     2 at odd).  With O_i the product of (sC - s e_j) over j != i,
     L_i = prod_{j != i} (s e_i - s e_j) and the Vandermonde product
     V = prod_{a<b} (s e_a - s e_b), which L_i divides, the projection is
@@ -797,7 +831,7 @@ def verify_coideal(k: int, parity: str, n: int, *,
     witness.  Each C_i^2 is built once.
 
     Every relation is decided in cleared form.  With s = D v^E and sC from
-    :func:`_clearing`, the generators G_i = I ox sC ox I have entries in
+    :func:`_clearing_of`, the generators G_i = I ox sC ox I have entries in
     Z[w], w = v^g (g = 4 at even parity, 2 at odd), and with q = v^4 the
     cubic times s^3 q is the identity
 
@@ -834,7 +868,7 @@ def verify_coideal(k: int, parity: str, n: int, *,
     c = build_c(k, parity)
     _guard_power("coideal", n, lambda m: c.dim ** m, MAX_POINT_DIM,
                  "dimensions at a point")
-    cleared = _clearing(c)
+    cleared = _clearing_of(c)
     w0 = _zero_test_point(_coideal_bound(cleared), cleared.g)
     checks = _coideal_relations(c, cleared, n, lambda s: int(_at_w(w0, s)))
 
@@ -1137,6 +1171,36 @@ def third_power_profile(k: int) -> VerificationReport:
     weights d_r = qbinom(N, r) {k-r} / {k} over the squared quantum
     dimension.  (Ordering the basis monotonically by eigenvalue instead
     scrambles the band: tridiagonality singles out the branching order.)
+
+    The characteristic polynomial and the extreme projection are decided in
+    cleared form with plain ints at one integer point each.  With delta from
+    :func:`_common_denominator` over the entries of X, :func:`_clearing`
+    gives s = delta v^E, Y = sX and the s e_r in Z[w], w = v^g, R the
+    largest l1 row sum of Y, and F = R + max_{r>=1} ||s e_r||_1.
+
+    - Characteristic polynomial: with p = sum_j a_j x^j the model polynomial
+      (a_{N+1} = 1, each a_j in Q(v)) and sigma the common denominator of
+      the a_j times the power of v that makes every sigma a_j a
+      polynomial, sigma s^{N+1} p(X) = sum_j b_j Y^j with b_j = sigma a_j
+      s^{N+1-j}, evaluated by Horner.  An entry of Y^j has l1 norm at most
+      R^j, so B = sum_j ||sigma a_j||_1 ||s||_1^{N+1-j} R^j.
+    - Extreme projection: with O = prod_{r>=1} (Y - s e_r I) and
+      Z = prod_{r>=1} (s e_0 - s e_r) = s^N L_0, the projection is P = O/Z.
+      With d_i = num_i / den_i (den_i its integer denominator) and D the
+      quantum dimension, the claims are O^2 = Z O (idempotence), tr O = Z
+      (rank 1: an idempotent's rank is its trace), O_ii D^2 den_i =
+      num_i Z and O_ij O_ji D^4 den_i den_j = num_i num_j Z^2 (i != j),
+      the last two times one power of v that makes D^2 den_i and num_i
+      polynomials.  O is a product of N factors of row sum at most F, so
+      its entries have l1 norm at most F^N and those of O^2 at most
+      F^{2N}; with ||Z||_1 <= prod_r ||s e_0 - s e_r||_1, the four
+      identities have norms at most F^{2N} + ||Z|| F^N, (N + 1) F^N + ||Z||,
+      F^N W + T and F^{2N} W^2 + T^2, W = max ||D^2 den_i||_1 and
+      T = max ||num_i||_1 ||Z||_1.  B is the largest.
+
+    An l1 norm reads the same in v and in w, so by Cauchy's bound
+    (:func:`_zero_test_point`) each identity holds exactly when it holds at
+    w0 = B + 2, and both claims are decided there both ways.
     """
     rep = VerificationReport("third_power", {"k": k})
     rd = RootData("D", k)
@@ -1225,16 +1289,41 @@ def third_power_profile(k: int) -> VerificationReport:
 
     rep.record("offdiagonal_products", check_products)
 
+    # X and its eigenvalues cleared: Y = sX and the s e_r lie in Z[w]
+    cleared = _clearing(X, eigs, _common_denominator(
+        [x for row in X.rows.values() for x in row.values()]))
+
+    def ints(at: EvalPoint) -> tuple[SparseMat, list[int]]:
+        # Y and the s e_r as plain ints at the point
+        return (cleared.mat.map_values(lambda s: int(_at_w(at, s))),
+                [int(_at_w(at, e)) for e in cleared.eigs])
+
     def check_charpoly():
-        # three-term recursion with the model data (zero diagonal)
-        x = X
-        p_prev = identh          # p_0
-        p_cur = x                # p_1 (diagonal terms are zero)
+        # the model polynomial of the three-term recursion (zero diagonal)
+        # p_m = x p_{m-1} - c_m p_{m-2}, by its coefficients
+        p_prev, p_cur = [ONE], [ZERO, ONE]
         for m in range(2, N + 2):
             cm = model_product(m - 2)
-            p_next = x * p_cur - p_prev.scale(cm)
+            p_next = [ZERO] + p_cur
+            for j, a in enumerate(p_prev):
+                p_next[j] = p_next[j] - cm * a
             p_prev, p_cur = p_cur, p_next
-        return p_cur.is_zero() or "model polynomial does not annihilate"
+        sigma = _common_denominator(p_cur)
+        coeffs = [a * sigma for a in p_cur]
+        lift = _lift(coeffs)
+        coeffs = [b * lift for b in coeffs]
+        scale = cleared.scale
+        at = _zero_test_point(
+            sum(_l1(b) * _l1(scale) ** (N + 1 - j) * cleared.row ** j
+                for j, b in enumerate(coeffs)),
+            gcd(cleared.g, _w_step(coeffs + [scale])))
+        y, _ = ints(at)
+        s0 = int(_at_w(at, scale))
+        acc = SparseMat(N + 1, N + 1)
+        for j in range(N + 1, -1, -1):
+            b = int(_at_w(at, coeffs[j])) * s0 ** (N + 1 - j)
+            acc = acc * y + SparseMat.identity(N + 1, b)
+        return acc.is_zero() or "model polynomial does not annihilate"
 
     rep.record("characteristic_polynomial", check_charpoly)
 
@@ -1261,24 +1350,38 @@ def third_power_profile(k: int) -> VerificationReport:
     rep.record("entry_reconstruction", check_reconstruction)
 
     def check_projection():
-        p = _factor_chain(X, eigs[1:], identh)[-1].scale(
-            ONE / _lagrange_denominator(eigs, 0))
-        if p * p != p:
+        ceigs = cleared.eigs
+        # num_i and D^2 den_i, times one power of v that makes all of them
+        # polynomials
+        nums = [w * w.integer_denominator() for w in dwt]
+        left = [D * D * w.integer_denominator() for w in dwt]
+        lift = _lift(nums + left)
+        nums, left = [x * lift for x in nums], [x * lift for x in left]
+        entry = (cleared.row + max(map(_l1, ceigs[1:]))) ** N
+        zsize = prod(_l1(ceigs[0] - e) for e in ceigs[1:])
+        wide, tall = max(map(_l1, left)), max(map(_l1, nums)) * zsize
+        at = _zero_test_point(
+            max(entry * (entry + zsize), (N + 1) * entry + zsize,
+                entry * wide + tall, (entry * wide) ** 2 + tall ** 2),
+            gcd(cleared.g, _w_step(left + nums)))
+        y, ieigs = ints(at)
+        o = _factor_chain(y, ieigs[1:], SparseMat.identity(N + 1, 1))[-1]
+        z = prod(ieigs[0] - e for e in ieigs[1:])
+        if o * o != o.scale(z):
             return "not idempotent"
-        if matrix_rank(p) != 1:
+        if sum(o.entry(i, i) or 0 for i in range(N + 1)) != z:
             return "rank != 1"
-        Dsq = D * D
+        lhs = [int(_at_w(at, x)) for x in left]
+        rhs = [int(_at_w(at, x)) * z for x in nums]
         for i in range(N + 1):
-            pii = p.entry(i, i)
-            if (pii or ZERO) != dwt[i] / Dsq:
+            if (o.entry(i, i) or 0) * lhs[i] != rhs[i]:
                 return f"diagonal entry {i} mismatches"
         for i in range(N + 1):
             for j in range(N + 1):
                 if i == j:
                     continue
-                pij = p.entry(i, j) or ZERO
-                pji = p.entry(j, i) or ZERO
-                if pij * pji != dwt[i] * dwt[j] / (Dsq * Dsq):
+                oij = (o.entry(i, j) or 0) * (o.entry(j, i) or 0)
+                if oij * lhs[i] * lhs[j] != rhs[i] * rhs[j]:
                     return f"product entry ({i},{j}) mismatches"
         return True
 
@@ -1294,58 +1397,99 @@ def markov_property_check(k: int, pairs: int = 20,
     """tr_q((b ox 1)(1 ox a)) = tr_q(b) tr_q(a) for normalized quantum
     traces, with a, b random integer polynomials in the even operator C.
 
-    The left side lives on S^{ox 3}; the product trace is computed lazily
-    (one contraction index, never a full matrix product)."""
+    The left side lives on S^{ox 3} and is never built: it is the sum over
+    u2, w2 of q^{s(u2)} B[u2, w2] A[w2, u2], where q^{s(u)} is the q-trace
+    weight of slot index u, B the partial q-trace of b over its first slot
+    and A that of a over its last.
+
+    Each trial is decided in cleared form with plain ints at one integer
+    point.  With s = v^E and sC from :func:`_clearing_of` and M = 2k + 1,
+    s^M a = sum_j c_j s^{M-j} (sC)^j lies in Z[w], w = v^g, for the same
+    random c_j drawn in the same order, and likewise s^M b.  Multiplied by
+    s^{2M} D q^{4c}, D the quantum dimension of S and c = -min_u s(u), the
+    identity reads
+
+        tr'((s^M b ox 1)(1 ox s^M a)) * q^c D = tr'(s^M b) tr'(s^M a)
+
+    in Z[w^{+-1}], where tr' weights slot index u by q^{s(u) + c}, a
+    polynomial.  The bound B: with R the largest l1 row sum of sC, every
+    entry and every l1 row sum of s^M a is at most A = 3 sum_j R^j (|c_j| <=
+    3); the left product trace sums d^3 products of a row of one factor
+    with an entry of the other (d = dim S), and each trace sums d^2 entries,
+    so B = A^2 (d^3 ||D||_1 + d^4).  By Cauchy's bound
+    (:func:`_zero_test_point`) each trial holds exactly when it holds at
+    w0 = B + 2."""
     rep = VerificationReport("markov", {"k": k, "pairs": pairs})
     rd = RootData("D", k)
     c = build_c_even(k)
     d = c.dim
     D = qdimension(spin_label(rd), rd)
     rng = random.Random(seed)
-
-    powers = [SparseMat.identity(d * d, ONE)]
-    for _ in range(2 * k + 1):
-        powers.append(powers[-1] * c.mat)
-
-    def random_poly() -> SparseMat:
-        acc = SparseMat(d * d, d * d)
-        for p in powers:
-            coeff = rng.randint(-3, 3)
-            if coeff:
-                acc = acc + p.scale(Scalar.from_fraction(coeff))
-        return acc
-
+    top = 2 * k + 1
+    cleared = _clearing_of(c)
     slot_exp = slot_exponents(rd)
+    low = min(slot_exp)
+    weights = [qpow(e - low) for e in slot_exp]
+    shifted = D * qpow(-low)
+    entry = 3 * sum(cleared.row ** j for j in range(top + 1))     # A
+    at = _zero_test_point(entry ** 2 * (d ** 3 * _l1(shifted) + d ** 4),
+                          gcd(cleared.g, _w_step([cleared.scale, shifted,
+                                                  *weights])))
 
-    def lazy_product_trace(b: SparseMat, a: SparseMat) -> Scalar:
-        # Tr_q over S^{ox 3} of (b ox 1)(1 ox a): contract the middle slot.
-        total = ZERO
-        for u1 in range(d):
-            for u2 in range(d):
-                brow = b.rows.get(u1 * d + u2)
-                if not brow:
-                    continue
-                for u3 in range(d):
-                    qw = qpow(slot_exp[u1] + slot_exp[u2] + slot_exp[u3])
-                    acc = ZERO
-                    for bc, bval in brow.items():
-                        w1, w2 = divmod(bc, d)
-                        if w1 != u1:
-                            continue
-                        aval = a.entry(w2 * d + u3, u2 * d + u3)
-                        if aval is not None:
-                            acc = acc + bval * aval
-                    if acc:
-                        total = total + qw * acc
-        return total
+    def value(s: Scalar) -> int:
+        return int(_at_w(at, s))
+
+    s0, mat = value(cleared.scale), cleared.mat.map_values(value)
+    wts = [value(w) for w in weights]
+    # s^{M-j} (sC)^j for j = 0..M
+    power = SparseMat.identity(d * d, 1)
+    powers = [power.scale(s0 ** top)]
+    for j in range(1, top + 1):
+        power = power * mat
+        powers.append(power.scale(s0 ** (top - j)))
+
+    def partial_trace(m: SparseMat, slot: int) -> dict[tuple[int, int], int]:
+        # the q-trace over slot 0 or 1 of S ox S, keyed by the other slot's
+        # (row, column)
+        out: dict[tuple[int, int], int] = {}
+        for r, row in m.rows.items():
+            rr = divmod(r, d)
+            for col, val in row.items():
+                cc = divmod(col, d)
+                if rr[slot] == cc[slot]:
+                    key = (rr[1 - slot], cc[1 - slot])
+                    out[key] = out.get(key, 0) + wts[rr[slot]] * val
+        return out
+
+    def trace(m: SparseMat) -> int:
+        return sum(wts[r // d] * wts[r % d] * row.get(r, 0)
+                   for r, row in m.rows.items())
+
+    # every trace is linear in the matrix, so each is taken once per power
+    traces = [trace(p) for p in powers]
+    firsts = [partial_trace(p, 0) for p in powers]
+    lasts = [partial_trace(p, 1) for p in powers]
+
+    def combine(coeffs: list[int], parts: list[dict]) -> dict:
+        out: dict = {}
+        for coeff, part in zip(coeffs, parts):
+            if coeff:
+                for key, val in part.items():
+                    out[key] = out.get(key, 0) + coeff * val
+        return out
 
     def check_pairs():
+        dim = _at_w(at, shifted)
         for trial in range(pairs):
-            a = random_poly()
-            b = random_poly()
-            lhs = lazy_product_trace(b, a)
-            rhs = qtrace(b, rd) * qtrace(a, rd) / D
-            if lhs != rhs:
+            a = [rng.randint(-3, 3) for _ in powers]
+            b = [rng.randint(-3, 3) for _ in powers]
+            # Tr_q over S^{ox 3} of (b ox 1)(1 ox a): contract the middle
+            # slot
+            b_first, a_last = combine(b, firsts), combine(a, lasts)
+            lhs = sum(wts[u2] * val * a_last.get((w2, u2), 0)
+                      for (u2, w2), val in b_first.items())
+            trb, tra = sum(map(mul, b, traces)), sum(map(mul, a, traces))
+            if lhs * dim != trb * tra:
                 return f"trial {trial} fails"
         return True
 

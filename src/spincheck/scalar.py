@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable
 
 from .errors import DomainError, PoleError
@@ -280,6 +280,15 @@ class Scalar:
             raise DomainError(f"{self} is not a Laurent polynomial with "
                               f"integer coefficients")
         return {e: c.numerator for e, c in self._num.items()}
+
+    def integer_denominator(self) -> "Scalar":
+        """A polynomial d with integer coefficients such that d * self is a
+        Laurent polynomial with integer coefficients: the canonical
+        denominator times the least common denominator of every
+        coefficient."""
+        scale = lcm(*(c.denominator for part in (self._num, self._den)
+                      for c in part.values()))
+        return Scalar({e: c * scale for e, c in self._den.items()})
 
     def __str__(self) -> str:
         return render_q(self)

@@ -35,9 +35,10 @@ from spincheck.linalg import SparseMat, matrix_rank
 from spincheck.qspin import spin_rep
 from spincheck.report import VerificationReport
 from spincheck.scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint,
-                              ModPoint, Scalar, certificate_prime, curly, qint,
-                              qpow, render_q)
-from spincheck.weights import RootData, one_column_label
+                              ModPoint, Scalar, certificate_prime, curly,
+                              qbinom, qint, qpow, render_q)
+from spincheck.weights import (RootData, one_column_label, qdimension,
+                               spin_label)
 
 HALF = Fraction(1, 2)
 
@@ -232,7 +233,7 @@ def test_spectrum_certificate_matches_symbolic_reference(k, parity):
     at, full, others, lags, vand = invariant._cleared_products(c, 1)
     assert full.is_zero()
     assert all(vand % lag == 0 for lag in lags)
-    s = invariant._clearing(c).scale ** (len(eigs) - 1)
+    s = invariant._clearing_of(c).scale ** (len(eigs) - 1)
     for i, (o, lag) in enumerate(zip(others, lags)):
         ref = invariant._factor_chain(c.mat, eigs[:i] + eigs[i + 1:],
                                       ident)[-1]
@@ -328,7 +329,7 @@ def test_zero_test_point_decides_zero(g, coeffs, roots, low, slack):
 @pytest.mark.parametrize("k,parity,g", [(1, "even", 4), (3, "even", 4),
                                         (1, "odd", 2), (2, "odd", 2)])
 def test_clearing_step_is_the_gcd_of_the_exponents(k, parity, g):
-    cleared = invariant._clearing(build_c(k, parity))
+    cleared = invariant._clearing_of(build_c(k, parity))
     assert cleared.g == g
     values = [x for row in cleared.mat.rows.values() for x in row.values()]
     assert all(e % g == 0 for x in values + cleared.eigs
@@ -338,7 +339,7 @@ def test_clearing_step_is_the_gcd_of_the_exponents(k, parity, g):
 def test_clearing_step_follows_an_odd_exponent():
     # one entry times v: the cleared entries are polynomials in v only
     c = _scale_one_entry(build_c(1, "even"), Scalar.v_power(1))
-    assert invariant._clearing(c).g == 1
+    assert invariant._clearing_of(c).g == 1
 
 
 @pytest.mark.parametrize("k,parity", [(3, "even"), (2, "odd")])
@@ -466,7 +467,7 @@ def _coideal_reference(c, n, at):
     """The coideal verdicts with the uncleared C_i multiplied at ``at``
     (SYMBOLIC: over Q(v)), and, over Q(v), each identity and each word of
     the cubic times the power of s that clears it."""
-    s = invariant._clearing(c)[0]
+    s = invariant._clearing_of(c)[0]
     gens = [embed_pair_operator(c.mat.map_values(at.of), c.dim, i, n)
             for i in range(1, n)]
     sq = [g * g for g in gens]
@@ -543,7 +544,7 @@ def test_coideal_integer_point_matches_symbolic_reference(
     rep = verify_coideal(k, parity, n)
     assert {ch.name: ch.passed for ch in rep.checks} == verdicts
     assert perturbed != rep.passed
-    bound = invariant._coideal_bound(invariant._clearing(c))
+    bound = invariant._coideal_bound(invariant._clearing_of(c))
     top = max(abs(x) for m in cleared for row in m.rows.values()
               for val in row.values()
               for x in val.integer_coefficients().values())
@@ -555,7 +556,7 @@ def _exact_coideal_report(k, parity, n, point):
     c = invariant.build_c(k, parity)
     rep = VerificationReport("coideal", {"parity": parity, "k": k, "n": n,
                                          "point": str(point)})
-    relations = invariant._coideal_relations(c, invariant._clearing(c), n,
+    relations = invariant._coideal_relations(c, invariant._clearing_of(c), n,
                                              point.of)
     for name, (_, check) in relations.items():
         rep.record(name, check)
@@ -921,14 +922,143 @@ def test_third_power_profile_same_under_optimize():
     # python -O strips asserts; the profile must not depend on them
     code = ("import json\n"
             "from spincheck.invariant import third_power_profile\n"
-            "rep = third_power_profile(1)\n"
-            "print(json.dumps([[c.name, c.passed] for c in rep.checks]))\n")
+            "for k in (1, 2):\n"
+            "    checks = third_power_profile(k).checks\n"
+            "    print(json.dumps([[c.name, c.passed] for c in checks]))\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=_child_env(),
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    want = [[c.name, c.passed] for c in third_power_profile(1).checks]
-    assert json.loads(proc.stdout) == want
+    want = [[[c.name, c.passed] for c in third_power_profile(k).checks]
+            for k in (1, 2)]
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == want
+
+
+def _patch_x(monkeypatch, change):
+    """Make third_power_profile see change(X) in place of X, the second
+    generator in the first one's eigenvector basis."""
+    matrices_in_basis = invariant._matrices_in_basis
+
+    def patched(mats, basis, what):
+        out = matrices_in_basis(mats, basis, what)
+        if what == "first generator's eigenvector basis":
+            out = [change(out[0])]
+        return out
+
+    monkeypatch.setattr(invariant, "_matrices_in_basis", patched)
+
+
+def _scale_x(monkeypatch, factors):
+    """X with entry (i, j) times factors[(i, j)]."""
+    def change(x):
+        for (i, j), factor in factors.items():
+            x.set_entry(i, j, x.entry(i, j) * factor)
+        return x
+
+    _patch_x(monkeypatch, change)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_third_power_falsified_entry_fails_at_the_integer_point(
+        monkeypatch, k):
+    # X_01 times 1 + q: the characteristic polynomial and the extreme
+    # projection fail with the witnesses of the Q(v) products
+    _scale_x(monkeypatch, {(0, 1): ONE + qpow(1)})
+    witness = {ch.name: ch.witness for ch in third_power_profile(k).checks}
+    assert witness["characteristic_polynomial"] == (
+        "model polynomial does not annihilate")
+    assert witness["extreme_projection_entries"] == "not idempotent"
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_third_power_passes_on_a_diagonal_conjugate(monkeypatch, k):
+    # T X T^-1 for T = diag(1 + q, 1, ..., 1) has the same characteristic
+    # polynomial and off-diagonal products, and its extreme projection the
+    # same diagonal and the same products p_ij p_ji: every check still
+    # passes, with new denominators for the common denominator to clear
+    t = ONE + qpow(1)
+    _scale_x(monkeypatch, {(0, 1): t, (1, 0): ONE / t})
+    rep = third_power_profile(k)
+    assert rep.passed, rep.summary()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("repeat,witness", [
+    (False, "diagonal entry 0 mismatches"), (True, "rank != 1")])
+def test_third_power_projection_witness_on_a_diagonal_x(monkeypatch, k,
+                                                        repeat, witness):
+    # X replaced by the diagonal matrix of its eigenvalues: the model
+    # polynomial annihilates it, and the extreme projection is E_00, whose
+    # diagonal is not the closed weights; with e_1 replaced by e_0 it is the
+    # idempotent E_00 + E_11 of rank 2.  The witnesses are those of the Q(v)
+    # products.
+    eigs = [qint(k - r) if r % 2 == 0 else -qint(k - r)
+            for r in range(2 * k + 1)]
+    if repeat:
+        eigs[1] = eigs[0]
+    _patch_x(monkeypatch, lambda x: SparseMat(
+        x.nrows, x.ncols, {i: {i: e} for i, e in enumerate(eigs)}))
+    rep = {ch.name: ch for ch in third_power_profile(k).checks}
+    assert rep["characteristic_polynomial"].passed
+    assert rep["extreme_projection_entries"].witness == witness
+
+
+def test_third_power_projection_point_bounds_its_terms(monkeypatch):
+    # the point of the extreme projection lies past every coefficient of
+    # each side of its identities, multiplied out here over Z[v]: O, O^2,
+    # Z O, O_ii D^2 den_i, num_i Z, O_ij O_ji D^4 den_i den_j and
+    # num_i num_j Z^2
+    k, bounds, xs = 2, [], []
+    zero_test_point = invariant._zero_test_point
+    monkeypatch.setattr(invariant, "_zero_test_point",
+                        lambda b, g: bounds.append(b) or zero_test_point(b, g))
+    _patch_x(monkeypatch, lambda x: xs.append(x) or x)
+    assert third_power_profile(k).passed
+    x, = xs
+    n = 2 * k
+    eigs = [qint(k - r) if r % 2 == 0 else -qint(k - r) for r in range(n + 1)]
+    cleared = invariant._clearing(x, eigs, invariant._common_denominator(
+        [v for row in x.rows.values() for v in row.values()]))
+    o = invariant._factor_chain(cleared.mat, cleared.eigs[1:],
+                                SparseMat.identity(n + 1, ONE))[-1]
+    z = invariant._lagrange_denominator(cleared.eigs, 0)
+    rd = RootData("D", k)
+    dim = qdimension(spin_label(rd), rd)
+    dwt = [qbinom(n, i) * curly(k - i) / curly(k) for i in range(n + 1)]
+    left = [dim * dim * w.integer_denominator() for w in dwt]
+    right = [w * w.integer_denominator() * z for w in dwt]
+    terms = [val for m in (o, o * o, o.scale(z)) for row in m.rows.values()
+             for val in row.values()]
+    for i in range(n + 1):
+        oii = o.entry(i, i) or ZERO
+        terms += [oii * left[i], right[i]]
+        for j in range(n + 1):
+            oij = (o.entry(i, j) or ZERO) * (o.entry(j, i) or ZERO)
+            terms += [oij * left[i] * left[j], right[i] * right[j]]
+    top = max(abs(c) for t in terms for c in t.integer_coefficients().values())
+    assert 0 < top <= bounds[1]
+
+
+def test_third_power_heavy_checks_make_no_symbolic_product(monkeypatch):
+    # the characteristic polynomial and the extreme projection multiply
+    # plain ints only: no SparseMat product over Q(v) runs inside them
+    calls, current = Counter(), [None]
+    dot, record = Scalar.dot, VerificationReport.record
+
+    def counting(pairs):
+        calls[current[0]] += 1
+        return dot(pairs)
+
+    def named(self, name, fn):
+        current[0] = name
+        record(self, name, fn)
+
+    monkeypatch.setattr(Scalar, "dot", staticmethod(counting))
+    monkeypatch.setattr(VerificationReport, "record", named)
+    assert third_power_profile(3).passed
+    assert calls["first_generator_alternating_spectrum"] > 0
+    assert calls["characteristic_polynomial"] == 0
+    assert calls["extreme_projection_entries"] == 0
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -1002,3 +1132,48 @@ def test_markov_property_small():
     rep = markov_property_check(1, pairs=6, seed=7)
     assert rep.passed, rep.summary()
     assert rep.params == {"k": 1, "pairs": 6}
+
+
+def test_markov_property_rank_three():
+    rep = markov_property_check(3)
+    assert rep.passed, rep.summary()
+    assert rep.params == {"k": 3, "pairs": 20}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_markov_falsified_dimension_fails_at_the_integer_point(monkeypatch,
+                                                               k):
+    # D + 1 for the quantum dimension: the first trial fails, as with the
+    # Q(v) traces
+    qdimension = invariant.qdimension
+    monkeypatch.setattr(invariant, "qdimension",
+                        lambda label, rd: qdimension(label, rd) + ONE)
+    rep = markov_property_check(k)
+    assert [ch.as_json() for ch in rep.checks] == [
+        {"name": "product_trace_multiplicativity", "pass": False,
+         "witness": "trial 0 fails"}]
+
+
+def test_markov_makes_no_symbolic_product(monkeypatch):
+    calls = []
+    dot = Scalar.dot
+
+    def counting(pairs):
+        calls.append(1)
+        return dot(pairs)
+
+    monkeypatch.setattr(Scalar, "dot", staticmethod(counting))
+    assert markov_property_check(2).passed
+    assert calls == []
+
+
+def test_markov_same_under_optimize():
+    # python -O strips asserts; the report must not depend on them
+    code = ("import json\n"
+            "from spincheck.invariant import markov_property_check\n"
+            "print(json.dumps(markov_property_check(2).as_json()))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=_child_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == markov_property_check(2).as_json()
