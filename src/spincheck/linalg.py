@@ -4,14 +4,10 @@ Matrices are dict-of-rows: ``rows[i][j]`` is the (i, j) entry, and absent
 keys are zero.  Stored values are always truthy (canonically nonzero), which
 the mutation helpers enforce; this makes equality a structural comparison.
 Coefficients are duck-typed -- anything with field-like ``+ - * /``, a
-truthiness zero test and ``==`` works.  The program uses three:
+truthiness zero test and ``==`` works.  The program uses four: ``int``
+(values at an integer point, and residues mod p),
 :class:`fractions.Fraction`, :class:`spincheck.scalar.Scalar` and
 :class:`spincheck.scalar.Ext` (which covers the Gaussian rationals too).
-
-Products (``A * B`` and :meth:`SparseMat.apply_to`) hand each output entry's
-term pairs to the entry type's ``dot`` when it has one, and otherwise add
-the products one by one.  Over Q(v) that is :meth:`Scalar.dot`, which
-canonicalizes once per output entry instead of after every ``*`` and ``+``.
 
 There is one field eliminator, :class:`RowReducer`, and its F_p twin
 :class:`ModRowReducer` for plain ints.  Reduction is incremental: rows
@@ -143,7 +139,6 @@ class SparseMat:
             raise DomainError(f"cannot multiply {self.nrows}x{self.ncols} by "
                               f"{other.nrows}x{other.ncols} matrices")
         out = SparseMat(self.nrows, other.ncols)
-        dot = self._dot()
         for i, arow in self.rows.items():
             terms: dict[int, list] = {}
             for k, a in arow.items():
@@ -156,7 +151,8 @@ class SparseMat:
                         terms[j] = [(a, b)]
                     else:
                         pairs.append((a, b))
-            acc = {j: v for j, pairs in terms.items() if (v := dot(pairs))}
+            acc = {j: v for j, pairs in terms.items()
+                   if (v := _sum_of_products(pairs))}
             if acc:
                 out.rows[i] = acc
         return out
@@ -183,23 +179,12 @@ class SparseMat:
     def apply_to(self, vec: dict[int, Any]) -> dict[int, Any]:
         """Matrix times column vector (vector = {index: coeff})."""
         acc: dict[int, Any] = {}
-        dot = self._dot()
         for i, r in self.rows.items():
             pairs = [(v, x) for j, v in r.items()
                      if (x := vec.get(j)) is not None]
-            if pairs and (total := dot(pairs)):
+            if pairs and (total := _sum_of_products(pairs)):
                 acc[i] = total
         return acc
-
-    def _dot(self) -> Callable[[list], Any]:
-        """The entry type's one-pass ``dot`` if it has one, else the
-        term-by-term sum.  The first stored entry decides; entries of
-        another type in the same matrix are left to that ``dot`` to
-        coerce."""
-        for row in self.rows.values():
-            for v in row.values():
-                return getattr(type(v), "dot", _sum_of_products)
-        return _sum_of_products
 
     def commutator(self, other: "SparseMat") -> "SparseMat":
         return self * other - other * self
@@ -209,8 +194,7 @@ class SparseMat:
 
 
 def _sum_of_products(pairs: list) -> Any:
-    """``sum(a * b for a, b in pairs)`` accumulated term by term, for
-    coefficient types without a ``dot`` of their own."""
+    """``sum(a * b for a, b in pairs)``, accumulated term by term."""
     total = None
     for a, b in pairs:
         p = a * b

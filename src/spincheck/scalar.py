@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Iterable
 
 from .errors import DomainError, PoleError
 from .linalg import ModRowReducer, RowReducer, SparseMat
@@ -220,52 +219,6 @@ class Scalar:
             n >>= 1
         return out
 
-    @staticmethod
-    def dot(pairs: Iterable[tuple]) -> "Scalar":
-        """``sum(a * b for a, b in pairs)``, canonicalized once per group.
-
-        The products stay unreduced.  A product whose other factor has
-        denominator 1 keeps the existing denominator; any other product
-        takes the product of the two.  Terms with equal unreduced
-        denominators sum their numerators directly, so each group is
-        canonicalized once and only the few group sums are added as
-        Scalars.  ``int`` and ``Fraction`` factors are coerced.
-        """
-        groups: dict[tuple, list] = {}    # key -> [den or (den_a, den_b), num]
-        for a, b in pairs:
-            if type(a) is not Scalar:
-                a = _coerce(a)
-            if type(b) is not Scalar:
-                b = _coerce(b)
-            anum, bnum = a._num, b._num
-            if not anum or not bnum:
-                continue
-            aden, bden = a._den, b._den
-            if bden == _UNIT_DEN:
-                key, den = (tuple(aden.items()),), aden
-            elif aden == _UNIT_DEN:
-                key, den = (tuple(bden.items()),), bden
-            else:
-                ka, kb = tuple(aden.items()), tuple(bden.items())
-                if kb < ka:
-                    ka, kb, aden, bden = kb, ka, bden, aden
-                key, den = (ka, kb), (aden, bden)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = group = [den, {}]
-            num = group[1]
-            for ea, ca in anum.items():
-                for eb, cb in bnum.items():
-                    e = ea + eb
-                    cur = num.get(e)
-                    num[e] = ca * cb if cur is None else cur + ca * cb
-        total = ZERO
-        for key, (den, num) in groups.items():
-            if len(key) == 2:
-                den = _lmul(*den)
-            total = total + Scalar(num, den)
-        return total
-
     # inspection ------------------------------------------------------------
 
     @property
@@ -305,19 +258,13 @@ def _as_scalar(x):
     return NotImplemented
 
 
-def _coerce(x) -> Scalar:
-    s = _as_scalar(x)
-    if s is NotImplemented:
-        raise TypeError(f"cannot use {type(x).__name__} as an element of Q(v)")
-    return s
-
-
 def _lmul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
-            out[e] = out.get(e, _F0) + ca * cb
+            cur = out.get(e)
+            out[e] = ca * cb if cur is None else cur + ca * cb
     return out
 
 
@@ -357,7 +304,6 @@ def _canonical(num: dict[int, Fraction], den: dict[int, Fraction]):
 
 ZERO = Scalar.from_fraction(0)
 ONE = Scalar.from_fraction(1)
-_UNIT_DEN = {0: _F1}     # the denominator of every Laurent polynomial
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,9 @@ def test_report_matches_golden(golden, job):
 
 
 def test_coideal_jobs_multiply_plain_ints(monkeypatch):
-    # the coideal relations are decided at the integer point, or mod p for
-    # the nonzero claims at a point: no product over Q(v) or a point field
-    coideal = [job for job in JOBS if job.name.startswith("coideal:")]
+    # the coideal relations and the commutators with the quantum group are
+    # decided at the integer point, or mod p for the nonzero coideal claims
+    # at a point: no product over Q(v) or a point field
     types = Counter()
     product = SparseMat.__mul__
 
@@ -66,10 +66,13 @@ def test_coideal_jobs_multiply_plain_ints(monkeypatch):
         return product(a, b)
 
     monkeypatch.setattr(SparseMat, "__mul__", counting)
-    for job in coideal:
-        job.run()
-    assert len(coideal) == 5
-    assert set(types) == {"int"}
+    for prefix in ("coideal:", "commute:"):
+        jobs = [job for job in JOBS if job.name.startswith(prefix)]
+        types.clear()
+        for job in jobs:
+            job.run()
+        assert len(jobs) == 5
+        assert set(types) == {"int"}, prefix
 
 
 def test_duality_jobs_build_no_ext(monkeypatch):

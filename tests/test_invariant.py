@@ -32,7 +32,7 @@ from spincheck.invariant import (MAX_SYMBOLIC_DIM, build_c, build_c_even,
                                  verify_coideal, verify_commutation,
                                  verify_duality)
 from spincheck.linalg import SparseMat, matrix_rank
-from spincheck.qspin import spin_rep
+from spincheck.qspin import spin_rep, tensor_action
 from spincheck.report import VerificationReport
 from spincheck.scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint,
                               ModPoint, Scalar, certificate_prime, curly,
@@ -187,6 +187,89 @@ def test_commutation_at_a_point():
                              point=EvalPoint.from_q(Fraction(3, 2)))
     assert rep.passed
     assert rep.params["point"] == "3/2"
+
+
+def _commutation_gids(g) -> list[tuple[str, int]]:
+    return ([(kind, i) for i in range(1, g.nsimple + 1)
+             for kind in ("E", "F", "K", "Khalf")]
+            + ([("t", 0)] if g.t_perm is not None else []))
+
+
+def _commutation_name(gid: tuple[str, int]) -> str:
+    return f"commutes_{gid[0]}{gid[1] if gid[0] != 't' else ''}"
+
+
+@pytest.mark.parametrize("perturb", [None, "times q", "small root"])
+@pytest.mark.parametrize("k,parity", [(1, "even"), (2, "even"), (1, "odd")])
+def test_commutators_vanish_match_symbolic_reference(monkeypatch, k, parity,
+                                                     perturb):
+    # the verdicts at the integer point are those of the Q(v) commutators,
+    # and B bounds the l1 norm, and so every coefficient, of each entry of
+    # the cleared products and of their difference: on C, on C with one
+    # entry times q, and on C + (w - 4) E_00 (w = v^2 at even parity, v at
+    # odd), whose nonzero commutators vanish at w = 4, a point too close
+    c = build_c(k, parity)
+    if perturb == "times q":
+        _scale_one_entry(c, qpow(1))
+    elif perturb == "small root":
+        c.mat.add_to(0, 0, Scalar.v_power(2 if parity == "even" else 1) - 4)
+    g = generator_action_for(c)
+    actions = [tensor_action(g, gid, 2) for gid in _commutation_gids(g)]
+    bounds = []
+    zero_test_point = invariant._zero_test_point
+
+    def spy(bound, step):
+        bounds.append(bound)
+        return zero_test_point(bound, step)
+
+    monkeypatch.setattr(invariant, "_zero_test_point", spy)
+    verdicts = invariant._commutators_vanish(c.mat, actions)
+    assert verdicts == [c.mat.commutator(a).is_zero() for a in actions]
+    assert all(verdicts) == (perturb is None)
+    cleared = invariant._clearing(c.mat, [], invariant._common_denominator(
+        [x for row in c.mat.rows.values() for x in row.values()]))
+    lift = invariant._lift([x for a in actions for row in a.rows.values()
+                            for x in row.values()])
+    norms = []
+    for a in actions:
+        x, y = cleared.mat, a.scale(lift)
+        for m in (x * y, y * x, x * y - y * x):
+            norms += [invariant._l1(val) for row in m.rows.values()
+                      for val in row.values()]
+    assert len(bounds) == 1
+    assert 0 < max(norms) <= bounds[0]
+
+
+@pytest.mark.parametrize("builder,k", [(build_c_even, 2), (build_c_odd, 1)])
+def test_commutation_point_fallback_runs_only_failed_checks(monkeypatch,
+                                                            builder, k):
+    # X = C + (q - q0) M with M a diagonal unit: over Q(v) X commutes with
+    # the torus but not with E, F or t; at q0 it is C again, and only the
+    # checks that failed at w0 rerun there with exact point values
+    q0 = Fraction(3, 2)
+    c = builder(k)
+    c.mat.add_to(0, 0, qpow(1) - q0)
+    g = generator_action_for(c)
+    symbolic = verify_commutation(c, g)
+    failed = {ch.name for ch in symbolic.checks if not ch.passed}
+    assert {ch.witness for ch in symbolic.checks if not ch.passed} == {
+        "nonzero commutator"}
+    assert "commutes_t" in failed
+    assert failed.isdisjoint({"commutes_K1", "commutes_Khalf1"})
+    reruns = []
+    action = invariant.tensor_action
+
+    def spy(g, gid, n, *, at=SYMBOLIC):
+        if at is not SYMBOLIC:
+            reruns.append(_commutation_name(gid))
+        return action(g, gid, n, at=at)
+
+    monkeypatch.setattr(invariant, "tensor_action", spy)
+    rep = verify_commutation(c, g, point=EvalPoint.from_q(q0))
+    assert rep.passed, rep.summary()
+    assert sorted(reruns) == sorted(failed)
+    assert [ch.name for ch in rep.checks] == [ch.name
+                                              for ch in symbolic.checks]
 
 
 # ---------------------------------------------------------------------------
@@ -1039,22 +1122,41 @@ def test_third_power_projection_point_bounds_its_terms(monkeypatch):
     assert 0 < top <= bounds[1]
 
 
-def test_third_power_heavy_checks_make_no_symbolic_product(monkeypatch):
-    # the characteristic polynomial and the extreme projection multiply
-    # plain ints only: no SparseMat product over Q(v) runs inside them
+def _count_symbolic_products(monkeypatch) -> Counter:
+    """Count the SparseMat products over Q(v) -- ``*`` and ``apply_to``
+    with Scalar entries in the left operand -- by the name of the check
+    recorded last (None before the first)."""
     calls, current = Counter(), [None]
-    dot, record = Scalar.dot, VerificationReport.record
+    mul, apply_to = SparseMat.__mul__, SparseMat.apply_to
+    record = VerificationReport.record
 
-    def counting(pairs):
-        calls[current[0]] += 1
-        return dot(pairs)
+    def count(m: SparseMat) -> None:
+        if any(type(v) is Scalar for row in m.rows.values()
+               for v in row.values()):
+            calls[current[0]] += 1
+
+    def counting_mul(a, b):
+        count(a)
+        return mul(a, b)
+
+    def counting_apply(a, vec):
+        count(a)
+        return apply_to(a, vec)
 
     def named(self, name, fn):
         current[0] = name
         record(self, name, fn)
 
-    monkeypatch.setattr(Scalar, "dot", staticmethod(counting))
+    monkeypatch.setattr(SparseMat, "__mul__", counting_mul)
+    monkeypatch.setattr(SparseMat, "apply_to", counting_apply)
     monkeypatch.setattr(VerificationReport, "record", named)
+    return calls
+
+
+def test_third_power_heavy_checks_make_no_symbolic_product(monkeypatch):
+    # the characteristic polynomial and the extreme projection multiply
+    # plain ints only: no SparseMat product over Q(v) runs inside them
+    calls = _count_symbolic_products(monkeypatch)
     assert third_power_profile(3).passed
     assert calls["first_generator_alternating_spectrum"] > 0
     assert calls["characteristic_polynomial"] == 0
@@ -1155,16 +1257,9 @@ def test_markov_falsified_dimension_fails_at_the_integer_point(monkeypatch,
 
 
 def test_markov_makes_no_symbolic_product(monkeypatch):
-    calls = []
-    dot = Scalar.dot
-
-    def counting(pairs):
-        calls.append(1)
-        return dot(pairs)
-
-    monkeypatch.setattr(Scalar, "dot", staticmethod(counting))
+    calls = _count_symbolic_products(monkeypatch)
     assert markov_property_check(2).passed
-    assert calls == []
+    assert calls == Counter()
 
 
 def test_markov_same_under_optimize():
