@@ -43,8 +43,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
-from itertools import combinations, product
+from functools import cache, partial, reduce
+from itertools import accumulate, combinations, product
 from math import comb, gcd, prod
 from operator import mul
 from typing import Callable, NamedTuple
@@ -226,16 +226,10 @@ def _restrict_pair_operator(mat: SparseMat, d: int,
     return out
 
 
-def csq_block_matrix(c: InvariantElement) -> SparseMat:
-    """For odd parity: C^2 restricted to the even-parity block of each slot.
-
-    C itself swaps slot parities, so it does not act on a block; its square
-    does, and on the block basis (visible sign vectors, invisible coordinate
-    determined by parity) it is again a two-slot operator of size (2^k)^2.
-    The square is taken of sC, s = (q + 1) v^E from :func:`_clearing`,
-    whose entries are Laurent polynomials, and divided by s^2 once
-    restricted.
-    """
+def _cleared_square_block(c: InvariantElement) -> tuple[SparseMat, Scalar]:
+    """For odd parity: (sC)^2 restricted to the even-parity block of each
+    slot, and s = (q + 1) v^E from :func:`_clearing`.  sC has Laurent
+    polynomial entries, and so does the restricted square."""
     if c.parity != "odd":
         raise DomainError("block restriction applies to the odd operator")
     lift = [block_lift(x, c.k) for x in range(1 << c.k)]
@@ -243,7 +237,20 @@ def csq_block_matrix(c: InvariantElement) -> SparseMat:
     out = _restrict_pair_operator(cleared.mat * cleared.mat, c.dim, lift)
     if out is None:
         raise DomainError("squared operator leaks out of the block")
-    return out.scale(ONE / (cleared.scale * cleared.scale))
+    return out, cleared.scale
+
+
+def csq_block_matrix(c: InvariantElement) -> SparseMat:
+    """For odd parity: C^2 restricted to the even-parity block of each slot.
+
+    C itself swaps slot parities, so it does not act on a block; its square
+    does, and on the block basis (visible sign vectors, invisible coordinate
+    determined by parity) it is again a two-slot operator of size (2^k)^2.
+    It is the restricted (sC)^2 of :func:`_cleared_square_block` divided
+    by s^2.
+    """
+    square, s = _cleared_square_block(c)
+    return square.scale(ONE / (s * s))
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +299,13 @@ def _commutators_vanish(mat: SparseMat,
     coefficients, such as the single powers of v of a tensor action.
 
     With delta from :func:`_common_denominator` over the entries of X,
-    :func:`_clearing` gives s = delta v^E and sX in Z[w]; one power v^F
-    (:func:`_lift`) lifts every G to v^F G, with entries in Z[v] too.  s and
-    v^F are nonzero, so [X, G] = 0 exactly when [sX, v^F G] = s v^F [X, G]
-    is, an identity in Z[w] for w = v^g, g the gcd of the step of sX and
-    :func:`_w_step` of the lifted G.
+    :func:`_clearing` gives s = delta v^E and sX in Z[w]; one power v^F,
+    the least that lifts every exponent of every G to 0 or more, lifts every
+    G to v^F G, with entries in Z[v] too.  s and v^F are nonzero, so
+    [X, G] = 0 exactly when [sX, v^F G] = s v^F [X, G] is, an identity in
+    Z[w] for w = v^g, g the gcd of the step of sX and the exponents of the
+    lifted G.  The integer coefficients of each entry of G are read once;
+    its l1 norm, its lifted exponents and its value at w0 come from them.
 
     The bound B: with R the largest l1 row sum of sX and E its largest entry
     l1 norm, h the largest entry l1 norm of a lifted G and m the most
@@ -308,24 +317,28 @@ def _commutators_vanish(mat: SparseMat,
     it is zero."""
     cleared = _clearing(mat, [], _common_denominator(
         [x for row in mat.rows.values() for x in row.values()]))
-    lift = _lift([x for act in actions
-                  for row in act.rows.values() for x in row.values()])
-    lifted = [act.scale(lift) for act in actions]
-    entries = [x for act in lifted for row in act.rows.values()
-               for x in row.values()]
+    # the integer coefficients of each entry of each G, read once
+    coeffs = [{r: {col: x.integer_coefficients() for col, x in row.items()}
+               for r, row in act.rows.items()} for act in actions]
+    polys = [p for act in coeffs for row in act.values() for p in row.values()]
+    lift = -min([0, *(e for p in polys for e in p)])     # F
     top = max((_l1(x) for row in cleared.mat.rows.values()
                for x in row.values()), default=0)
-    wide = max((len(row) for act in lifted for row in act.rows.values()),
+    wide = max((len(row) for act in actions for row in act.rows.values()),
                default=0)
     at = _zero_test_point(
-        max(map(_l1, entries), default=0) * (cleared.row + wide * top),
-        gcd(cleared.g, _w_step(entries)))
+        max((sum(map(abs, p.values())) for p in polys), default=0)
+        * (cleared.row + wide * top),
+        gcd(cleared.g, *(e + lift for p in polys for e in p)))
+    w0, g = at.radicand.numerator, at.degree
 
-    def value(s: Scalar) -> int:
-        return int(_at_w(at, s))
+    def lifted_at_w0(act: dict) -> SparseMat:
+        return SparseMat(mat.nrows, mat.ncols, {
+            r: {col: sum(c * w0 ** ((e + lift) // g) for e, c in p.items())
+                for col, p in row.items()} for r, row in act.items()})
 
-    x = cleared.mat.map_values(value)
-    return [x * y == y * x for y in (act.map_values(value) for act in lifted)]
+    x = cleared.mat.map_values(lambda s: int(_at_w(at, s)))
+    return [x * y == y * x for y in map(lifted_at_w0, coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +350,7 @@ def _factor_chain(mat: SparseMat, roots: list,
     to right: entry i is the product of the factors before the i-th, so
     entry 0 is ``ident``, entry 1 the first factor itself and the last entry
     the full product."""
-    chain = [ident]
-    for r in roots:
-        factor = mat - ident.scale(r)
-        chain.append(chain[-1] * factor if len(chain) > 1 else factor)
-    return chain
+    return [ident, *accumulate((mat - ident.scale(r) for r in roots), mul)]
 
 
 def _lagrange_denominator(roots: list[Scalar], i: int) -> Scalar:
@@ -359,19 +368,6 @@ def _l1(s: Scalar) -> int:
     """The sum of the absolute coefficients of s, a Laurent polynomial with
     integer coefficients."""
     return sum(map(abs, s.integer_coefficients().values()))
-
-
-def _l1_of_product(polys) -> int:
-    """The l1 norm of the product of integer Laurent polynomials, each given
-    as {exponent: coefficient}, multiplied out with integer arithmetic."""
-    acc = {0: 1}
-    for p in polys:
-        out: dict[int, int] = {}
-        for ea, ca in acc.items():
-            for eb, cb in p.items():
-                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
-        acc = out
-    return sum(map(abs, acc.values()))
 
 
 def _zero_test_point(bound: int, g: int) -> EvalPoint:
@@ -464,46 +460,33 @@ def _clearing_of(c: InvariantElement) -> _Cleared:
 
 def _cleared_products(c: InvariantElement, const: int
                       ) -> tuple[EvalPoint, SparseMat, list[SparseMat],
-                                 list[int], int]:
+                                 list[int]]:
     """The point w0 of ``spectrum_check`` and, as plain ints there, the
     cleared full product, the cleared products O_i over every eigenvalue
-    but the i-th, the cleared Lagrange denominators L_i and the Vandermonde
-    product V = prod_{a<b} (s e_a - s e_b).  ``const`` bounds the l1 norm of
-    each factor (a quantum dimension or an expected rank) that an L_i is
-    multiplied by in a comparison."""
+    but the i-th and the cleared Lagrange denominators L_i.  ``const``
+    bounds the l1 norm of each factor (a quantum dimension or an expected
+    rank) that an L_i is multiplied by in a comparison."""
     cleared = _clearing_of(c)
     ceigs = cleared.eigs
     m, n = len(ceigs), c.dim * c.dim
     lags = [_lagrange_denominator(ceigs, i) for i in range(m)]
     row = max(map(_l1, ceigs)) + cleared.row
     lag = max(map(_l1, lags))
-    # V, and V / L_i = +-(the product over the pairs without i)
-    pairs = {(a, b): (ceigs[a] - ceigs[b]).integer_coefficients()
-             for a, b in combinations(range(m), 2)}
-    vand = _l1_of_product(pairs.values())
-    cofactor = max(_l1_of_product(p for ab, p in pairs.items() if i not in ab)
-                   for i in range(m))
     one_out = row ** (m - 1)
     at = _zero_test_point(row ** m + one_out * (one_out + lag)
-                          + m * cofactor * one_out + vand
                           + (n + 2) * one_out + const * lag, cleared.g)
 
     def value(s: Scalar) -> int:
         return int(_at_w(at, s))
 
     imat = cleared.mat.map_values(value)
-    ieigs = [value(e) for e in ceigs]
     ident = SparseMat.identity(n, 1)
-    # a forward chain and a chain over every eigenvalue but the first,
-    # reversed: O_i = prefix[i] * suffix[m - 1 - i], and both ends are chain
-    # entries themselves
-    prefix = _factor_chain(imat, ieigs, ident)
-    suffix = _factor_chain(imat, ieigs[:0:-1], ident)
-    others = ([suffix[-1]]
-              + [p * s for p, s in zip(prefix[1:-2], suffix[-2:0:-1])]
-              + [prefix[-2]])
-    return (at, prefix[-1], others, [value(x) for x in lags],
-            prod(a - b for a, b in combinations(ieigs, 2)))
+    factors = [imat - ident.scale(value(e)) for e in ceigs]
+    # O_i is the product of the factors before the i-th, times each sparse
+    # factor after it on the right
+    prefix = [ident, *accumulate(factors, mul)]
+    others = [reduce(mul, factors[i + 1:], prefix[i]) for i in range(m)]
+    return at, prefix[-1], others, [value(x) for x in lags]
 
 
 def spectrum_check(c: InvariantElement) -> VerificationReport:
@@ -523,15 +506,23 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
     1/{1/2} into v^2, else 1; v^E the least power lifting every exponent of
     D*C and D*e_i to 0 or more), sC and s e_i lie in Z[w], w = v^g with g
     the gcd of 4 and their exponents (:func:`_clearing_of`; 4 at even parity,
-    2 at odd).  With O_i the product of (sC - s e_j) over j != i,
-    L_i = prod_{j != i} (s e_i - s e_j) and the Vandermonde product
-    V = prod_{a<b} (s e_a - s e_b), which L_i divides, the projection is
-    P_i = O_i / L_i, and each claim is an identity in Z[w^{+-1}]: full
-    product = 0, O_i != 0 (minimality), O_i^2 = L_i O_i (idempotence),
-    sum_i (V / L_i) O_i = V I (partition), tr_q(O_i) = dim_q L_i and the
-    t ox t sign of a column of O_i (even; q-trace weights and quantum
+    2 at odd).  With O_i the product of (sC - s e_j) over j != i and
+    L_i = prod_{j != i} (s e_i - s e_j), the projection is P_i = O_i / L_i,
+    and each claim is an identity in Z[w^{+-1}]: full product = 0, O_i != 0
+    (minimality), O_i^2 = L_i O_i (idempotence), tr_q(O_i) = dim_q L_i and
+    the t ox t sign of a column of O_i (even; q-trace weights and quantum
     dimensions are Laurent polynomials in q = v^4), and tr(O_i) =
-    mult C(N, i) L_i (ranks: the rank of an idempotent is its trace).
+    mult C(N, i) L_i (ranks: the rank of an idempotent is its trace).  O_i
+    is built from the prefix product over j < i, multiplied on the right by
+    each sparse factor (sC - s e_j I), j > i.
+
+    Two claims follow from the full product.  With p_i(x) = prod_{j != i}
+    (x - s e_j), p_i(x) - L_i vanishes at x = s e_i, so it is
+    (x - s e_i) r_i(x) and O_i^2 - L_i O_i = (full product) r_i(sC): the
+    dense square O_i O_i is formed only when the full product does not
+    vanish.  The partition sum_i O_i / L_i = I is Lagrange interpolation of
+    the constant 1 at the m distinct s e_i, which holds for every matrix,
+    so ``idempotent_partition`` reports the idempotence verdict alone.
 
     Cauchy's bound: a nonzero Laurent polynomial in w with integer
     coefficients of absolute value at most B has no root w0 >= B + 2, so
@@ -540,11 +531,8 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
     so a product of t factors has entries of l1 norm at most R^t, R the
     largest l1 row sum of a factor.  With Lambda = max ||L_i||_1, n = dim^2
     and K the largest of ||dim_q||_1 and mult C(N, i), the identities have
-    l1 norms at most R^m, R^{m-1} (R^{m-1} + Lambda),
-    m max_i ||V / L_i||_1 R^{m-1} + ||V||_1 and (n + 2) R^{m-1} + K Lambda
-    (t ox t is a permutation); B is their sum.  V / L_i is, up to sign, the
-    Vandermonde product over the pairs without i, so both of its norms come
-    from multiplying the pair differences out as integer polynomials.
+    l1 norms at most R^m, R^{m-1} (R^{m-1} + Lambda) and
+    (n + 2) R^{m-1} + K Lambda (t ox t is a permutation); B is their sum.
 
     Raises SizeGuardError when S ox S is larger than MAX_SYMBOLIC_DIM.
     """
@@ -565,9 +553,12 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
     labels = c.eigen_labels() if even else []
     qdims = [qdimension(lbl, c.rd) for lbl in labels]
     ranks = [mult * comb(N, i) for i in range(len(eigs))]
-    at, full, others, lags, vand = _cleared_products(
+    at, full, others, lags = _cleared_products(
         c, max(ranks + [_l1(q) for q in qdims]))
-    idempotent = [o * o == o.scale(lag) for o, lag in zip(others, lags)]
+    # O_i^2 - L_i O_i is the full product times a polynomial in sC, so the
+    # dense square is needed only when the full product does not vanish
+    idempotent = [full.is_zero() or o * o == o.scale(lag)
+                  for o, lag in zip(others, lags)]
 
     rep.record("annihilating_product",
                lambda: full.is_zero() or "product does not vanish")
@@ -581,17 +572,10 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
     rep.record("minimality", check_minimality)
 
     def check_partition():
+        # sum_i O_i / L_i = I is Lagrange interpolation: it holds for every
+        # matrix once the eigenvalues are distinct
         if False in idempotent:
             return f"projection {idempotent.index(False)} is not idempotent"
-        total = SparseMat(size, size)
-        for o, lag in zip(others, lags):
-            cofactor, rest = divmod(vand, lag)
-            if rest:
-                raise DomainError("a Lagrange denominator does not divide "
-                                  "the Vandermonde product")
-            total = total + o.scale(cofactor)
-        if total != SparseMat.identity(size, vand):
-            return "projections do not sum to the identity"
         return True
 
     rep.record("idempotent_partition", check_partition)
@@ -1054,7 +1038,9 @@ def _duality_pair(k: int, parity: str) -> tuple[SparseMat, int]:
     c = build_c(k, parity)
     if parity == "even":
         return c.mat, c.dim
-    return csq_block_matrix(c).scale((ONE + qpow(1)) ** 2), 1 << k
+    # (q + 1)^2 C^2 is the restricted (sC)^2 over the monomial v^{2E}
+    square, s = _cleared_square_block(c)
+    return square.scale((ONE + qpow(1)) ** 2 / (s * s)), 1 << k
 
 
 def generated_algebra_dim(k: int, parity: str, n: int,

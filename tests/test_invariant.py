@@ -15,6 +15,8 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -307,15 +309,24 @@ def test_spectrum_odd_rank_one():
 @pytest.mark.parametrize("k,parity", [(1, "even"), (2, "even"), (1, "odd")])
 def test_spectrum_certificate_matches_symbolic_reference(k, parity):
     # each cleared all-but-one product at the integer point gives the verdicts
-    # of the Q(v) projection: zero or not, idempotent or not, and its trace
-    c = build_c(k, parity)
+    # of the Q(v) projection: zero or not, idempotent or not, and its trace;
+    # with one entry times q the full product does not vanish, and the dense
+    # idempotence test at the point decides each projection
+    for mutated in (False, True):
+        c = build_c(k, parity)
+        if mutated:
+            _scale_one_entry(c, qpow(1))
+        _check_certificate(c, mutated)
+
+
+def _check_certificate(c, mutated: bool) -> None:
     eigs = c.eigenvalues()
     ident = SparseMat.identity(c.dim ** 2, ONE)
     # const enters only the bounds of the trace and rank comparisons, and
     # this test compares traces as exact rationals
-    at, full, others, lags, vand = invariant._cleared_products(c, 1)
-    assert full.is_zero()
-    assert all(vand % lag == 0 for lag in lags)
+    at, full, others, lags = invariant._cleared_products(c, 1)
+    assert full.is_zero() == (not mutated)
+    idempotent = []
     s = invariant._clearing_of(c).scale ** (len(eigs) - 1)
     for i, (o, lag) in enumerate(zip(others, lags)):
         ref = invariant._factor_chain(c.mat, eigs[:i] + eigs[i + 1:],
@@ -328,21 +339,103 @@ def test_spectrum_certificate_matches_symbolic_reference(k, parity):
                    for x in val.integer_coefficients().values())
         proj = ref.scale(ONE / invariant._lagrange_denominator(eigs, i))
         assert o.is_zero() == ref.is_zero()
-        assert (o * o == o.scale(lag)) == (proj * proj == proj)
+        idempotent.append(proj * proj == proj)
+        assert (o * o == o.scale(lag)) == idempotent[-1]
         trace = sum(row.get(r, 0) for r, row in o.rows.items())
         ref_trace = sum((row.get(r, ZERO) for r, row in proj.rows.items()),
                         ZERO)
-        assert Scalar.from_fraction(Fraction(trace, lag)) == ref_trace
+        if not mutated:
+            assert Scalar.from_fraction(Fraction(trace, lag)) == ref_trace
+    verdicts = {ch.name: (ch.passed, ch.witness)
+                for ch in spectrum_check(c).checks}
+    assert verdicts["idempotent_partition"] == (
+        (True, None) if all(idempotent) else
+        (False, f"projection {idempotent.index(False)} is not idempotent"))
 
 
 @pytest.mark.parametrize("k,parity", [(1, "even"), (2, "even"), (1, "odd")])
 def test_spectrum_certificate_catches_entry_scaled_by_q(k, parity):
+    c = _scale_one_entry(build_c(k, parity), qpow(1))
+    verdicts = {ch.name: (ch.passed, ch.witness)
+                for ch in spectrum_check(c).checks}
+    assert verdicts["annihilating_product"] == (
+        False, "product does not vanish")
+    assert verdicts["idempotent_partition"] == (
+        False, "projection 0 is not idempotent")
+
+
+def _spectrum_mutants():
+    """C at even k = 1, 2 and odd k = 1, as built and with one entry times
+    q, one entry removed and +1 at (0, 0); and the odd k = 1 diagonal with
+    the ladder's eigenvalues at multiplicities 3, 5, 6, 2."""
+    for k, parity in [(1, "even"), (2, "even"), (1, "odd")]:
+        yield build_c(k, parity)
+        yield _scale_one_entry(build_c(k, parity), qpow(1))
+        yield _scale_one_entry(build_c(k, parity), ZERO)
+        c = build_c(k, parity)
+        c.mat.add_to(0, 0, ONE)
+        yield c
+    c = build_c_odd(1)
+    c.mat = SparseMat(16, 16)
+    for a, e in enumerate([e for e, times in zip(c.eigenvalues(), (3, 5, 6, 2))
+                           for _ in range(times)]):
+        c.mat.set_entry(a, a, e)
+    yield c
+
+
+def test_spectrum_partition_is_lagrange_identity():
+    # the partition sum spectrum_check no longer forms, sum_i (V / L_i) O_i
+    # with V the Vandermonde product of the cleared eigenvalues at w0, is
+    # V I on every mutant, whether the full product vanishes or not: that
+    # check could never fail
+    fulls = []
+    for c in _spectrum_mutants():
+        at, full, others, lags = invariant._cleared_products(c, 1)
+        fulls.append(full.is_zero())
+        ieigs = [int(invariant._at_w(at, e))
+                 for e in invariant._clearing_of(c).eigs]
+        vand = prod(a - b for a, b in combinations(ieigs, 2))
+        assert vand and all(vand % lag == 0 for lag in lags)
+        total = SparseMat(c.dim ** 2, c.dim ** 2)
+        for o, lag in zip(others, lags):
+            total = total + o.scale(vand // lag)
+        assert total == SparseMat.identity(c.dim ** 2, vand)
+    assert True in fulls and False in fulls
+
+
+@pytest.mark.parametrize("k,parity", [(2, "even"), (1, "odd")])
+def test_spectrum_multiplies_only_by_sparse_factors(monkeypatch, k, parity):
+    # when the annihilating product vanishes, spectrum_check forms no O_i O_i
+    # square and no product of two chains: the right operand of every
+    # SparseMat product is a factor (sC - s e_j I) at the integer point
     c = build_c(k, parity)
-    r, row = next(iter(c.mat.rows.items()))
-    col, val = next(iter(row.items()))
-    c.mat.set_entry(r, col, val * qpow(1))
-    verdicts = {ch.name: ch.passed for ch in spectrum_check(c).checks}
-    assert verdicts["annihilating_product"] is False
+    points, rights = [], []
+    zero_test_point, product = (invariant._zero_test_point,
+                                SparseMat.__mul__)
+
+    def spy_point(bound, step):
+        points.append(zero_test_point(bound, step))
+        return points[-1]
+
+    def spy_product(left, right):
+        rights.append(right)
+        return product(left, right)
+
+    monkeypatch.setattr(invariant, "_zero_test_point", spy_point)
+    monkeypatch.setattr(SparseMat, "__mul__", spy_product)
+    rep = spectrum_check(c)
+    monkeypatch.undo()
+    assert rep.passed, rep.summary()
+    at, = points
+    cleared = invariant._clearing_of(c)
+    imat = cleared.mat.map_values(lambda x: int(invariant._at_w(at, x)))
+    ident = SparseMat.identity(c.dim ** 2, 1)
+    factors = [imat - ident.scale(int(invariant._at_w(at, e)))
+               for e in cleared.eigs]
+    m = len(factors)
+    # m - 1 prefix products and m - 1 - i more for each O_i
+    assert len(rights) == (m - 1) + m * (m - 1) // 2
+    assert all(right in factors for right in rights)
 
 
 def test_spectrum_rank_by_trace_names_the_wrong_rank():
@@ -427,13 +520,16 @@ def test_clearing_step_follows_an_odd_exponent():
 
 @pytest.mark.parametrize("k,parity", [(3, "even"), (2, "odd")])
 def test_spectrum_point_and_products_stay_small(k, parity):
-    # evaluating in w = v^g and clearing the partition by the Vandermonde
-    # product keep the point under 48 bits (76 and 79 bits at v = B + 2 with
-    # the prod_j L_j clearing) and every O_i entry under 2,000 bits
-    at, _, others, _, _ = invariant._cleared_products(build_c(k, parity), 1)
-    assert at.radicand.numerator.bit_length() <= 48
+    # evaluating in w = v^g with no partition term in the bound keeps the
+    # point at 32 and 34 bits (38 and 41 with the Vandermonde terms, 76 and
+    # 79 at v = B + 2 with the prod_j L_j clearing), and every O_i entry at
+    # 746 and 1,331 bits (906 and 1,628 with the Vandermonde terms)
+    point_bits, entry_bits = {(3, "even"): (32, 746),
+                              (2, "odd"): (34, 1331)}[k, parity]
+    at, _, others, _ = invariant._cleared_products(build_c(k, parity), 1)
+    assert at.radicand.numerator.bit_length() <= point_bits
     assert max(abs(x).bit_length() for o in others
-               for row in o.rows.values() for x in row.values()) < 2000
+               for row in o.rows.values() for x in row.values()) <= entry_bits
 
 
 def test_spectrum_same_under_optimize():
