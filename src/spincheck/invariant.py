@@ -44,7 +44,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
-from itertools import accumulate, combinations, product
+from itertools import accumulate, product
 from math import comb, gcd, prod
 from operator import mul
 from typing import Callable, NamedTuple
@@ -54,8 +54,8 @@ from .linalg import RowReducer, SparseMat, kernel_basis
 from .qspin import GeneratorAction, block_lift, spin_rep, tensor_action
 from .report import VerificationReport
 from .scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint, ModPoint,
-                     Scalar, Specialization, certificate_prime, curly, qbinom,
-                     qint, qpow)
+                     Scalar, Specialization, _lmul, certificate_prime, curly,
+                     qbinom, qint, qpow)
 from .weights import (RootData, bratteli, centralizer_dims, inner,
                       module_weights, one_column_label, qdimension,
                       qtrace, slot_exponents, spin_label)
@@ -238,19 +238,6 @@ def _cleared_square_block(c: InvariantElement) -> tuple[SparseMat, Scalar]:
     if out is None:
         raise DomainError("squared operator leaks out of the block")
     return out, cleared.scale
-
-
-def csq_block_matrix(c: InvariantElement) -> SparseMat:
-    """For odd parity: C^2 restricted to the even-parity block of each slot.
-
-    C itself swaps slot parities, so it does not act on a block; its square
-    does, and on the block basis (visible sign vectors, invisible coordinate
-    determined by parity) it is again a two-slot operator of size (2^k)^2.
-    It is the restricted (sC)^2 of :func:`_cleared_square_block` divided
-    by s^2.
-    """
-    square, s = _cleared_square_block(c)
-    return square.scale(ONE / (s * s))
 
 
 # ---------------------------------------------------------------------------
@@ -762,12 +749,16 @@ def _coideal_relations(c: InvariantElement, cleared: _Cleared, n: int, of,
     returns True or the witness of its first failure.  Each identity is the
     cleared one (see there), built from the output of :func:`_clearing`
     mapped by ``of``: ints at w0, ints read mod ``mod``, or point values.
-    Nothing is multiplied before a check runs."""
+    Nothing is multiplied before a check runs.  By the lemma of
+    :func:`verify_coideal`, the products run on S ox S and the cubics at
+    (C_1, C_2) and (C_2, C_1) on S^{ox 3}; these are the first failures in
+    generator order, and the distant commutators vanish for every C."""
     scale, ceigs = cleared.scale, cleared.eigs
-    gens = _embedded_family(cleared.mat, c.dim, n, of)
+    pair = cleared.mat.map_values(of)
+    gens = ([embed_pair_operator(pair, c.dim, i, 3) for i in (1, 2)]
+            if n >= 3 else [])
     q, mid, rhs = of(qpow(1)), of(qpow(2) + ONE), of(scale * scale * qpow(1))
     sq_eigs = [of(e * e) for e in reversed(ceigs[:len(ceigs) // 2])]
-    ident = SparseMat.identity(c.dim ** n, 1)
     odd = c.parity == "odd"
 
     def vanishes(m: SparseMat) -> bool:
@@ -775,30 +766,20 @@ def _coideal_relations(c: InvariantElement, cleared: _Cleared, n: int, of,
                        for row in m.rows.values() for x in row.values())
 
     @cache
-    def square(i: int) -> SparseMat:
-        return gens[i] * gens[i]
-
-    def distant(power, label: str):
-        for i, j in combinations(range(len(gens)), 2):
-            if j - i > 1 and not vanishes(power(i).commutator(power(j))):
-                return f"[C_{i + 1}{label}, C_{j + 1}{label}] != 0"
-        return True
-
-    @cache
     def cubic(i: int, j: int) -> tuple[bool, bool, bool]:
-        # at (C_i, C_j): does the cubic vanish with the plus sign, with the
-        # minus sign; does the middle word
+        # at (C_i, C_j) on S^{ox 3}: does the cubic vanish with the plus
+        # sign, with the minus sign; does the middle word
         a, b = gens[i], gens[j]
-        outer = (square(i) * b + b * square(i)).scale(q) - b.scale(rhs)
+        square = a * a
+        outer = (square * b + b * square).scale(q) - b.scale(rhs)
         middle = (a * b * a).scale(mid)
         return (vanishes(outer + middle), vanishes(outer - middle),
                 vanishes(middle))
 
     def check_cubic():
-        for i in range(len(gens)):
-            for j in (i - 1, i + 1):
-                if 0 <= j < len(gens) and not cubic(i, j)[0]:
-                    return f"cubic relation fails at (C_{i + 1}, C_{j + 1})"
+        for i, j in ((0, 1), (1, 0)) if gens else ():
+            if not cubic(i, j)[0]:
+                return f"cubic relation fails at (C_{i + 1}, C_{j + 1})"
         return True
 
     degenerate = c.parity == "even" and c.k == 1
@@ -813,26 +794,25 @@ def _coideal_relations(c: InvariantElement, cleared: _Cleared, n: int, of,
                 or "minus-sign variant unexpectedly holds")
 
     @cache
-    def chain_vanishes(idx: int) -> tuple[bool, bool]:
-        # is the eigenvalue product zero; is the second-to-last entry zero
-        chain = _factor_chain(square(idx), sq_eigs, ident)
-        full = chain[-1] if odd else gens[idx] * chain[-1]
+    def chain_vanishes() -> tuple[bool, bool]:
+        # on S ox S: is the eigenvalue product zero; is the second-to-last
+        # entry of its chain zero
+        chain = _factor_chain(pair * pair, sq_eigs,
+                              SparseMat.identity(pair.nrows, 1))
+        full = chain[-1] if odd else pair * chain[-1]
         return vanishes(full), vanishes(chain[-2])
 
     def annihilated(what: str, label: str):
-        for idx in range(len(gens)):
-            if not chain_vanishes(idx)[0]:
-                return f"{what} does not vanish for C_{idx + 1}{label}"
-        return True
+        return (chain_vanishes()[0]
+                or f"{what} does not vanish for C_1{label}")
 
-    checks = {"distant_commutation": (True, lambda: distant(gens.__getitem__,
-                                                            "")),
+    # distant generators act on disjoint slots, so they commute
+    checks = {"distant_commutation": (True, lambda: True),
               "adjacent_cubic": (True, check_cubic)}
-    if len(gens) >= 2:
+    if gens:
         checks["minus_variant_distinct"] = (degenerate, check_minus_variant)
     if odd:
-        checks["distant_commutation_squares"] = (
-            True, lambda: distant(square, "^2"))
+        checks["distant_commutation_squares"] = (True, lambda: True)
     checks["eigenvalue_product"] = (
         True, lambda: annihilated("eigenvalue product", ""))
     if odd:
@@ -840,7 +820,7 @@ def _coideal_relations(c: InvariantElement, cleared: _Cleared, n: int, of,
             True, lambda: annihilated("squared product", "^2"))
         # the same product with only k factors must NOT annihilate
         checks["short_square_product_nonzero"] = (
-            False, lambda: (not chain_vanishes(0)[1]
+            False, lambda: (not chain_vanishes()[1]
                             or "k-factor product already vanishes"))
     return checks
 
@@ -872,26 +852,35 @@ def verify_coideal(k: int, parity: str, n: int, *,
     The ladder of eigenvalues is symmetric under e -> -e, so prod_e (x - e)
     = x^z prod_{e>0} (x^2 - e^2), z = 1 (even) or 0 (odd): at odd parity the
     eigenvalue product and the squared product are one polynomial, computed
-    once.  It ends one factor chain per generator over the squared positive
-    eigenvalues (even: times C_i), whose second-to-last entry is the k-factor
-    witness.  Each C_i^2 is built once.
+    once.  It ends one factor chain over the squared positive eigenvalues
+    (even: times C), whose second-to-last entry is the k-factor witness.
+
+    Each relation is decided on the smallest tensor power it lives on
+    (:func:`_coideal_relations`).  X -> I ox X ox I is a unital ring map
+    whose image is zero exactly when X is, so p(C_i) = I ox p(C) ox I for
+    every polynomial p: the eigenvalue products run on S ox S.  The cubic
+    at (C_i, C_{i+-1}) is I ox (the cubic at (C_1, C_2) or (C_2, C_1) on
+    S^{ox 3}) ox I, and the distant commutators vanish for every operator
+    on disjoint slots.  No product runs on more than d^3 dimensions, d the
+    dimension of S; only the size guard still counts d^n.
 
     Every relation is decided in cleared form.  With s = D v^E and sC from
-    :func:`_clearing_of`, the generators G_i = I ox sC ox I have entries in
-    Z[w], w = v^g (g = 4 at even parity, 2 at odd), and with q = v^4 the
-    cubic times s^3 q is the identity
+    :func:`_clearing_of`, sC and the generators G_i = I ox sC ox I have
+    entries in Z[w], w = v^g (g = 4 at even parity, 2 at odd), and with
+    q = v^4 the cubic times s^3 q is the identity
 
         q (G_i^2 G_j + G_j G_i^2) + (q^2 + 1) G_i G_j G_i - s^2 q G_j = 0
 
     in Z[w] (q, q^2 + 1 and s^2 q lie there too); the minus variant changes
     the middle sign, the commutators are [G_i, G_j] and [G_i^2, G_j^2], and
-    the products are chains of G_i^2 - (s e)^2 I.  The bound B
+    the products are chains of (sC)^2 - (s e)^2 I.  The bound B
     (:func:`_coideal_bound`): with R the largest l1 row sum of sC, and so
     of each G_i, an entry of a product of matrices with row sums R_1, ...,
     R_t has l1 norm at most R_1 ... R_t.  The commutators are then bounded
     by 2 R^2 and 2 R^4, the cubic and its variant by 4 R^3 + ||s^2||_1 R,
     and the products by R F^m, with F = R^2 + max ||(s e)^2||_1 and m the
-    number of positive eigenvalues; B is the largest.  An l1 norm is the
+    number of positive eigenvalues; B is the largest, and it covers the
+    commutators, which are never formed, all the same.  An l1 norm is the
     same read in v or in w, so by Cauchy's bound (:func:`_zero_test_point`)
     each identity vanishes at w0 = B + 2 exactly when it is zero, and
     without a point every check is decided both ways with plain ints at w0.
@@ -1200,6 +1189,26 @@ def _matrices_in_basis(mats: list[SparseMat], basis: list[dict],
     return out
 
 
+def _model_products(k: int) -> list[Scalar]:
+    """The off-diagonal products X_{r,r+1} X_{r+1,r} of
+    :func:`third_power_profile`, r = 0..2k-1."""
+    return [qint(r + 1) * qint(2 * k - r) / (curly(k - r) * curly(k - r - 1))
+            for r in range(2 * k)]
+
+
+def _model_polynomial(products: list[Scalar]) -> list[Scalar]:
+    """The characteristic polynomial, constant term first, of a tridiagonal
+    matrix with zero diagonal and off-diagonal products c_1, c_2, ... =
+    ``products``, by the recursion p_m = x p_{m-1} - c_m p_{m-2}."""
+    p_prev, p_cur = [ONE], [ZERO, ONE]
+    for cm in products:
+        p_next = [ZERO] + p_cur
+        for j, a in enumerate(p_prev):
+            p_next[j] = p_next[j] - cm * a
+        p_prev, p_cur = p_cur, p_next
+    return p_cur
+
+
 def third_power_profile(k: int) -> VerificationReport:
     """Fine structure of C_1, C_2 on the highest-weight space of S^{ox 3}.
 
@@ -1221,36 +1230,34 @@ def third_power_profile(k: int) -> VerificationReport:
     scrambles the band: tridiagonality singles out the branching order.)
 
     The characteristic polynomial and the extreme projection are decided in
-    cleared form with plain ints at one integer point each.  With delta from
-    :func:`_common_denominator` over the entries of X, :func:`_clearing`
-    gives s = delta v^E, Y = sX and the s e_r in Z[w], w = v^g, R the
-    largest l1 row sum of Y, and F = R + max_{r>=1} ||s e_r||_1.
+    cleared form with plain ints at one integer point, from one chain of
+    factors Y - s e_r I.  With delta from :func:`_common_denominator` over
+    the entries of X, :func:`_clearing` gives s = delta v^E, Y = sX and the
+    s e_r in Z[w], w = v^g; F = R + max_r ||s e_r||_1, R the largest l1 row
+    sum of Y, bounds the row sums of every factor.  With
+    O = prod_{r>=1} (Y - s e_r I), the full product is (Y - s e_0 I) O.
 
-    - Characteristic polynomial: with p = sum_j a_j x^j the model polynomial
-      (a_{N+1} = 1, each a_j in Q(v)) and sigma the common denominator of
-      the a_j times the power of v that makes every sigma a_j a
-      polynomial, sigma s^{N+1} p(X) = sum_j b_j Y^j with b_j = sigma a_j
-      s^{N+1-j}, evaluated by Horner.  An entry of Y^j has l1 norm at most
-      R^j, so B = sum_j ||sigma a_j||_1 ||s||_1^{N+1-j} R^j.
-    - Extreme projection: with O = prod_{r>=1} (Y - s e_r I) and
-      Z = prod_{r>=1} (s e_0 - s e_r) = s^N L_0, the projection is P = O/Z.
-      With d_i = num_i / den_i (den_i its integer denominator) and D the
-      quantum dimension, the claims are O^2 = Z O (idempotence), tr O = Z
-      (rank 1: an idempotent's rank is its trace) and O_ii D^2 den_i =
-      num_i Z, the last times one power of v that makes D^2 den_i and
-      num_i polynomials.  They fix the off-diagonal products too: P = O/Z
-      is then a rank-1 idempotent, P = u w^T with w^T u = 1, so
-      P_ij P_ji = u_i w_j u_j w_i = P_ii P_jj.  O is a product of N factors
-      of row sum at most F, so its entries have l1 norm at most F^N and
-      those of O^2 at most F^{2N}; with ||Z||_1 <= prod_r ||s e_0 -
-      s e_r||_1, the three identities have norms at most
-      F^{2N} + ||Z|| F^N, (N + 1) F^N + ||Z|| and F^N W + T,
-      W = max ||D^2 den_i||_1 and T = max ||num_i||_1 ||Z||_1.  B is the
-      largest.
+    - Characteristic polynomial: the model coefficients (the recursion over
+      Q(v)) are those of prod_r (x - e_r), so s^{N+1} p(X) is the full
+      product, whose entries have l1 norm at most F^{N+1}.
+    - Extreme projection: with Z = prod_{r>=1} (s e_0 - s e_r) = s^N L_0,
+      the projection is P = O/Z.  With d_i = num_i / den_i (den_i its
+      integer denominator) and D the quantum dimension, the claims are
+      O^2 = Z O (idempotence), tr O = Z (rank 1: an idempotent's rank is
+      its trace) and O_ii D^2 den_i = num_i Z, the last times one power of
+      v that makes D^2 den_i and num_i polynomials.  They fix the
+      off-diagonal products too: P = O/Z is then a rank-1 idempotent,
+      P = u w^T with w^T u = 1, so P_ij P_ji = u_i w_j u_j w_i = P_ii P_jj.
+      As p_0(x) - Z, p_0 = prod_{r>=1} (x - s e_r), vanishes at s e_0,
+      O^2 - Z O is the full product times a polynomial in Y: O O is formed
+      only when the full product does not vanish.  The three identities
+      have l1 norms at most F^{2N} + ||Z|| F^N, (N + 1) F^N + ||Z|| and
+      F^N W + T, with ||Z||_1 <= prod_r ||s e_0 - s e_r||_1,
+      W = max ||D^2 den_i||_1 and T = max ||num_i||_1 ||Z||_1.
 
-    An l1 norm reads the same in v and in w, so by Cauchy's bound
-    (:func:`_zero_test_point`) each identity holds exactly when it holds at
-    w0 = B + 2, and both claims are decided there both ways.
+    B is the largest of the four bounds.  An l1 norm reads the same in v
+    and in w, so by Cauchy's bound (:func:`_zero_test_point`) each identity
+    holds exactly when it holds at w0 = B + 2, decided there both ways.
     """
     rep = VerificationReport("third_power", {"k": k})
     rd = RootData("D", k)
@@ -1323,83 +1330,29 @@ def third_power_profile(k: int) -> VerificationReport:
                lambda: all(X.entry(i, i) is None for i in range(N + 1))
                or "nonzero diagonal entry")
 
-    def model_product(i: int) -> Scalar:
-        return (qint(i + 1) * qint(N - i)
-                / (curly(k - i) * curly(k - i - 1)))
+    models = _model_products(k)
 
     def check_products():
-        for i in range(N):
-            a = X.entry(i, i + 1)
-            b = X.entry(i + 1, i)
+        for i, model in enumerate(models):
+            a, b = X.entry(i, i + 1), X.entry(i + 1, i)
             if a is None or b is None:
                 return f"off-diagonal ({i},{i + 1}) vanishes"
-            if a * b != model_product(i):
+            if a * b != model:
                 return f"product at {i} mismatches"
         return True
 
     rep.record("offdiagonal_products", check_products)
 
+    D = qdimension(spin_label(rd), rd)
+    dwt = [qbinom(N, i) * curly(k - i) / curly(k) for i in range(N + 1)]
     # X and its eigenvalues cleared: Y = sX and the s e_r lie in Z[w]
     cleared = _clearing(X, eigs, _common_denominator(
         [x for row in X.rows.values() for x in row.values()]))
 
-    def ints(at: EvalPoint) -> tuple[SparseMat, list[int]]:
-        # Y and the s e_r as plain ints at the point
-        return (cleared.mat.map_values(lambda s: int(_at_w(at, s))),
-                [int(_at_w(at, e)) for e in cleared.eigs])
-
-    def check_charpoly():
-        # the model polynomial of the three-term recursion (zero diagonal)
-        # p_m = x p_{m-1} - c_m p_{m-2}, by its coefficients
-        p_prev, p_cur = [ONE], [ZERO, ONE]
-        for m in range(2, N + 2):
-            cm = model_product(m - 2)
-            p_next = [ZERO] + p_cur
-            for j, a in enumerate(p_prev):
-                p_next[j] = p_next[j] - cm * a
-            p_prev, p_cur = p_cur, p_next
-        sigma = _common_denominator(p_cur)
-        coeffs = [a * sigma for a in p_cur]
-        lift = _lift(coeffs)
-        coeffs = [b * lift for b in coeffs]
-        scale = cleared.scale
-        at = _zero_test_point(
-            sum(_l1(b) * _l1(scale) ** (N + 1 - j) * cleared.row ** j
-                for j, b in enumerate(coeffs)),
-            gcd(cleared.g, _w_step(coeffs + [scale])))
-        y, _ = ints(at)
-        s0 = int(_at_w(at, scale))
-        acc = SparseMat(N + 1, N + 1)
-        for j in range(N + 1, -1, -1):
-            b = int(_at_w(at, coeffs[j])) * s0 ** (N + 1 - j)
-            acc = acc * y + SparseMat.identity(N + 1, b)
-        return acc.is_zero() or "model polynomial does not annihilate"
-
-    rep.record("characteristic_polynomial", check_charpoly)
-
-    D = qdimension(spin_label(rd), rd)
-    dwt = [qbinom(N, i) * curly(k - i) / curly(k) for i in range(N + 1)]
-
-    rep.record("weights_sum_to_dim_squared",
-               lambda: sum(dwt, ZERO) == D * D or "weight sum mismatch")
-
-    def check_reconstruction():
-        topsq = qint(k) * qint(k)
-        for i in range(N):
-            lhs = X.entry(i, i + 1) * X.entry(i + 1, i) * dwt[i] * dwt[i + 1]
-            alt = ZERO
-            for t in range(i + 1):
-                term = dwt[t]
-                if (i - t) % 2:
-                    term = -term
-                alt = alt + term
-            if lhs != topsq * alt * alt:
-                return f"reconstruction fails at {i}"
-        return True
-
-    rep.record("entry_reconstruction", check_reconstruction)
-
-    def check_projection():
+    @cache
+    def projection_chain():
+        # the full product, O, Z and both sides of the diagonal claims, as
+        # plain ints at the one point
         ceigs = cleared.eigs
         # num_i and D^2 den_i, times one power of v that makes all of them
         # polynomials
@@ -1407,22 +1360,67 @@ def third_power_profile(k: int) -> VerificationReport:
         left = [D * D * w.integer_denominator() for w in dwt]
         lift = _lift(nums + left)
         nums, left = [x * lift for x in nums], [x * lift for x in left]
-        entry = (cleared.row + max(map(_l1, ceigs[1:]))) ** N
+        step = cleared.row + max(map(_l1, ceigs))                  # F
+        entry = step ** N
         zsize = prod(_l1(ceigs[0] - e) for e in ceigs[1:])
         wide, tall = max(map(_l1, left)), max(map(_l1, nums)) * zsize
         at = _zero_test_point(
-            max(entry * (entry + zsize), (N + 1) * entry + zsize,
-                entry * wide + tall),
+            max(step ** (N + 1), entry * (entry + zsize),
+                (N + 1) * entry + zsize, entry * wide + tall),
             gcd(cleared.g, _w_step(left + nums)))
-        y, ieigs = ints(at)
-        o = _factor_chain(y, ieigs[1:], SparseMat.identity(N + 1, 1))[-1]
+
+        def value(s: Scalar) -> int:
+            return int(_at_w(at, s))
+
+        ieigs, ident = [value(e) for e in ceigs], SparseMat.identity(N + 1, 1)
+        y = cleared.mat.map_values(value)
+        factors = [y - ident.scale(e) for e in ieigs]
+        o = reduce(mul, factors[1:])
         z = prod(ieigs[0] - e for e in ieigs[1:])
-        if o * o != o.scale(z):
+        return (factors[0] * o, o, z, [value(x) for x in left],
+                [value(x) * z for x in nums])
+
+    def check_charpoly():
+        # the model polynomial is prod_r (x - e_r), so s^{N+1} p(X) is the
+        # full product; {exponent: coefficient} products: _lmul only adds
+        # and multiplies, so it takes Scalar coefficients
+        expanded = {0: ONE}
+        for e in eigs:
+            expanded = _lmul(expanded, {0: -e, 1: ONE})
+        if ({j: a for j, a in enumerate(_model_polynomial(models)) if a}
+                != {j: a for j, a in expanded.items() if a}):
+            return "model polynomial is not the eigenvalue product"
+        return (projection_chain()[0].is_zero()
+                or "model polynomial does not annihilate")
+
+    rep.record("characteristic_polynomial", check_charpoly)
+
+    rep.record("weights_sum_to_dim_squared",
+               lambda: sum(dwt, ZERO) == D * D or "weight sum mismatch")
+
+    def check_reconstruction():
+        topsq = qint(k) * qint(k)
+        # the alternating sums sum_{t<=i} (-1)^{i-t} d_t
+        alts = list(accumulate(dwt, lambda alt, w: w - alt))
+        for i in range(N):
+            a, b = X.entry(i, i + 1), X.entry(i + 1, i)
+            if a is None or b is None:
+                return f"off-diagonal ({i},{i + 1}) vanishes"
+            lhs = a * b * dwt[i] * dwt[i + 1]
+            if lhs != topsq * alts[i] * alts[i]:
+                return f"reconstruction fails at {i}"
+        return True
+
+    rep.record("entry_reconstruction", check_reconstruction)
+
+    def check_projection():
+        full, o, z, lhs, rhs = projection_chain()
+        # O^2 - Z O is the full product times a polynomial in Y, so the
+        # dense square is needed only when the full product does not vanish
+        if not full.is_zero() and o * o != o.scale(z):
             return "not idempotent"
         if sum(o.entry(i, i) or 0 for i in range(N + 1)) != z:
             return "rank != 1"
-        lhs = [int(_at_w(at, x)) for x in left]
-        rhs = [int(_at_w(at, x)) * z for x in nums]
         for i in range(N + 1):
             if (o.entry(i, i) or 0) * lhs[i] != rhs[i]:
                 return f"diagonal entry {i} mismatches"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -27,7 +28,7 @@ from spincheck import invariant
 from spincheck.errors import DomainError, PoleError, SizeGuardError
 from spincheck.invariant import (MAX_SYMBOLIC_DIM, build_c, build_c_even,
                                  build_c_odd, commutant_dim_oracle,
-                                 csq_block_matrix, embed_pair_operator,
+                                 embed_pair_operator,
                                  generated_algebra_dim, generator_action_for,
                                  markov_property_check,
                                  spectrum_check, third_power_profile,
@@ -553,7 +554,8 @@ def test_spectrum_same_under_optimize():
 def test_squared_block_spectrum_rank_one():
     # restricted to a parity block, C^2 has exactly the eigenvalues [1/2]^2
     # and [3/2]^2, each genuinely present
-    m = csq_block_matrix(build_c_odd(1))
+    square, s = invariant._cleared_square_block(build_c_odd(1))
+    m = square.scale(ONE / (s * s))
     lam = [qint(HALF) ** 2, qint(Fraction(3, 2)) ** 2]
     ident = SparseMat.identity(m.nrows, ONE)
     factors = [m - ident.scale(x) for x in lam]
@@ -564,7 +566,7 @@ def test_squared_block_spectrum_rank_one():
 
 def test_squared_block_rejects_even():
     with pytest.raises(DomainError):
-        csq_block_matrix(build_c_even(1))
+        invariant._cleared_square_block(build_c_even(1))
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +590,26 @@ def test_embed_matches_explicit_kronecker():
             right.set_entry(x * d * d + r, x * d * d + col, v)
     assert embed_pair_operator(c.mat, d, 1, 3) == left
     assert embed_pair_operator(c.mat, d, 2, 3) == right
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_embedding_is_multiplicative_and_disjoint_slots_commute(n):
+    # X -> I ox X ox I is a ring map, and operators on disjoint slots
+    # commute whatever they are: verify_coideal decides each relation on
+    # S ox S or S^{ox 3} by this, so X and Y here do not commute
+    rng, d = random.Random(7), 3
+    x, y = (SparseMat(d * d, d * d, {
+        r: {col: rng.randint(-3, 3) for col in range(d * d)}
+        for r in range(d * d)}) for _ in range(2))
+    assert x * y != y * x
+    for i in range(1, n):
+        assert (embed_pair_operator(x * y, d, i, n)
+                == embed_pair_operator(x, d, i, n)
+                * embed_pair_operator(y, d, i, n))
+    for i, j in combinations(range(1, n), 2):
+        a, b = (embed_pair_operator(x, d, i, n),
+                embed_pair_operator(y, d, j, n))
+        assert (a * b == b * a) == (j - i > 1)
 
 
 @pytest.mark.parametrize("slot", [0, 2, 5])
@@ -708,7 +730,8 @@ def _scale_one_entry(c, factor):
 
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("k,parity,n", [
-    (1, "even", 3), (1, "even", 4), (2, "even", 3), (1, "odd", 3),
+    (1, "even", 3), (1, "even", 4), (1, "even", 5), (2, "even", 3),
+    (1, "odd", 3),
 ])
 def test_coideal_integer_point_matches_symbolic_reference(
         monkeypatch, k, parity, n, perturbed):
@@ -775,6 +798,33 @@ def test_coideal_point_fallback_matches_exact_path(monkeypatch, defect,
                                                   point).as_json()
     verdicts, _ = _coideal_reference(c, 3, point)
     assert {ch.name: ch.passed for ch in rep.checks} == verdicts
+
+
+@pytest.mark.parametrize("scalar", [False, True])
+@pytest.mark.parametrize("k,parity,n", [(1, "odd", 4), (1, "odd", 5),
+                                        (2, "even", 4), (1, "even", 5)])
+def test_coideal_builds_nothing_past_the_third_power(monkeypatch, k, parity,
+                                                     n, scalar):
+    # every relation lives on S ox S or S^{ox 3}: no matrix on more than
+    # d^3 dimensions is built, symbolically or at q0 = 3/2, where C = [1/2]
+    # I (odd) or [1] I sends a check down the exact path
+    c = build_c(k, parity)
+    if scalar:
+        c.mat = SparseMat.identity(c.dim ** 2,
+                                   qint(HALF) if parity == "odd" else ONE)
+        monkeypatch.setattr(invariant, "build_c", lambda *args: c)
+    sizes = []
+    init = SparseMat.__init__
+
+    def spy(self, nrows, ncols, rows=None):
+        sizes.append(max(nrows, ncols))
+        init(self, nrows, ncols, rows)
+
+    monkeypatch.setattr(SparseMat, "__init__", spy)
+    point = EvalPoint.from_q(Fraction(3, 2)) if scalar else None
+    rep = verify_coideal(k, parity, n, point=point)
+    assert rep.passed != scalar, rep.summary()
+    assert max(sizes) == c.dim ** 3
 
 
 @pytest.mark.parametrize("build,k,top", [(build_c_odd, 4, 3),
@@ -1180,42 +1230,87 @@ def test_third_power_projection_witness_on_a_diagonal_x(monkeypatch, k,
     rep = {ch.name: ch for ch in third_power_profile(k).checks}
     assert rep["characteristic_polynomial"].passed
     assert rep["extreme_projection_entries"].witness == witness
+    # the vanishing X_01 is named, as offdiagonal_products names it
+    assert (rep["entry_reconstruction"].witness
+            == rep["offdiagonal_products"].witness
+            == "off-diagonal (0,1) vanishes")
 
 
 def test_third_power_projection_point_bounds_its_terms(monkeypatch):
-    # the point of the extreme projection lies past every coefficient of
-    # each side of its identities, multiplied out here over Z[v]: O, O^2,
-    # Z O, O_ii D^2 den_i, num_i Z, O_ij O_ji D^4 den_i den_j and
-    # num_i num_j Z^2
-    k, bounds, xs = 2, [], []
+    # the one point of the characteristic polynomial and the extreme
+    # projection lies past every coefficient of each side of their
+    # identities, multiplied out here over Z[v]: the full product, O, O^2,
+    # Z O, O_ii D^2 den_i and num_i Z; with X_01 times 1 + q the full
+    # product does not vanish
+    k, n = 2, 4
     zero_test_point = invariant._zero_test_point
-    monkeypatch.setattr(invariant, "_zero_test_point",
-                        lambda b, g: bounds.append(b) or zero_test_point(b, g))
-    _patch_x(monkeypatch, lambda x: xs.append(x) or x)
+    for mutated in (False, True):
+        bounds, xs = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(invariant, "_zero_test_point",
+                          lambda b, g: bounds.append(b)
+                          or zero_test_point(b, g))
+            if mutated:
+                _scale_x(patch, {(0, 1): ONE + qpow(1)})
+            _patch_x(patch, lambda x: xs.append(x) or x)
+            assert third_power_profile(k).passed != mutated
+        x, = xs
+        eigs = [qint(k - r) if r % 2 == 0 else -qint(k - r)
+                for r in range(n + 1)]
+        cleared = invariant._clearing(x, eigs, invariant._common_denominator(
+            [v for row in x.rows.values() for v in row.values()]))
+        ident = SparseMat.identity(n + 1, ONE)
+        o = invariant._factor_chain(cleared.mat, cleared.eigs[1:], ident)[-1]
+        full = (cleared.mat - ident.scale(cleared.eigs[0])) * o
+        z = invariant._lagrange_denominator(cleared.eigs, 0)
+        rd = RootData("D", k)
+        dim = qdimension(spin_label(rd), rd)
+        dwt = [qbinom(n, i) * curly(k - i) / curly(k) for i in range(n + 1)]
+        left = [dim * dim * w.integer_denominator() for w in dwt]
+        right = [w * w.integer_denominator() * z for w in dwt]
+        terms = [val for m in (full, o, o * o, o.scale(z))
+                 for row in m.rows.values() for val in row.values()]
+        for i in range(n + 1):
+            terms += [(o.entry(i, i) or ZERO) * left[i], right[i]]
+        top = max(abs(c) for t in terms
+                  for c in t.integer_coefficients().values())
+        assert full.is_zero() != mutated
+        assert len(bounds) == 1
+        assert 0 < top <= bounds[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_model_polynomial_is_the_eigenvalue_product(k):
+    # the characteristic-polynomial claim rests on p = prod_r (x - e_r)
+    want = [ONE]
+    for r in range(2 * k + 1):
+        e = qint(k - r) if r % 2 == 0 else -qint(k - r)
+        want = [(want[j - 1] if j else ZERO) - (e * want[j] if j < len(want)
+                                                else ZERO)
+                for j in range(len(want) + 1)]
+    assert (invariant._model_polynomial(invariant._model_products(k))
+            == want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_third_power_squares_o_only_when_the_full_product_survives(
+        monkeypatch, k):
+    # O^2 - Z O is the full product times a polynomial in Y: O O is formed
+    # only for an X the model polynomial does not annihilate
+    squares, mul = [], SparseMat.__mul__
+
+    def spy(a, b):
+        if a is b:
+            squares.append(a.nrows)
+        return mul(a, b)
+
+    monkeypatch.setattr(SparseMat, "__mul__", spy)
     assert third_power_profile(k).passed
-    x, = xs
-    n = 2 * k
-    eigs = [qint(k - r) if r % 2 == 0 else -qint(k - r) for r in range(n + 1)]
-    cleared = invariant._clearing(x, eigs, invariant._common_denominator(
-        [v for row in x.rows.values() for v in row.values()]))
-    o = invariant._factor_chain(cleared.mat, cleared.eigs[1:],
-                                SparseMat.identity(n + 1, ONE))[-1]
-    z = invariant._lagrange_denominator(cleared.eigs, 0)
-    rd = RootData("D", k)
-    dim = qdimension(spin_label(rd), rd)
-    dwt = [qbinom(n, i) * curly(k - i) / curly(k) for i in range(n + 1)]
-    left = [dim * dim * w.integer_denominator() for w in dwt]
-    right = [w * w.integer_denominator() * z for w in dwt]
-    terms = [val for m in (o, o * o, o.scale(z)) for row in m.rows.values()
-             for val in row.values()]
-    for i in range(n + 1):
-        oii = o.entry(i, i) or ZERO
-        terms += [oii * left[i], right[i]]
-        for j in range(n + 1):
-            oij = (o.entry(i, j) or ZERO) * (o.entry(j, i) or ZERO)
-            terms += [oij * left[i] * left[j], right[i] * right[j]]
-    top = max(abs(c) for t in terms for c in t.integer_coefficients().values())
-    assert 0 < top <= bounds[1]
+    assert squares == []
+    _scale_x(monkeypatch, {(0, 1): ONE + qpow(1)})
+    witness = {ch.name: ch.witness for ch in third_power_profile(k).checks}
+    assert witness["extreme_projection_entries"] == "not idempotent"
+    assert squares == [2 * k + 1]
 
 
 def _count_symbolic_products(monkeypatch) -> Counter:
