@@ -30,7 +30,10 @@ duality inclusion test, the eigenprojection identities of
 polynomial and extreme projection of ``third_power_profile`` and the trace
 identity of ``markov_property_check`` hold over Q(v), and are decided with
 plain ints at one integer point past an a-priori coefficient bound, where
-an integer polynomial vanishes only if it is zero.  At a rational point,
+an integer polynomial vanishes only if it is zero: an
+:class:`~spincheck.scalar.IntPoint` from :func:`_zero_test_point`, whose
+``of`` reads every value.  The spectrum and the third power share one
+chain of eigenprojections, :func:`_eigenprojections`.  At a rational point,
 ``verify_coideal`` proves its nonzero claims mod a large prime.  The
 duality counts are proved mod a large prime too, once that inclusion test
 has put the generators into the commutant.  Each falls back to exact point
@@ -53,9 +56,9 @@ from .errors import DomainError, PoleError, SizeGuardError
 from .linalg import RowReducer, SparseMat, kernel_basis
 from .qspin import GeneratorAction, block_lift, spin_rep, tensor_action
 from .report import VerificationReport
-from .scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint, ModPoint,
-                     Scalar, Specialization, _lmul, certificate_prime, curly,
-                     qbinom, qint, qpow)
+from .scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint, IntPoint,
+                     ModPoint, Scalar, Specialization, _lmul,
+                     certificate_prime, curly, qbinom, qint, qpow)
 from .weights import (RootData, bratteli, centralizer_dims, inner,
                       module_weights, one_column_label, qdimension,
                       qtrace, slot_exponents, spin_label)
@@ -317,15 +320,15 @@ def _commutators_vanish(mat: SparseMat,
         max((sum(map(abs, p.values())) for p in polys), default=0)
         * (cleared.row + wide * top),
         gcd(cleared.g, *(e + lift for p in polys for e in p)))
-    w0, g = at.radicand.numerator, at.degree
+    w0, g = at.w0, at.g
 
-    def lifted_at_w0(act: dict) -> SparseMat:
+    def lifted_value(act: dict) -> SparseMat:
         return SparseMat(mat.nrows, mat.ncols, {
             r: {col: sum(c * w0 ** ((e + lift) // g) for e, c in p.items())
                 for col, p in row.items()} for r, row in act.items()})
 
-    x = cleared.mat.map_values(lambda s: int(_at_w(at, s)))
-    return [x * y == y * x for y in map(lifted_at_w0, coeffs)]
+    x = cleared.mat.map_values(at.of)
+    return [x * y == y * x for y in map(lifted_value, coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -357,29 +360,14 @@ def _l1(s: Scalar) -> int:
     return sum(map(abs, s.integer_coefficients().values()))
 
 
-def _zero_test_point(bound: int, g: int) -> EvalPoint:
-    """The point w = bound + 2 in w = v^g (g = 1, 2 or 4), the EvalPoint of
-    v = w^(1/g).  A nonzero Laurent polynomial in w with integer
-    coefficients of absolute value at most ``bound`` does not vanish there:
-    every root z of an integer polynomial with leading coefficient c_d and
-    other coefficients c_i has |z| < 1 + max |c_i / c_d| (Cauchy).  Read
-    values there with :func:`_at_w`, which refuses a scalar that is no such
-    polynomial."""
-    w0 = Fraction(bound + 2)
-    return EvalPoint(w0 ** (4 // g), g, w0)
-
-
-def _at_w(at: EvalPoint, s: Scalar) -> Fraction:
-    """The value of ``s`` at the point w = v^g of :func:`_zero_test_point`
-    (g = at.degree), sum_e c_e w0^(e/g) over the terms c_e v^e of ``s``, a
-    Fraction.  DomainError when ``s`` is not a Laurent polynomial in w with
-    integer coefficients, whose value Cauchy's bound would not decide."""
-    coeffs, g = s.integer_coefficients(), at.degree
-    if any(e % g for e in coeffs):
-        raise DomainError(f"{s} is not a Laurent polynomial in v^{g}")
-    w0, low = at.radicand.numerator, min([0, *coeffs])
-    return Fraction(sum(c * w0 ** ((e - low) // g) for e, c in coeffs.items()),
-                    w0 ** (-low // g))
+def _zero_test_point(bound: int, g: int) -> IntPoint:
+    """The point w = bound + 2 in w = v^g (g = 1, 2 or 4).  A nonzero
+    Laurent polynomial in w with integer coefficients of absolute value at
+    most ``bound`` does not vanish there: every root z of an integer
+    polynomial with leading coefficient c_d and other coefficients c_i has
+    |z| < 1 + max |c_i / c_d| (Cauchy).  Its ``of`` refuses a scalar that is
+    no such polynomial."""
+    return IntPoint(bound + 2, g)
 
 
 class _Cleared(NamedTuple):
@@ -445,35 +433,49 @@ def _clearing_of(c: InvariantElement) -> _Cleared:
                      ONE if c.parity == "even" else ONE + qpow(1))
 
 
-def _cleared_products(c: InvariantElement, const: int
-                      ) -> tuple[EvalPoint, SparseMat, list[SparseMat],
-                                 list[int]]:
-    """The point w0 of ``spectrum_check`` and, as plain ints there, the
-    cleared full product, the cleared products O_i over every eigenvalue
-    but the i-th and the cleared Lagrange denominators L_i.  ``const``
-    bounds the l1 norm of each factor (a quantum dimension or an expected
-    rank) that an L_i is multiplied by in a comparison."""
-    cleared = _clearing_of(c)
+def _eigenprojections(cleared: _Cleared, count: int, a: int, b: int
+                      ) -> tuple[IntPoint, SparseMat, list[SparseMat],
+                                 list[int], list[bool]]:
+    """The cleared eigenprojections of M, from the output of
+    :func:`_clearing`, as plain ints at one integer point: the point, the
+    full product of the m factors (sM - s e_j I), and for each i < ``count``
+    the product O_i of every factor but the i-th, the Lagrange denominator
+    L_i = prod_{j != i} (s e_i - s e_j), and whether O_i^2 = L_i O_i.  The
+    projection onto the e_i-eigenspace of M is O_i / L_i.
+
+    O_i is the prefix product over j < i times each sparse factor j > i on
+    the right; the full product is the last O_i times its own factor, as
+    the factors are polynomials in sM and commute.  With p_i(x) =
+    prod_{j != i} (x - s e_j), p_i(x) - L_i vanishes at x = s e_i, so it is
+    (x - s e_i) r_i(x) and O_i^2 - L_i O_i = (full product) r_i(sM): the
+    dense square O_i O_i is formed only when the full product does not
+    vanish.
+
+    The bound: ||(XY)_ab||_1 <= sum_c ||X_ac||_1 ||Y_cb||_1, so a product of
+    t matrices with l1 row sums at most F has entries and row sums of l1
+    norm at most F^t.  Every factor has row sums at most F = R +
+    max_j ||s e_j||_1, R that of sM, so the full product is bounded by F^m,
+    each O_i by F^{m-1} and O_i^2 - L_i O_i by F^{m-1} (F^{m-1} + Lambda),
+    Lambda = max_i ||L_i||_1.  The caller's own claims on O_i and L_i are
+    bounded by a F^{m-1} + b Lambda.  B is the sum of these bounds, and by
+    Cauchy's bound (:func:`_zero_test_point`) each identity holds exactly
+    when it holds at w0 = B + 2, w = v^g for the g of ``cleared``."""
     ceigs = cleared.eigs
-    m, n = len(ceigs), c.dim * c.dim
-    lags = [_lagrange_denominator(ceigs, i) for i in range(m)]
-    row = max(map(_l1, ceigs)) + cleared.row
-    lag = max(map(_l1, lags))
-    one_out = row ** (m - 1)
-    at = _zero_test_point(row ** m + one_out * (one_out + lag)
-                          + (n + 2) * one_out + const * lag, cleared.g)
-
-    def value(s: Scalar) -> int:
-        return int(_at_w(at, s))
-
-    imat = cleared.mat.map_values(value)
-    ident = SparseMat.identity(n, 1)
-    factors = [imat - ident.scale(value(e)) for e in ceigs]
-    # O_i is the product of the factors before the i-th, times each sparse
-    # factor after it on the right
-    prefix = [ident, *accumulate(factors, mul)]
-    others = [reduce(mul, factors[i + 1:], prefix[i]) for i in range(m)]
-    return at, prefix[-1], others, [value(x) for x in lags]
+    m = len(ceigs)
+    lags = [_lagrange_denominator(ceigs, i) for i in range(count)]
+    step = cleared.row + max(map(_l1, ceigs))               # F
+    lag, out = max(map(_l1, lags)), step ** (m - 1)         # Lambda, F^{m-1}
+    at = _zero_test_point(step ** m + out * (out + lag) + a * out + b * lag,
+                          cleared.g)
+    ident = SparseMat.identity(cleared.mat.nrows, 1)
+    mat = cleared.mat.map_values(at.of)
+    factors = [mat - ident.scale(at.of(e)) for e in ceigs]
+    prefix = [ident, *accumulate(factors[:count - 1], mul)]
+    others = [reduce(mul, factors[i + 1:], prefix[i]) for i in range(count)]
+    full = others[-1] * factors[count - 1]
+    lags = [at.of(x) for x in lags]
+    return at, full, others, lags, [full.is_zero() or o * o == o.scale(lag)
+                                    for o, lag in zip(others, lags)]
 
 
 def spectrum_check(c: InvariantElement) -> VerificationReport:
@@ -489,37 +491,24 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
     trailing coordinate pairs to the rank-r operator.
 
     The eigenprojection identities are decided over plain ints at one
-    integer point.  With s = D v^E (D = q + 1 at odd parity, turning
-    1/{1/2} into v^2, else 1; v^E the least power lifting every exponent of
-    D*C and D*e_i to 0 or more), sC and s e_i lie in Z[w], w = v^g with g
-    the gcd of 4 and their exponents (:func:`_clearing_of`; 4 at even parity,
-    2 at odd).  With O_i the product of (sC - s e_j) over j != i and
-    L_i = prod_{j != i} (s e_i - s e_j), the projection is P_i = O_i / L_i,
-    and each claim is an identity in Z[w^{+-1}]: full product = 0, O_i != 0
-    (minimality), O_i^2 = L_i O_i (idempotence), tr_q(O_i) = dim_q L_i and
-    the t ox t sign of a column of O_i (even; q-trace weights and quantum
-    dimensions are Laurent polynomials in q = v^4), and tr(O_i) =
-    mult C(N, i) L_i (ranks: the rank of an idempotent is its trace).  O_i
-    is built from the prefix product over j < i, multiplied on the right by
-    each sparse factor (sC - s e_j I), j > i.
-
-    Two claims follow from the full product.  With p_i(x) = prod_{j != i}
-    (x - s e_j), p_i(x) - L_i vanishes at x = s e_i, so it is
-    (x - s e_i) r_i(x) and O_i^2 - L_i O_i = (full product) r_i(sC): the
-    dense square O_i O_i is formed only when the full product does not
-    vanish.  The partition sum_i O_i / L_i = I is Lagrange interpolation of
-    the constant 1 at the m distinct s e_i, which holds for every matrix,
-    so ``idempotent_partition`` reports the idempotence verdict alone.
-
-    Cauchy's bound: a nonzero Laurent polynomial in w with integer
-    coefficients of absolute value at most B has no root w0 >= B + 2, so
-    one exact evaluation at w0 decides each identity both ways.  B takes
-    integer arithmetic only: ||(XY)_ab||_1 <= sum_c ||X_ac||_1 ||Y_cb||_1,
-    so a product of t factors has entries of l1 norm at most R^t, R the
-    largest l1 row sum of a factor.  With Lambda = max ||L_i||_1, n = dim^2
-    and K the largest of ||dim_q||_1 and mult C(N, i), the identities have
-    l1 norms at most R^m, R^{m-1} (R^{m-1} + Lambda) and
-    (n + 2) R^{m-1} + K Lambda (t ox t is a permutation); B is their sum.
+    integer point, from the chain of :func:`_eigenprojections`.  With
+    s = D v^E (D = q + 1 at odd parity, turning 1/{1/2} into v^2, else 1;
+    v^E the least power lifting every exponent of D*C and D*e_i to 0 or
+    more), sC and s e_i lie in Z[w], w = v^g with g the gcd of 4 and their
+    exponents (:func:`_clearing_of`; 4 at even parity, 2 at odd).  With O_i
+    and L_i from there, the projection is P_i = O_i / L_i, and each claim is
+    an identity in Z[w^{+-1}]: full product = 0, O_i != 0 (minimality),
+    O_i^2 = L_i O_i (idempotence, which the full product implies),
+    tr_q(O_i) = dim_q L_i and the t ox t sign of a column of O_i (even;
+    q-trace weights and quantum dimensions are Laurent polynomials in
+    q = v^4), and tr(O_i) = mult C(N, i) L_i (ranks: the rank of an
+    idempotent is its trace).  The partition sum_i O_i / L_i = I is
+    Lagrange interpolation of the constant 1 at the m distinct s e_i, which
+    holds for every matrix, so ``idempotent_partition`` reports the
+    idempotence verdict alone.  With n = dim^2 and K the largest of
+    ||dim_q||_1 and mult C(N, i), the trace, sign and rank claims have l1
+    norms at most (n + 2) F^{m-1} + K Lambda (t ox t is a permutation): the
+    claim terms a = n + 2 and b = K of the bound.
 
     Raises SizeGuardError when S ox S is larger than MAX_SYMBOLIC_DIM.
     """
@@ -540,12 +529,9 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
     labels = c.eigen_labels() if even else []
     qdims = [qdimension(lbl, c.rd) for lbl in labels]
     ranks = [mult * comb(N, i) for i in range(len(eigs))]
-    at, full, others, lags = _cleared_products(
-        c, max(ranks + [_l1(q) for q in qdims]))
-    # O_i^2 - L_i O_i is the full product times a polynomial in sC, so the
-    # dense square is needed only when the full product does not vanish
-    idempotent = [full.is_zero() or o * o == o.scale(lag)
-                  for o, lag in zip(others, lags)]
+    at, full, others, lags, idempotent = _eigenprojections(
+        _clearing_of(c), len(eigs), size + 2,
+        max(ranks + [_l1(q) for q in qdims]))
 
     rep.record("annihilating_product",
                lambda: full.is_zero() or "product does not vanish")
@@ -609,7 +595,7 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
             for o, lag, qdim, lbl in zip(others, lags, qdims, labels):
                 # qtrace weights the diagonal by powers of q, polynomials
                 # in w like the quantum dimensions
-                if _at_w(at, qtrace(o, c.rd)) != _at_w(at, qdim) * lag:
+                if at.of(qtrace(o, c.rd)) != at.of(qdim) * lag:
                     return f"trace of projection for {lbl} mismatches"
             return True
 
@@ -904,8 +890,8 @@ def verify_coideal(k: int, parity: str, n: int, *,
     _guard_power("coideal", n, lambda m: c.dim ** m, MAX_POINT_DIM,
                  "dimensions at a point")
     cleared = _clearing_of(c)
-    w0 = _zero_test_point(_coideal_bound(cleared), cleared.g)
-    checks = _coideal_relations(c, cleared, n, lambda s: int(_at_w(w0, s)))
+    at = _zero_test_point(_coideal_bound(cleared), cleared.g)
+    checks = _coideal_relations(c, cleared, n, at.of)
 
     @cache
     def images():
@@ -1230,34 +1216,28 @@ def third_power_profile(k: int) -> VerificationReport:
     scrambles the band: tridiagonality singles out the branching order.)
 
     The characteristic polynomial and the extreme projection are decided in
-    cleared form with plain ints at one integer point, from one chain of
-    factors Y - s e_r I.  With delta from :func:`_common_denominator` over
-    the entries of X, :func:`_clearing` gives s = delta v^E, Y = sX and the
-    s e_r in Z[w], w = v^g; F = R + max_r ||s e_r||_1, R the largest l1 row
-    sum of Y, bounds the row sums of every factor.  With
-    O = prod_{r>=1} (Y - s e_r I), the full product is (Y - s e_0 I) O.
+    cleared form with plain ints at one integer point, from the chain of
+    :func:`_eigenprojections` at i = 0.  With delta from
+    :func:`_common_denominator` over the entries of X, :func:`_clearing`
+    gives s = delta v^E, Y = sX and the s e_r in Z[w], w = v^g.  There
+    O = prod_{r>=1} (Y - s e_r I), Z = L_0 = prod_{r>=1} (s e_0 - s e_r),
+    and the projection is P = O/Z.
 
     - Characteristic polynomial: the model coefficients (the recursion over
       Q(v)) are those of prod_r (x - e_r), so s^{N+1} p(X) is the full
-      product, whose entries have l1 norm at most F^{N+1}.
-    - Extreme projection: with Z = prod_{r>=1} (s e_0 - s e_r) = s^N L_0,
-      the projection is P = O/Z.  With d_i = num_i / den_i (den_i its
-      integer denominator) and D the quantum dimension, the claims are
-      O^2 = Z O (idempotence), tr O = Z (rank 1: an idempotent's rank is
-      its trace) and O_ii D^2 den_i = num_i Z, the last times one power of
-      v that makes D^2 den_i and num_i polynomials.  They fix the
-      off-diagonal products too: P = O/Z is then a rank-1 idempotent,
-      P = u w^T with w^T u = 1, so P_ij P_ji = u_i w_j u_j w_i = P_ii P_jj.
-      As p_0(x) - Z, p_0 = prod_{r>=1} (x - s e_r), vanishes at s e_0,
-      O^2 - Z O is the full product times a polynomial in Y: O O is formed
-      only when the full product does not vanish.  The three identities
-      have l1 norms at most F^{2N} + ||Z|| F^N, (N + 1) F^N + ||Z|| and
-      F^N W + T, with ||Z||_1 <= prod_r ||s e_0 - s e_r||_1,
-      W = max ||D^2 den_i||_1 and T = max ||num_i||_1 ||Z||_1.
-
-    B is the largest of the four bounds.  An l1 norm reads the same in v
-    and in w, so by Cauchy's bound (:func:`_zero_test_point`) each identity
-    holds exactly when it holds at w0 = B + 2, decided there both ways.
+      product.
+    - Extreme projection: with d_i = num_i / den_i (den_i its integer
+      denominator) and D the quantum dimension, the claims are O^2 = Z O
+      (idempotence, which the full product implies), tr O = Z (rank 1: an
+      idempotent's rank is its trace) and O_ii D^2 den_i = num_i Z, the
+      last times one power of v that makes D^2 den_i and num_i
+      polynomials.  They fix the off-diagonal products too: P = O/Z is then
+      a rank-1 idempotent, P = u w^T with w^T u = 1, so
+      P_ij P_ji = u_i w_j u_j w_i = P_ii P_jj.  The trace and diagonal
+      claims have l1 norms at most (N + 1) F^N + ||Z||_1 and
+      W F^N + T ||Z||_1, with W = max ||D^2 den_i||_1 and
+      T = max ||num_i||_1: the claim terms a = N + 1 + W and b = 1 + T of
+      the bound, whose point follows the step of num_i and D^2 den_i too.
     """
     rep = VerificationReport("third_power", {"k": k})
     rd = RootData("D", k)
@@ -1350,35 +1330,19 @@ def third_power_profile(k: int) -> VerificationReport:
         [x for row in X.rows.values() for x in row.values()]))
 
     @cache
-    def projection_chain():
-        # the full product, O, Z and both sides of the diagonal claims, as
-        # plain ints at the one point
-        ceigs = cleared.eigs
-        # num_i and D^2 den_i, times one power of v that makes all of them
-        # polynomials
+    def projection():
+        # the chain at i = 0, with Z = L_0, and both sides of the diagonal
+        # claims: num_i and D^2 den_i, times one power of v that makes all
+        # of them polynomials, whose step the point must follow too
         nums = [w * w.integer_denominator() for w in dwt]
         left = [D * D * w.integer_denominator() for w in dwt]
         lift = _lift(nums + left)
         nums, left = [x * lift for x in nums], [x * lift for x in left]
-        step = cleared.row + max(map(_l1, ceigs))                  # F
-        entry = step ** N
-        zsize = prod(_l1(ceigs[0] - e) for e in ceigs[1:])
-        wide, tall = max(map(_l1, left)), max(map(_l1, nums)) * zsize
-        at = _zero_test_point(
-            max(step ** (N + 1), entry * (entry + zsize),
-                (N + 1) * entry + zsize, entry * wide + tall),
-            gcd(cleared.g, _w_step(left + nums)))
-
-        def value(s: Scalar) -> int:
-            return int(_at_w(at, s))
-
-        ieigs, ident = [value(e) for e in ceigs], SparseMat.identity(N + 1, 1)
-        y = cleared.mat.map_values(value)
-        factors = [y - ident.scale(e) for e in ieigs]
-        o = reduce(mul, factors[1:])
-        z = prod(ieigs[0] - e for e in ieigs[1:])
-        return (factors[0] * o, o, z, [value(x) for x in left],
-                [value(x) * z for x in nums])
+        at, full, (o,), (z,), (idempotent,) = _eigenprojections(
+            cleared._replace(g=gcd(cleared.g, _w_step(left + nums))), 1,
+            N + 1 + max(map(_l1, left)), 1 + max(map(_l1, nums)))
+        return (full, o, z, idempotent, [at.of(x) for x in left],
+                [at.of(x) * z for x in nums])
 
     def check_charpoly():
         # the model polynomial is prod_r (x - e_r), so s^{N+1} p(X) is the
@@ -1390,7 +1354,7 @@ def third_power_profile(k: int) -> VerificationReport:
         if ({j: a for j, a in enumerate(_model_polynomial(models)) if a}
                 != {j: a for j, a in expanded.items() if a}):
             return "model polynomial is not the eigenvalue product"
-        return (projection_chain()[0].is_zero()
+        return (projection()[0].is_zero()
                 or "model polynomial does not annihilate")
 
     rep.record("characteristic_polynomial", check_charpoly)
@@ -1414,10 +1378,8 @@ def third_power_profile(k: int) -> VerificationReport:
     rep.record("entry_reconstruction", check_reconstruction)
 
     def check_projection():
-        full, o, z, lhs, rhs = projection_chain()
-        # O^2 - Z O is the full product times a polynomial in Y, so the
-        # dense square is needed only when the full product does not vanish
-        if not full.is_zero() and o * o != o.scale(z):
+        _, o, z, idempotent, lhs, rhs = projection()
+        if not idempotent:
             return "not idempotent"
         if sum(o.entry(i, i) or 0 for i in range(N + 1)) != z:
             return "rank != 1"
@@ -1476,12 +1438,8 @@ def markov_property_check(k: int, pairs: int = 20,
     at = _zero_test_point(entry ** 2 * (d ** 3 * _l1(shifted) + d ** 4),
                           gcd(cleared.g, _w_step([cleared.scale, shifted,
                                                   *weights])))
-
-    def value(s: Scalar) -> int:
-        return int(_at_w(at, s))
-
-    s0, mat = value(cleared.scale), cleared.mat.map_values(value)
-    wts = [value(w) for w in weights]
+    s0, mat = at.of(cleared.scale), cleared.mat.map_values(at.of)
+    wts = [at.of(w) for w in weights]
     # s^{M-j} (sC)^j for j = 0..M
     power = SparseMat.identity(d * d, 1)
     powers = [power.scale(s0 ** top)]
@@ -1520,7 +1478,7 @@ def markov_property_check(k: int, pairs: int = 20,
         return out
 
     def check_pairs():
-        dim = _at_w(at, shifted)
+        dim = at.of(shifted)
         for trial in range(pairs):
             a = [rng.randint(-3, 3) for _ in powers]
             b = [rng.randint(-3, 3) for _ in powers]

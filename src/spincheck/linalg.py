@@ -16,9 +16,9 @@ span.  Pivot rows are normalized once on insertion, so the inner
 elimination loop multiplies but never divides -- a significant saving when
 coefficients are rational functions.  Incoming rows are reduced against
 pivots in insertion order; since every pivot row is fully reduced against
-all earlier pivots, a single pass suffices.  :func:`matrix_rank` and
-:func:`kernel_basis` run on it, and so do callers that append tag columns
-to solve for coordinates in a basis.
+all earlier pivots, a single pass suffices.  :func:`kernel_basis` runs on
+it, and so do callers that append tag columns to solve for coordinates in
+a basis.
 """
 
 from __future__ import annotations
@@ -285,14 +285,6 @@ class ModRowReducer:
         inv = pow(row[c], -1, p)
         self.order.append((c, {j: v * inv % p for j, v in row.items()}))
         return True
-
-
-def matrix_rank(mat: SparseMat) -> int:
-    """The rank of ``mat``, reducing its rows in index order."""
-    red = RowReducer()
-    for _, row in sorted(mat.rows.items()):
-        red.add_row(row)
-    return red.rank
 
 
 def kernel_basis(mat: SparseMat, one) -> list[dict[int, Any]]:

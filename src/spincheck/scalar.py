@@ -41,6 +41,12 @@ ones, which is what the modular duality certificate of
 :mod:`spincheck.invariant` uses.  Point specializations also supply the row
 reducer and the matrix product for their values.
 
+An :class:`IntPoint` is the fourth: an integer w0 for w = v^g, at which a
+Laurent polynomial in w with integer coefficients takes an exact int (or,
+with negative powers of w, Fraction) value.  :mod:`spincheck.invariant`
+places w0 past an a-priori coefficient bound, so that a cleared identity
+vanishes there exactly when it is zero, and decides it with plain ints.
+
 No floating point is used anywhere in this module.
 """
 
@@ -695,6 +701,32 @@ class ModPoint:
         return (a * b).map_values(lambda x: x % p)
 
 
+@dataclass(frozen=True)
+class IntPoint:
+    """The integer point w = w0 in w = v^g (g = 1, 2 or 4), where identities
+    with integer coefficients are decided by one exact evaluation.
+
+    As a specialization, ``one`` is 1 and ``of`` maps a Laurent polynomial
+    in w with integer coefficients to its exact value at w0: an int when it
+    lies in Z[w], a Fraction when it has negative powers of w.  Any other
+    Scalar raises DomainError: no coefficient bound decides its value.
+    """
+
+    w0: int
+    g: int
+
+    one = 1
+
+    def of(self, s: Scalar) -> int | Fraction:
+        """The value of ``s``, sum_e c_e w0^(e/g) over its terms c_e v^e."""
+        coeffs, g = s.integer_coefficients(), self.g
+        if any(e % g for e in coeffs):
+            raise DomainError(f"{s} is not a Laurent polynomial in v^{g}")
+        low = min([0, *coeffs])
+        total = sum(c * self.w0 ** ((e - low) // g) for e, c in coeffs.items())
+        return Fraction(total, self.w0 ** (-low // g)) if low else total
+
+
 class _Symbolic:
     """Generic q: arithmetic stays in Q(v)."""
 
@@ -711,8 +743,8 @@ SYMBOLIC = _Symbolic()
 CLASSICAL = EvalPoint(_F1, 1, _F1)
 
 # Where arithmetic happens: SYMBOLIC, an exact EvalPoint (CLASSICAL too),
-# or the reduction of one modulo a prime.
-Specialization = EvalPoint | ModPoint | _Symbolic
+# the reduction of one modulo a prime, or an integer point in w = v^g.
+Specialization = EvalPoint | ModPoint | IntPoint | _Symbolic
 
 
 # ---------------------------------------------------------------------------

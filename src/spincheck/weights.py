@@ -150,6 +150,9 @@ class PinLabel:
             raise DomainError(f"family must be 'B' or 'D', got {self.family!r}")
         if not entries:
             raise DomainError("empty label")
+        if any((2 * e).denominator != 1 for e in entries):
+            raise DomainError(f"label {self} is not a weight: each entry "
+                              f"must be an integer or a half-integer")
         if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
             raise DomainError(f"label {self} is not dominant")
         if entries[-1] < 0:

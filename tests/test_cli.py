@@ -87,6 +87,17 @@ def test_bad_label_printed_like_a_label(capsys, label, shown):
     assert "Fraction(" not in err
 
 
+@pytest.mark.parametrize("rank, label", [("1", "2/3"), ("2", "1/3,0")])
+def test_label_off_the_half_integers_refused(capsys, rank, label):
+    # the error names the label, not a quantum integer met later on
+    code, out, err = invoke(
+        capsys, "qdim", "--family", "D", "--rank", rank, "--label", label)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: label ({label}) is not a weight: each entry "
+                   f"must be an integer or a half-integer\n")
+
+
 def test_eigen_even_rank_two(capsys):
     code, payload, _ = invoke_json(
         capsys, "eigen", "--rank", "2", "--parity", "even")

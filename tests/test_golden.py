@@ -75,6 +75,41 @@ def test_coideal_jobs_multiply_plain_ints(monkeypatch):
         assert set(types) == {"int"}, prefix
 
 
+def test_point_chain_jobs_multiply_plain_ints(monkeypatch):
+    # the spectrum and third-power chains and the trace identity are decided
+    # at the integer point: every product there has int entries, and so, in
+    # the spectrum jobs, has every apply_to off Q(v), such as t ox t
+    def entry_types(m: SparseMat) -> set[str]:
+        return {type(v).__name__
+                for row in m.rows.values() for v in row.values()}
+
+    products, applied = Counter(), Counter()
+    product, apply_to = SparseMat.__mul__, SparseMat.apply_to
+
+    def counting(a, b):
+        products.update(entry_types(a) | entry_types(b))
+        return product(a, b)
+
+    def counting_apply(a, vec):
+        if "Scalar" not in entry_types(a):
+            applied.update(entry_types(a))
+        return apply_to(a, vec)
+
+    monkeypatch.setattr(SparseMat, "__mul__", counting)
+    monkeypatch.setattr(SparseMat, "apply_to", counting_apply)
+    for prefix, count in (("spectrum:", 5), ("third-power:", 3),
+                          ("trace:", 2)):
+        jobs = [job for job in JOBS if job.name.startswith(prefix)]
+        products.clear()
+        applied.clear()
+        for job in jobs:
+            job.run()
+        assert len(jobs) == count
+        assert set(products) == {"int"}, prefix
+        if prefix == "spectrum:":
+            assert set(applied) == {"int"}
+
+
 def test_duality_jobs_build_no_ext(monkeypatch):
     # every seed-0 duality point is certified mod p, after one inclusion
     # test over Q(v): no job computes in a point field

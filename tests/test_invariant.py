@@ -34,7 +34,7 @@ from spincheck.invariant import (MAX_SYMBOLIC_DIM, build_c, build_c_even,
                                  spectrum_check, third_power_profile,
                                  verify_coideal, verify_commutation,
                                  verify_duality)
-from spincheck.linalg import SparseMat, matrix_rank
+from spincheck.linalg import RowReducer, SparseMat
 from spincheck.qspin import spin_rep, tensor_action
 from spincheck.report import VerificationReport
 from spincheck.scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint,
@@ -320,12 +320,18 @@ def test_spectrum_certificate_matches_symbolic_reference(k, parity):
         _check_certificate(c, mutated)
 
 
+def _spectrum_chain(c):
+    """The eigenprojection chain of spectrum_check at every eigenvalue.
+    Its claim term b enters only the bounds of the trace and rank
+    comparisons; these tests compare traces as exact rationals."""
+    return invariant._eigenprojections(invariant._clearing_of(c),
+                                       len(c.eigenvalues()), c.dim ** 2 + 2, 1)
+
+
 def _check_certificate(c, mutated: bool) -> None:
     eigs = c.eigenvalues()
     ident = SparseMat.identity(c.dim ** 2, ONE)
-    # const enters only the bounds of the trace and rank comparisons, and
-    # this test compares traces as exact rationals
-    at, full, others, lags = invariant._cleared_products(c, 1)
+    at, full, others, lags, chain_idempotent = _spectrum_chain(c)
     assert full.is_zero() == (not mutated)
     idempotent = []
     s = invariant._clearing_of(c).scale ** (len(eigs) - 1)
@@ -334,14 +340,15 @@ def _check_certificate(c, mutated: bool) -> None:
                                       ident)[-1]
         # o is the cleared product at w0, and w0 lies past its coefficients
         cleared = ref.scale(s)
-        assert o == cleared.map_values(lambda x: int(invariant._at_w(at, x)))
-        assert all(abs(x) + 2 <= at.radicand
+        assert o == cleared.map_values(at.of)
+        assert all(abs(x) + 2 <= at.w0
                    for row in cleared.rows.values() for val in row.values()
                    for x in val.integer_coefficients().values())
         proj = ref.scale(ONE / invariant._lagrange_denominator(eigs, i))
         assert o.is_zero() == ref.is_zero()
         idempotent.append(proj * proj == proj)
         assert (o * o == o.scale(lag)) == idempotent[-1]
+        assert chain_idempotent[i] == idempotent[-1]
         trace = sum(row.get(r, 0) for r, row in o.rows.items())
         ref_trace = sum((row.get(r, ZERO) for r, row in proj.rows.items()),
                         ZERO)
@@ -391,10 +398,9 @@ def test_spectrum_partition_is_lagrange_identity():
     # check could never fail
     fulls = []
     for c in _spectrum_mutants():
-        at, full, others, lags = invariant._cleared_products(c, 1)
+        at, full, others, lags, _ = _spectrum_chain(c)
         fulls.append(full.is_zero())
-        ieigs = [int(invariant._at_w(at, e))
-                 for e in invariant._clearing_of(c).eigs]
+        ieigs = [at.of(e) for e in invariant._clearing_of(c).eigs]
         vand = prod(a - b for a, b in combinations(ieigs, 2))
         assert vand and all(vand % lag == 0 for lag in lags)
         total = SparseMat(c.dim ** 2, c.dim ** 2)
@@ -429,10 +435,9 @@ def test_spectrum_multiplies_only_by_sparse_factors(monkeypatch, k, parity):
     assert rep.passed, rep.summary()
     at, = points
     cleared = invariant._clearing_of(c)
-    imat = cleared.mat.map_values(lambda x: int(invariant._at_w(at, x)))
+    imat = cleared.mat.map_values(at.of)
     ident = SparseMat.identity(c.dim ** 2, 1)
-    factors = [imat - ident.scale(int(invariant._at_w(at, e)))
-               for e in cleared.eigs]
+    factors = [imat - ident.scale(at.of(e)) for e in cleared.eigs]
     m = len(factors)
     # m - 1 prefix products and m - 1 - i more for each O_i
     assert len(rights) == (m - 1) + m * (m - 1) // 2
@@ -461,11 +466,12 @@ def test_zero_test_point_lies_past_the_bound(bound):
     # for each step g, w = v^g lies past the bound, and q = v^4 = w^(4 / g)
     for g in (1, 2, 4):
         at = invariant._zero_test_point(bound, g)
-        assert at.degree == g
-        assert at.radicand.denominator == 1 and at.radicand >= bound + 2
-        assert at.q0 == at.radicand ** (4 // g)
-        assert invariant._at_w(at, qpow(1)) == at.q0
-        assert invariant._at_w(at, Scalar.v_power(g)) == at.radicand
+        assert at.g == g
+        assert type(at.w0) is int and at.w0 >= bound + 2
+        assert at.of(qpow(1)) == at.w0 ** (4 // g)
+        assert at.of(Scalar.v_power(g)) == at.w0
+        # negative powers of w take exact Fraction values, never truncated
+        assert at.of(Scalar.v_power(-g)) == Fraction(1, at.w0)
 
 
 def test_zero_test_point_does_not_certify_a_small_root():
@@ -481,9 +487,9 @@ def test_zero_test_point_refuses_an_exponent_off_the_step(g, exponent):
     at = invariant._zero_test_point(10, g)
     p = Scalar.v_power(exponent) + 1
     with pytest.raises(DomainError, match=f"v\\^{g}"):
-        invariant._at_w(at, p)
+        at.of(p)
     with pytest.raises(DomainError):
-        invariant._at_w(at, qpow(1) / 2)        # a non-integer coefficient
+        at.of(qpow(1) / 2)                      # a non-integer coefficient
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -500,7 +506,7 @@ def test_zero_test_point_decides_zero(g, coeffs, roots, low, slack):
     for r in roots:
         p = p * (w - r)
     at = invariant._zero_test_point(invariant._l1(p) + slack, g)
-    assert (invariant._at_w(at, p) == 0) == (not p)
+    assert (at.of(p) == 0) == (not p)
 
 
 @pytest.mark.parametrize("k,parity,g", [(1, "even", 4), (3, "even", 4),
@@ -527,10 +533,24 @@ def test_spectrum_point_and_products_stay_small(k, parity):
     # 746 and 1,331 bits (906 and 1,628 with the Vandermonde terms)
     point_bits, entry_bits = {(3, "even"): (32, 746),
                               (2, "odd"): (34, 1331)}[k, parity]
-    at, _, others, _ = invariant._cleared_products(build_c(k, parity), 1)
-    assert at.radicand.numerator.bit_length() <= point_bits
+    at, _, others, _, _ = _spectrum_chain(build_c(k, parity))
+    assert at.w0.bit_length() <= point_bits
     assert max(abs(x).bit_length() for o in others
                for row in o.rows.values() for x in row.values()) <= entry_bits
+
+
+@pytest.mark.parametrize("k,point_bits", [(2, 26), (3, 77), (4, 113)])
+def test_third_power_point_stays_small(monkeypatch, k, point_bits):
+    # the third power reads its chain at one point, bounded like the
+    # spectrum's with the exact ||L_0||_1 in place of a product of norms
+    points = []
+    zero_test_point = invariant._zero_test_point
+    monkeypatch.setattr(invariant, "_zero_test_point",
+                        lambda b, g: points.append(zero_test_point(b, g))
+                        or points[-1])
+    assert third_power_profile(k).passed
+    at, = points
+    assert at.w0.bit_length() <= point_bits
 
 
 def test_spectrum_same_under_optimize():
@@ -1383,8 +1403,8 @@ def test_matrices_in_basis_coordinates_rebuild_images(case):
     except DomainError as exc:
         # only a drawn basis that is dependent may be refused
         assert str(exc) == "basis is dependent"
-        assert matrix_rank(SparseMat(len(basis), mats[0].ncols,
-                                     dict(enumerate(basis)))) < len(basis)
+        red = RowReducer()
+        assert sum(map(red.add_row, basis)) < len(basis)
         return
     for mat, x in zip(mats, coords):
         for j, v in enumerate(basis):
