@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 from math import comb, gcd, prod
 from operator import mul
 from typing import Callable, NamedTuple
@@ -69,7 +69,7 @@ _HALF = Fraction(1, 2)
 
 MAX_SYMBOLIC_DIM = 256      # largest S ox S that spectrum_check admits
 MAX_POINT_DIM = 4096        # largest dimension handled at an evaluation point
-MAX_ORACLE_UNKNOWNS = 2048  # largest commutant system verify_duality solves
+MAX_ORACLE_UNKNOWNS = 2048  # largest C(2n, n)^k that verify_duality admits
 
 
 def _neg_q_pow(m: int) -> Scalar:
@@ -197,35 +197,34 @@ def embed_pair_operator(mat: SparseMat, d: int, i: int, n: int) -> SparseMat:
     return out
 
 
-def _embedded_family(mat: SparseMat, d: int, n: int,
-                     of: Callable) -> list[SparseMat]:
+def _embedded_family(mat: SparseMat, d: int, n: int, of: Callable,
+                     basis: list[int] | None = None) -> list[SparseMat]:
     """A Q(v) pair operator on d-dimensional slots, its values mapped once
     by ``of`` (such as ``at.of``) and embedded into slots (i, i+1) of the
     n-th tensor power for i = 1..n-1: the family C_1, ..., C_{n-1} when
-    ``mat`` is C."""
+    ``mat`` is C.  With ``basis`` (weight blocks, which a weight-preserving
+    ``mat`` keeps), each member is taken :func:`_on_basis`; DomainError
+    when one leaves it."""
     mat = mat.map_values(of)
-    return [embed_pair_operator(mat, d, i, n) for i in range(1, n)]
+    family = [embed_pair_operator(mat, d, i, n) for i in range(1, n)]
+    if basis is not None:
+        family = [_on_basis(m, basis) for m in family]
+        if any(m is None for m in family):
+            raise DomainError("operator leaves the span of the basis")
+    return family
 
 
-def _restrict_pair_operator(mat: SparseMat, d: int,
-                            lift: list[int]) -> SparseMat | None:
-    """A pair operator on (d x d)-indexed pairs, restricted to the sub-basis
-    whose x-th vector sits at index ``lift[x]`` of each slot; None when the
-    operator leaks out of that sub-basis."""
-    db = len(lift)
-    lifted = {lift[a] * d + lift[b]: a * db + b
-              for a in range(db) for b in range(db)}
-    out = SparseMat(db * db, db * db)
-    for a in range(db):
-        for b in range(db):
-            col_full = lift[a] * d + lift[b]
-            for rfull, rw in mat.rows.items():
-                v = rw.get(col_full)
-                if v is None:
-                    continue
-                if rfull not in lifted:
+def _on_basis(mat: SparseMat, basis: list[int]) -> SparseMat | None:
+    """``mat`` on span(basis), rows and columns indexed by position in
+    ``basis``; None when it maps a basis vector out of that span."""
+    pos = {u: p for p, u in enumerate(basis)}
+    out = SparseMat(len(basis), len(basis))
+    for r, row in mat.rows.items():
+        for u, x in row.items():
+            if u in pos:
+                if r not in pos:
                     return None
-                out.set_entry(lifted[rfull], a * db + b, v)
+                out.set_entry(pos[r], pos[u], x)
     return out
 
 
@@ -237,7 +236,8 @@ def _cleared_square_block(c: InvariantElement) -> tuple[SparseMat, Scalar]:
         raise DomainError("block restriction applies to the odd operator")
     lift = [block_lift(x, c.k) for x in range(1 << c.k)]
     cleared = _clearing(c.mat, [], ONE + qpow(1))
-    out = _restrict_pair_operator(cleared.mat * cleared.mat, c.dim, lift)
+    out = _on_basis(cleared.mat * cleared.mat,
+                    [a * c.dim + b for a in lift for b in lift])
     if out is None:
         raise DomainError("squared operator leaks out of the block")
     return out, cleared.scale
@@ -692,7 +692,8 @@ def _restriction_matches(big: InvariantElement, small: InvariantElement) -> bool
         lift = [a << shift for a in range(small.dim)]
     else:
         lift = [((a >> 1) << (shift + 1)) | (a & 1) for a in range(small.dim)]
-    return _restrict_pair_operator(big.mat, big.dim, lift) == small.mat
+    return _on_basis(big.mat, [a * big.dim + b for a in lift for b in lift]
+                     ) == small.mat
 
 
 # ---------------------------------------------------------------------------
@@ -938,69 +939,126 @@ def _module_actions(rd: RootData, n: int, at: Specialization
             [tensor_action(g, gid, n, at=at) for gid in gids])
 
 
+def _weight_block(k: int, n: int, wt: tuple[Fraction, ...]) -> list[int]:
+    """The basis indices of ``wt``, a weight of S^{ox n}, ascending, for the
+    2^k-dimensional module of :func:`spin_rep` (type D, or one parity block
+    of type B), built without listing the other weights.  Coordinate j of
+    slot t (0-based) is -1/2 exactly when bit (n - 1 - t) k + k - j of the
+    index is set, so the block sets, for each j, that bit in n/2 - wt_j of
+    the n slots."""
+    choices = []
+    for j, w in enumerate(wt, 1):
+        bits = [1 << ((n - 1 - t) * k + k - j) for t in range(n)]
+        minus = int(n * _HALF - w)
+        choices.append([sum(c) for c in combinations(bits, minus)])
+    return sorted(map(sum, product(*choices)))
+
+
+def _dominant_blocks(rd: RootData, n: int
+                     ) -> dict[tuple[Fraction, ...], list[int]]:
+    """The dominant weights lambda of S^{ox n}, <lambda, alpha_i> >= 0 for
+    each simple root, each with its :func:`_weight_block`.  Their sum is D,
+    where every highest-weight vector lies."""
+    coords = [Fraction(n, 2) - m for m in range(n + 1)]
+    simple = rd.simple_roots()
+    return {wt: _weight_block(rd.rank, n, wt)
+            for wt in product(coords, repeat=rd.rank)
+            if all(inner(wt, a) >= 0 for a in simple)}
+
+
+def _raising_block(g: GeneratorAction, n: int, block: list[int],
+                   at: Specialization) -> SparseMat:
+    """Delta^n(E_i), i = 1..rank, at ``at``, stacked and restricted to the
+    columns of a weight ``block`` (column p is block[p]): its kernel is the
+    block's highest-weight space.  No other column of S^{ox n} is built."""
+    pos = {u: p for p, u in enumerate(block)}
+    rows = [{pos[u]: x for u, x in row.items()}
+            for i in range(1, g.nsimple + 1)
+            for row in tensor_action(g, ("E", i), n, at=at,
+                                     columns=block).rows.values()]
+    return SparseMat(len(rows), len(block), dict(enumerate(rows)))
+
+
+def _nullity(rows: list[dict], width: int, at: Specialization) -> int:
+    """``width`` minus the rank of ``rows`` at ``at``."""
+    red = at.reducer()
+    for row in rows:
+        red.add_row(row)
+    return width - red.rank
+
+
 def _oracle_unknowns(k: int, n: int) -> int:
-    """The unknowns of :func:`commutant_dim_oracle`: sum_w mult(w)^2 over
-    the weights of S^{ox n}.  Each coordinate of a spin weight is +-1/2
-    independently, so this is (sum_m C(n, m)^2)^k = C(2n, n)^k."""
+    """The entries of a weight-preserving matrix on S^{ox n}, the cost
+    :func:`_guard_duality` bounds: sum_w mult(w)^2 over the weights of
+    S^{ox n}.  Each coordinate of a spin weight is +-1/2 independently, so
+    this is (sum_m C(n, m)^2)^k = C(2n, n)^k.  Both counts run on the much
+    smaller dominant blocks (:func:`commutant_dim_oracle`)."""
     return comb(2 * n, n) ** k
 
 
 def _guard_duality(k: int, n: int) -> None:
-    """The one size guard of both duality counts: refuse a commutant system
-    of more than MAX_ORACLE_UNKNOWNS unknowns.  C(2n, n)^k is at least the
-    dimension 2^{kn} that the generated algebra acts on, so the guard bounds
-    that count too."""
+    """The one size guard of both duality counts: refuse a tensor power
+    whose weight-preserving matrices have more than MAX_ORACLE_UNKNOWNS
+    entries (:func:`_oracle_unknowns`).  C(2n, n)^k is at least the
+    dimension 2^{kn} of S^{ox n}, so it bounds every block either count
+    runs on."""
     _guard_power("duality", n, lambda m: _oracle_unknowns(k, m),
-                 MAX_ORACLE_UNKNOWNS, "commutant unknowns")
+                 MAX_ORACLE_UNKNOWNS, "weight-preserving matrix entries")
 
 
 def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
     """Dimension of the commutant of the quantum-group module structure on
-    S^{ox n} at an exact evaluation point, at CLASSICAL (q = 1) or mod p
-    at a :class:`ModPoint`.
+    S^{ox n} (:func:`_module_actions`: the weights, every Delta^n(E_i) and
+    Delta^n(F_i) and, in type D, t^{ox n}) at an exact evaluation point, at
+    CLASSICAL (q = 1) or mod p at a :class:`ModPoint`, from highest-weight
+    multiplicities on the dominant blocks.
 
-    The unknown matrix is constrained to preserve weights (equivalently, to
-    commute with all torus operators) and to commute with each operator of
-    :func:`_module_actions`: every Delta^n(E_i) and Delta^n(F_i) and, in
-    type D, t^{ox n}, which is one more operator in the same commutation
-    equations.  The rank of the resulting sparse linear system is computed
-    exactly; the result is unknowns minus rank.  :func:`_guard_duality`, the
-    guard of both duality counts, refuses an oversized system first.
+    At q0 > 0, q0 != 1, q0 is not a root of unity, and at q = 1 Weyl's
+    theorem applies: S^{ox n} is semisimple at every point
+    :func:`verify_duality` takes, a sum of simple modules V_lambda with
+    dominant highest weights.  The multiplicity of V_lambda is
+    m_lambda = dim HW_lambda, HW_lambda the kernel of the stacked
+    Delta^n(E_i) on the weight-lambda block (:func:`_raising_block`), and
+    the commutant is the sum of End(HW_lambda).
+
+    - Type B: the count is sum_lambda m_lambda^2.
+    - Type D: t^{ox n} maps the lambda block onto the sigma(lambda) block,
+      sigma flipping the sign of the last coordinate, and conjugates E_i to
+      E_{sigma(i)}.  For lambda != sigma(lambda), V_lambda + V_sigma(lambda)
+      is one simple module, counted once, m_lambda^2.  For
+      lambda = sigma(lambda), t splits HW_lambda into its +1 and -1
+      eigenspaces, of dimensions a and b (the kernels of [E_i; T -+ 1] on
+      the block), two simple modules: a^2 + b^2.
+
+    Mod p every entry is a power of v (or 1), and each kernel only grows
+    under the reduction, so m_lambda, a and b, and the count, are at least
+    their exact values: comm <= comm_p.  :func:`_guard_duality`, the guard
+    of both duality counts, runs first.
     """
     if at is SYMBOLIC:
         raise DomainError("the oracle needs an EvalPoint or CLASSICAL")
     _guard_duality(rd.rank, n)
-    wts, actions = _module_actions(rd, n, at)
-    blocks: dict[tuple, list[int]] = {}
-    for u, w in enumerate(wts):
-        blocks.setdefault(w, []).append(u)
-    unk: dict[tuple[int, int], int] = {}
-    for w, idxs in blocks.items():
-        for u in idxs:
-            for v in idxs:
-                unk[(u, v)] = len(unk)
+    g = spin_rep(rd, odd_doubled=False)
+    return sum(m * m for wt, block in _dominant_blocks(rd, n).items()
+               for m in _hw_multiplicities(g, n, wt, block, at))
 
-    red = at.reducer()
-    for G in actions:
-        eq: dict[tuple[int, int], dict[int, object]] = {}
-        for u, grow in G.rows.items():
-            for w, val in grow.items():
-                for v in blocks[wts[w]]:
-                    row = eq.setdefault((u, v), {})
-                    key = unk[(w, v)]
-                    cur = row.get(key)
-                    row[key] = val if cur is None else cur + val
-        Gt = G.transpose()
-        for v, gcol in Gt.rows.items():
-            for w, val in gcol.items():
-                for u in blocks[wts[w]]:
-                    row = eq.setdefault((u, v), {})
-                    key = unk[(u, w)]
-                    cur = row.get(key)
-                    row[key] = -val if cur is None else cur - val
-        for row in eq.values():
-            red.add_row(row)
-    return len(unk) - red.rank
+
+def _hw_multiplicities(g: GeneratorAction, n: int, wt: tuple[Fraction, ...],
+                       block: list[int], at: Specialization) -> list[int]:
+    """The multiplicities, at ``at``, of the simple modules of
+    :func:`commutant_dim_oracle` whose highest weight is the dominant
+    weight ``wt``, its block ``block``: [m] in type B and for a type-D pair
+    lambda != sigma(lambda) (listed at the member with a positive last
+    coordinate, [] at the other), [a, b] for lambda = sigma(lambda)."""
+    if g.t_perm is not None and wt[-1] < 0:
+        return []                       # counted with sigma(lambda)
+    rows = list(_raising_block(g, n, block, at).rows.values())
+    if g.t_perm is None or wt[-1] > 0:
+        return [_nullity(rows, len(block), at)]
+    t = _on_basis(tensor_action(g, ("t", 0), n, at=at, columns=block), block)
+    ident = SparseMat.identity(len(block), at.one)
+    return [_nullity(rows + list(sign.rows.values()), len(block), at)
+            for sign in (t - ident, t + ident)]
 
 
 def _duality_pair(k: int, parity: str) -> tuple[SparseMat, int]:
@@ -1018,24 +1076,53 @@ def _duality_pair(k: int, parity: str) -> tuple[SparseMat, int]:
     return square.scale((ONE + qpow(1)) ** 2 / (s * s)), 1 << k
 
 
+class _Generators(NamedTuple):
+    """The pair operator of :func:`_duality_pair`, its slot dimension, and
+    whether :func:`_pair_in_commutant` has put it into the commutant: only
+    then does :func:`_algebra_rank` run on the dominant weight spaces."""
+
+    mat: SparseMat
+    d: int
+    in_commutant: bool
+
+
 def generated_algebra_dim(k: int, parity: str, n: int,
                           at: Specialization) -> int:
     """Dimension of the unital algebra generated by the C_i (odd parity:
     their squares, see :func:`_duality_pair`) on the n-th tensor power of
     the (2^k)-dimensional module, at an EvalPoint, at CLASSICAL or mod p at
-    a :class:`ModPoint`.  :func:`_guard_duality` refuses oversized powers."""
+    a :class:`ModPoint`.  It runs on the dominant weight spaces once
+    :func:`_pair_in_commutant` holds, and on all of S^{ox n} otherwise
+    (:func:`_algebra_rank`).  :func:`_guard_duality` refuses oversized
+    powers."""
     if at is SYMBOLIC:
         raise DomainError("pass an EvalPoint or CLASSICAL")
     _guard_duality(k, n)
-    return _algebra_rank(_duality_pair(k, parity), n, at)
+    rd = RootData("D" if parity == "even" else "B", k)
+    pair = _duality_pair(k, parity)
+    return _algebra_rank(_Generators(*pair, _pair_in_commutant(pair, rd)),
+                         n, rd, at)
 
 
-def _algebra_rank(pair: tuple[SparseMat, int], n: int,
+def _algebra_rank(gens: _Generators, n: int, rd: RootData,
                   at: Specialization) -> int:
-    """:func:`generated_algebra_dim` for a pair operator built already."""
-    mat, d = pair
-    size = d ** n
-    gens = _embedded_family(mat, d, n, at.of)
+    """:func:`generated_algebra_dim` for generators built already: the rank
+    of the words in the embedded generators, each flattened over its
+    entries.
+
+    Once the generators lie in the commutant, End_U(S^{ox n}), the words
+    run on D, the sum of the dominant weight spaces (:func:`_dominant_blocks`),
+    which every weight-preserving operator keeps.  That restriction is
+    faithful on End_U: an element is fixed by its values on highest-weight
+    vectors, since they generate the semisimple module, and those lie in D.
+    So the rank on D is dim A, and mod p, where ranks only drop,
+    gen_p <= gen.  Otherwise the words run on all of S^{ox n}, and the
+    exact count is dim A in every case."""
+    basis = (sorted(u for block in _dominant_blocks(rd, n).values()
+                    for u in block) if gens.in_commutant
+             else range(gens.d ** n))
+    family = _embedded_family(gens.mat, gens.d, n, at.of, basis)
+    size = len(basis)
 
     def flatten(m: SparseMat) -> dict[int, object]:
         return {u * size + v: val
@@ -1047,7 +1134,7 @@ def _algebra_rank(pair: tuple[SparseMat, int], n: int,
     queue = [ident]
     while queue:
         m = queue.pop()
-        for gmat in gens:
+        for gmat in family:
             prod = at.product(gmat, m)
             if red.add_row(flatten(prod)):
                 queue.append(prod)
@@ -1076,11 +1163,11 @@ def _pair_in_commutant(pair: tuple[SparseMat, int], rd: RootData) -> bool:
     return all(_commutators_vanish(mat, actions))
 
 
-def _duality_counts(pair: tuple[SparseMat, int], n: int, rd: RootData,
+def _duality_counts(gens: _Generators, n: int, rd: RootData,
                     at: Specialization) -> tuple[int, int]:
-    """The generated-algebra and commutant dimensions at ``at``, for a pair
-    operator built already."""
-    return _algebra_rank(pair, n, at), commutant_dim_oracle(rd, n, at)
+    """The generated-algebra and commutant dimensions at ``at``, for
+    generators built already."""
+    return _algebra_rank(gens, n, rd, at), commutant_dim_oracle(rd, n, at)
 
 
 DEFAULT_DUALITY_POINTS = (Fraction(3, 2), Fraction(5, 2), "classical")
@@ -1094,19 +1181,23 @@ def verify_duality(k: int, parity: str, n: int,
     branching diagram.  ``points`` holds rationals q0 and the string
     'classical' for q = 1.
 
-    Both counts come from :func:`_duality_counts`.  Once per call,
-    :func:`_pair_in_commutant` shows over Q(v) that every embedded generator
-    lies in the commutant at every point, so gen <= comm.  Each point then
-    takes both counts mod the prime of :func:`certificate_prime`; ranks only
-    drop there, so gen_p <= gen <= comm <= comm_p, and gen_p = comm_p = the
-    branching count proves all three equal.  Any other outcome -- a failed
-    inclusion, a mismatch, a value with no image mod p -- takes both counts
-    exactly at the point.  The report is the same either way, and a
-    certified point does no exact-field arithmetic.  The quantum group is
-    the set of operators of :func:`_module_actions`, t^{ox n} in type D
-    among them.  The Q(v) pair operator is built once, fallback included.
-    Before any rank, :func:`_guard_duality`, the one guard of both counts,
-    refuses a commutant system of more than MAX_ORACLE_UNKNOWNS unknowns.
+    Both counts come from :func:`_duality_counts`, on the dominant weight
+    blocks.  Once per call, :func:`_pair_in_commutant` shows over Q(v) that
+    every embedded generator lies in the commutant at every point, so
+    gen <= comm, and the generated algebra may run on the dominant weight
+    spaces (:func:`_algebra_rank`).  At every point S^{ox n} is semisimple,
+    so the commutant is the sum of squared highest-weight multiplicities
+    (:func:`commutant_dim_oracle`).  Each point then takes both counts mod
+    the prime of :func:`certificate_prime`: ranks only drop there and
+    kernels only grow, so gen_p <= gen <= comm <= comm_p, and
+    gen_p = comm_p = the branching count proves all three equal.  Any other
+    outcome -- a failed inclusion, a mismatch, a value with no image mod p
+    -- takes both counts exactly at the point, the generated algebra on all
+    of S^{ox n} when the inclusion failed.  The report is the same either
+    way, and a certified point does no exact-field arithmetic.  The Q(v)
+    pair operator is built once, fallback included.  Before any rank,
+    :func:`_guard_duality`, the one guard of both counts, refuses a power
+    past MAX_ORACLE_UNKNOWNS weight-preserving matrix entries.
     """
     _guard_duality(k, n)
     rd = RootData("D" if parity == "even" else "B", k)
@@ -1114,21 +1205,21 @@ def verify_duality(k: int, parity: str, n: int,
     expected = centralizer_dims(bratteli(rd, n))[n - 1]
     rep.params["branching_dimension"] = expected
     pair = _duality_pair(k, parity)
-    included = _pair_in_commutant(pair, rd)
+    gens = _Generators(*pair, _pair_in_commutant(pair, rd))
     for pt in points:
         if pt == "classical":
             at, tag = CLASSICAL, "classical"
         else:
             at, tag = EvalPoint.from_q(Fraction(pt)), f"q0={pt}"
         counts = None
-        if included:
+        if gens.in_commutant:
             try:
                 counts = _duality_counts(
-                    pair, n, rd, ModPoint.reducing(at, certificate_prime(at)))
+                    gens, n, rd, ModPoint.reducing(at, certificate_prime(at)))
             except PoleError:
                 pass            # no certificate at this point
         if counts != (expected, expected):
-            counts = _duality_counts(pair, n, rd, at)
+            counts = _duality_counts(gens, n, rd, at)
         gen_dim, ora_dim = counts
         rep.add(f"generated_vs_commutant[{tag}]", gen_dim == ora_dim,
                 None if gen_dim == ora_dim
@@ -1245,24 +1336,10 @@ def third_power_profile(k: int) -> VerificationReport:
     d = 1 << k
     N = 2 * k
     n = 3
-    size = d ** n
-    wts = _tensor_weights(g, n)
-    eps = rd.epsilon()
-    idx_eps = [u for u in range(size) if wts[u] == eps]
-    pos_of = {u: p for p, u in enumerate(idx_eps)}
-
-    # highest-weight space: common kernel of the raising operators,
-    # restricted to the epsilon block
-    raise_rows: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for i in range(1, g.nsimple + 1):
-        En = tensor_action(g, ("E", i), n)
-        for r, row in En.rows.items():
-            for u, val in row.items():
-                if u in pos_of:
-                    raise_rows.setdefault((i, r), {})[pos_of[u]] = val
-    kermat = SparseMat(max(len(raise_rows), 1), len(idx_eps),
-                       dict(enumerate(raise_rows.values())))
-    hw = kernel_basis(kermat, ONE)
+    # highest-weight space: common kernel of the raising operators on the
+    # epsilon block, the only part of S^{ox 3} built
+    idx_eps = _weight_block(k, n, rd.epsilon())
+    hw = kernel_basis(_raising_block(g, n, idx_eps, SYMBOLIC), ONE)
 
     rep.add("highest_weight_dimension", len(hw) == N + 1,
             None if len(hw) == N + 1 else f"dim {len(hw)} != {N + 1}")
@@ -1271,9 +1348,8 @@ def third_power_profile(k: int) -> VerificationReport:
 
     c = build_c_even(k)
     # action on the highest-weight space, in the kernel basis
-    lifted = [{idx_eps[p]: x for p, x in v.items()} for v in hw]
     C1hw, C2hw = _matrices_in_basis(
-        _embedded_family(c.mat, d, n, SYMBOLIC.of), lifted,
+        _embedded_family(c.mat, d, n, SYMBOLIC.of, idx_eps), hw,
         "highest-weight kernel basis")
     # branching order: v_r is the eigenvector of the alternating value
     # (-1)^r [k - r]; as a set these are exactly [k], [k-1], ..., [-k]

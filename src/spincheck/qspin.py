@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 from .errors import DomainError
 from .linalg import SparseMat
@@ -153,11 +154,13 @@ def _digits(u: int, d: int, n: int) -> list[int]:
 
 
 def tensor_action(g: GeneratorAction, gid: tuple[str, int], n: int, *,
-                  at: Specialization = SYMBOLIC) -> SparseMat:
+                  at: Specialization = SYMBOLIC,
+                  columns: Iterable[int] | None = None) -> SparseMat:
     """Matrix of a generator on the n-fold tensor power, specialized by ``at``.
 
     ``gid`` is a (kind, index) pair: ("E", i), ("F", i), ("K", i),
-    ("Khalf", i) or the flip ("t", 0).
+    ("Khalf", i) or the flip ("t", 0).  ``columns`` (default: all) are the
+    basis indices whose images are built; every other column is left zero.
 
     Quantum coproduct: K^{1/2} twists to the left of the acting slot,
     K^{-1/2} to the right.  Each power of q is mapped through ``at.of``, so
@@ -171,12 +174,13 @@ def tensor_action(g: GeneratorAction, gid: tuple[str, int], n: int, *,
 
     # slot-major index arithmetic: slot 1 is the most significant digit
     stride = [d ** (n - t - 1) for t in range(n)]
+    cols = range(size) if columns is None else columns
 
     if kind == "t":
         if g.t_perm is None:
             raise DomainError("this model has no flip operator")
         out = SparseMat(size, size)
-        for u in range(size):
+        for u in cols:
             digs = _digits(u, d, n)
             r = sum(g.t_perm[b] * s for b, s in zip(digs, stride))
             out.set_entry(r, u, at.one)
@@ -188,7 +192,7 @@ def tensor_action(g: GeneratorAction, gid: tuple[str, int], n: int, *,
         exps = g.k_exp[i]
         half = Fraction(1, 2) if kind == "Khalf" else Fraction(1)
         out = SparseMat(size, size)
-        for u in range(size):
+        for u in cols:
             e = sum(exps[b] for b in _digits(u, d, n)) * half
             out.set_entry(u, u, at.of(qpow(e)))
         return out
@@ -200,7 +204,7 @@ def tensor_action(g: GeneratorAction, gid: tuple[str, int], n: int, *,
         raise DomainError(f"no simple root with index {i}")
     exps = g.k_exp[i]
     out = SparseMat(size, size)
-    for u in range(size):
+    for u in cols:
         digs = _digits(u, d, n)
         for t in range(n):
             r_digit = amap.get(digs[t])

@@ -15,9 +15,10 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from spincheck.invariant import (MAX_SYMBOLIC_DIM, build_c, build_c_even,
                                  spectrum_check, third_power_profile,
                                  verify_coideal, verify_commutation,
                                  verify_duality)
-from spincheck.linalg import RowReducer, SparseMat
+from spincheck.linalg import ModRowReducer, RowReducer, SparseMat
 from spincheck.qspin import spin_rep, tensor_action
 from spincheck.report import VerificationReport
 from spincheck.scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint,
@@ -921,6 +922,158 @@ def test_modular_counts_match_exact(k, parity, n, q0):
     assert commutant_dim_oracle(rd, n, mod) == commutant_dim_oracle(rd, n, at)
 
 
+def _reference_commutant_dim(rd: RootData, n: int, at) -> int:
+    """The commutant on all of S^{ox n}: one unknown per entry of a
+    weight-preserving matrix, C(2n, n)^k in all, and one equation per entry
+    of its commutator with each operator of ``_module_actions``.  The
+    reference for the count from highest-weight multiplicities."""
+    wts, actions = invariant._module_actions(rd, n, at)
+    blocks: dict[tuple, list[int]] = {}
+    for u, w in enumerate(wts):
+        blocks.setdefault(w, []).append(u)
+    unk = {(u, v): j for j, (u, v) in enumerate(
+        (u, v) for idxs in blocks.values() for u in idxs for v in idxs)}
+    red = at.reducer()
+    for G in actions:
+        eq: dict[tuple[int, int], dict[int, object]] = {}
+        for u, grow in G.rows.items():
+            for w, val in grow.items():
+                for v in blocks[wts[w]]:
+                    row = eq.setdefault((u, v), {})
+                    key = unk[(w, v)]
+                    cur = row.get(key)
+                    row[key] = val if cur is None else cur + val
+        for v, gcol in G.transpose().rows.items():
+            for w, val in gcol.items():
+                for u in blocks[wts[w]]:
+                    row = eq.setdefault((u, v), {})
+                    key = unk[(u, w)]
+                    cur = row.get(key)
+                    row[key] = -val if cur is None else cur - val
+        for row in eq.values():
+            red.add_row(row)
+    return len(unk) - red.rank
+
+
+def _reference_algebra_dim(pair: tuple[SparseMat, int], n: int, at) -> int:
+    """The unital algebra generated by the embedded pair operator on all of
+    S^{ox n}, its words flattened over (d^n)^2 columns.  The reference for
+    the count on the dominant weight spaces."""
+    mat, d = pair
+    size = d ** n
+    gens = invariant._embedded_family(mat, d, n, at.of)
+
+    def flatten(m: SparseMat) -> dict[int, object]:
+        return {u * size + v: val
+                for u, row in m.rows.items() for v, val in row.items()}
+
+    red = at.reducer()
+    ident = SparseMat.identity(size, at.one)
+    red.add_row(flatten(ident))
+    queue = [ident]
+    while queue:
+        m = queue.pop()
+        for g in gens:
+            word = at.product(g, m)
+            if red.add_row(flatten(word)):
+                queue.append(word)
+    return red.rank
+
+
+@pytest.mark.parametrize("q0", [Fraction(3, 2), 1])
+@pytest.mark.parametrize("k,parity,n", DUALITY_CASES)
+def test_block_counts_match_full_space_reference(k, parity, n, q0):
+    at = CLASSICAL if q0 == 1 else EvalPoint.from_q(q0)
+    rd = _rd(k, parity)
+    pair = invariant._duality_pair(k, parity)
+    points = [ModPoint.reducing(at, certificate_prime(at))]
+    # the exact full-space reference at odd k=2 n=3, q0 = 3/2 takes ~5 s
+    if (k, parity, n, q0) != (2, "odd", 3, Fraction(3, 2)):
+        points.append(at)
+    for pt in points:
+        assert (generated_algebra_dim(k, parity, n, pt)
+                == _reference_algebra_dim(pair, n, pt))
+        assert (commutant_dim_oracle(rd, n, pt)
+                == _reference_commutant_dim(rd, n, pt))
+
+
+def _spy_word_sizes(monkeypatch) -> list:
+    """The dimensions of the matrices multiplied and the widths of the rows
+    reduced (as the matching square size) in every mod-p word closure."""
+    sizes = []
+    product, add_row = ModPoint.product, ModRowReducer.add_row
+
+    def spy_product(self, a, b):
+        sizes.extend((a.nrows, a.ncols, b.nrows, b.ncols))
+        return product(self, a, b)
+
+    def spy_add_row(self, row):
+        sizes.append(isqrt(max(row, default=0)) + 1)
+        return add_row(self, row)
+
+    monkeypatch.setattr(ModPoint, "product", spy_product)
+    monkeypatch.setattr(ModRowReducer, "add_row", spy_add_row)
+    return sizes
+
+
+@pytest.mark.parametrize("family,k,n", [("D", 1, 4), ("D", 2, 3), ("B", 2, 3),
+                                        ("D", 3, 2), ("B", 1, 5)])
+def test_weight_blocks_match_tensor_weights(family, k, n):
+    rd = RootData(family, k)
+    wts = invariant._tensor_weights(spin_rep(rd), n)
+    for wt in set(wts):
+        assert (invariant._weight_block(k, n, wt)
+                == [u for u, w in enumerate(wts) if w == wt])
+    simple = rd.simple_roots()
+    assert invariant._dominant_blocks(rd, n) == {
+        wt: invariant._weight_block(k, n, wt) for wt in set(wts)
+        if all(sum(x * y for x, y in zip(wt, a)) >= 0 for a in simple)}
+
+
+def _modular_classical() -> ModPoint:
+    return ModPoint.reducing(CLASSICAL, certificate_prime(CLASSICAL))
+
+
+def test_generated_count_runs_on_dominant_weight_spaces(monkeypatch):
+    # odd k=2 n=3: D, the dominant weight spaces, has 1 + 3 + 9 = 13 of the
+    # 64 dimensions, and no word of the count is larger
+    sizes = _spy_word_sizes(monkeypatch)
+    assert generated_algebra_dim(2, "odd", 3, _modular_classical()) == 14
+    assert max(sizes) == 13
+    blocks = invariant._dominant_blocks(RootData("B", 2), 3)
+    assert sorted(map(len, blocks.values())) == [1, 3, 9]
+
+
+def test_generated_count_without_inclusion_runs_on_full_space(monkeypatch):
+    monkeypatch.setattr(invariant, "_pair_in_commutant",
+                        lambda pair, rd: False)
+    sizes = _spy_word_sizes(monkeypatch)
+    assert generated_algebra_dim(1, "odd", 3, _modular_classical()) == 5
+    assert max(sizes) == 8
+
+
+@pytest.mark.parametrize("k,n,with_flip,without_flip", [(1, 2, 3, 6),
+                                                        (2, 2, 5, 10)])
+def test_commutant_counts_flip_orbits(monkeypatch, k, n, with_flip,
+                                      without_flip):
+    # a dominant weight with sigma(lambda) = lambda counts a^2 + b^2, the
+    # +-1 eigenspaces of t on its highest-weight space; a pair
+    # lambda != sigma(lambda) counts m^2 once
+    rd = RootData("D", k)
+    g = spin_rep(rd)
+    fixed = {wt: invariant._hw_multiplicities(g, n, wt, block, CLASSICAL)
+             for wt, block in invariant._dominant_blocks(rd, n).items()
+             if wt[-1] == 0}
+    assert fixed and all(ab == [1, 1] for ab in fixed.values())
+    assert commutant_dim_oracle(rd, n, CLASSICAL) == with_flip
+    assert _reference_commutant_dim(rd, n, CLASSICAL) == with_flip
+    # without the flip in the module structure, every block counts m^2
+    real = invariant.spin_rep
+    monkeypatch.setattr(invariant, "spin_rep", lambda rd, odd_doubled=False:
+                        replace(real(rd, odd_doubled), t_perm=None))
+    assert commutant_dim_oracle(rd, n, CLASSICAL) == without_flip
+
+
 def _spy_exact_counts(monkeypatch) -> list:
     """The points at which the duality counts are taken exactly: the calls
     of ``_duality_counts`` at an EvalPoint (CLASSICAL included), not mod p."""
@@ -1123,7 +1276,8 @@ def test_oracle_unknowns_from_weight_multiplicities(k, parity, n):
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_duality_refuses_past_unknown_bound(monkeypatch, parity):
-    # the oracle would solve for 4900 unknowns; 1296 (k=4, n=2) is admitted
+    # C(8, 4)^2 = 4900 weight-preserving matrix entries; 1296 (k=4, n=2) is
+    # admitted
     assert invariant._oracle_unknowns(4, 2) == 1296
     assert 1296 <= invariant.MAX_ORACLE_UNKNOWNS < 4900
 
@@ -1140,7 +1294,7 @@ def _no_build(*args, **kwargs):
 
 
 def test_oracle_refuses_past_unknown_bound(monkeypatch):
-    # dimension 4^4 = 256, but C(8, 4)^2 = 4900 unknowns
+    # dimension 4^4 = 256, but C(8, 4)^2 = 4900 weight-preserving entries
     monkeypatch.setattr(invariant, "tensor_action", _no_build)
     with pytest.raises(SizeGuardError, match="4900.*--n 3"):
         commutant_dim_oracle(RootData("D", 2), 4, CLASSICAL)
