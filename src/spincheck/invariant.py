@@ -214,33 +214,37 @@ def _embedded_family(mat: SparseMat, d: int, n: int, of: Callable,
     return family
 
 
-def _on_basis(mat: SparseMat, basis: list[int]) -> SparseMat | None:
-    """``mat`` on span(basis), rows and columns indexed by position in
-    ``basis``; None when it maps a basis vector out of that span."""
+def _on_basis(mat: SparseMat, basis: list[int],
+              image: list[int] | None = None) -> SparseMat | None:
+    """``mat`` from span(basis) to span(image) (default: ``basis``), rows
+    indexed by position in ``image`` and columns by position in ``basis``;
+    None when it maps a basis vector out of span(image)."""
     pos = {u: p for p, u in enumerate(basis)}
-    out = SparseMat(len(basis), len(basis))
+    to = pos if image is None else {u: p for p, u in enumerate(image)}
+    out = SparseMat(len(to), len(basis))
     for r, row in mat.rows.items():
         for u, x in row.items():
             if u in pos:
-                if r not in pos:
+                if r not in to:
                     return None
-                out.set_entry(pos[r], pos[u], x)
+                out.set_entry(to[r], pos[u], x)
     return out
 
 
-def _cleared_square_block(c: InvariantElement) -> tuple[SparseMat, Scalar]:
-    """For odd parity: (sC)^2 restricted to the even-parity block of each
-    slot, and s = (q + 1) v^E from :func:`_clearing`.  sC has Laurent
-    polynomial entries, and so does the restricted square."""
+def _block_square(c: InvariantElement) -> SparseMat:
+    """For odd parity: (q + 1)^2 C^2 on V_00, the even-parity block of both
+    slots, as B A.  C swaps slot parities: A, (q + 1) C from V_00 to V_11,
+    and B, back, have Laurent entries.  DomainError when C leaves the swap."""
     if c.parity != "odd":
         raise DomainError("block restriction applies to the odd operator")
     lift = [block_lift(x, c.k) for x in range(1 << c.k)]
-    cleared = _clearing(c.mat, [], ONE + qpow(1))
-    out = _on_basis(cleared.mat * cleared.mat,
-                    [a * c.dim + b for a in lift for b in lift])
-    if out is None:
-        raise DomainError("squared operator leaks out of the block")
-    return out, cleared.scale
+    even = [a * c.dim + b for a in lift for b in lift]
+    odd = [u ^ (c.dim + 1) for u in even]   # flip the invisible bit of both
+    mat = c.mat.scale(ONE + qpow(1))
+    there, back = _on_basis(mat, even, odd), _on_basis(mat, odd, even)
+    if there is None or back is None:
+        raise DomainError("operator leaves the block swap")
+    return back * there
 
 
 # ---------------------------------------------------------------------------
@@ -609,34 +613,21 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
             # (-1)^{k+1} for every plain label (r < k) and (-1)^k for every
             # associate (r > k).  This pins the alternating correspondence
             # r = i (i even) / 2k - i (i odd) of eigen_label_heights.
-            tflip = tensor_action(spin_rep(c.rd), ("t", 0), 2, at=at)
+            flip = tensor_action(spin_rep(c.rd), ("t", 0), 2, at=at)
             plain_sign = 1 if k % 2 else -1
             for i, r in enumerate(c.eigen_label_heights()):
                 if r == k:
                     continue    # self-associate: t maps between two labels
                 h = min(r, 2 * k - r)
                 lam = tuple([_F1] * h + [_F0] * (k - h))
-                vec = None
-                for a in range(d):
-                    for b in range(d):
-                        if tuple(x + y for x, y in zip(wts[a], wts[b])) != lam:
-                            continue
-                        col = {}
-                        for rr, row in others[i].rows.items():
-                            if a * d + b in row:
-                                col[rr] = row[a * d + b]
-                        if col:
-                            vec = col
-                            break
-                    if vec:
-                        break
+                # the first nonzero column of O_i on the weight-lam slice
+                cols = ({rr: row[u] for rr, row in others[i].rows.items()
+                         if u in row} for u in _weight_block(k, 2, lam))
+                vec = next(filter(None, cols), None)
                 if vec is None:
                     return f"projection {i} kills the weight-{lam} slice"
                 want = plain_sign if r < k else -plain_sign
-                img = tflip.apply_to(vec)
-                scaled = {key: val if want == 1 else -val
-                          for key, val in vec.items()}
-                if img != scaled:
+                if flip.apply_to(vec) != {u: want * x for u, x in vec.items()}:
                     return f"projection {i} (height {r}): flip sign != {want}"
             return True
 
@@ -699,21 +690,17 @@ def _restriction_matches(big: InvariantElement, small: InvariantElement) -> bool
 # ---------------------------------------------------------------------------
 # size guards on the tensor power
 
-def _guard_power(suite: str, n: int, cost, bound: int, unit: str,
-                 alternative: str = "") -> None:
+def _guard_power(suite: str, n: int, cost, bound: int, unit: str) -> None:
     """Refuse the n-th tensor power when ``cost(n)``, counted in ``unit``,
-    passes ``bound``: SizeGuardError names the cost, the bound, the largest
-    power m < n within it (as ``--n m``) and then ``alternative``."""
+    passes ``bound``: SizeGuardError names the cost, the bound and the
+    largest power m < n within it (as ``--n m``)."""
     need = cost(n)
     if need <= bound:
         return
     fits = [m for m in range(2, n) if cost(m) <= bound]
-    hints = [f"try --n {fits[-1]}"] if fits else []
-    if alternative:
-        hints.append(alternative)
     raise SizeGuardError(
         f"{suite} at n = {n} needs {need} {unit}, past the bound {bound}"
-        + ("; " + " or ".join(hints) if hints else ""))
+        + (f"; try --n {fits[-1]}" if fits else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -966,6 +953,16 @@ def _dominant_blocks(rd: RootData, n: int
             if all(inner(wt, a) >= 0 for a in simple)}
 
 
+def _orbit_blocks(g: GeneratorAction, n: int
+                  ) -> dict[tuple[Fraction, ...], list[int]]:
+    """The :func:`_dominant_blocks` of ``g``, one per sigma-orbit.  Where the
+    flip t is in the module structure (type D), t^{ox n} maps the lambda
+    block onto the sigma(lambda) block, sigma negating the last coordinate:
+    one block of each pair (last coordinate > 0), a fixed block whole."""
+    return {wt: block for wt, block in _dominant_blocks(g.rd, n).items()
+            if g.t_perm is None or wt[-1] >= 0}
+
+
 def _raising_block(g: GeneratorAction, n: int, block: list[int],
                    at: Specialization) -> SparseMat:
     """Delta^n(E_i), i = 1..rank, at ``at``, stacked and restricted to the
@@ -1011,7 +1008,8 @@ def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
     S^{ox n} (:func:`_module_actions`: the weights, every Delta^n(E_i) and
     Delta^n(F_i) and, in type D, t^{ox n}) at an exact evaluation point, at
     CLASSICAL (q = 1) or mod p at a :class:`ModPoint`, from highest-weight
-    multiplicities on the dominant blocks.
+    multiplicities on one dominant block per sigma-orbit
+    (:func:`_orbit_blocks`).
 
     At q0 > 0, q0 != 1, q0 is not a root of unity, and at q = 1 Weyl's
     theorem applies: S^{ox n} is semisimple at every point
@@ -1025,10 +1023,10 @@ def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
     - Type D: t^{ox n} maps the lambda block onto the sigma(lambda) block,
       sigma flipping the sign of the last coordinate, and conjugates E_i to
       E_{sigma(i)}.  For lambda != sigma(lambda), V_lambda + V_sigma(lambda)
-      is one simple module, counted once, m_lambda^2.  For
-      lambda = sigma(lambda), t splits HW_lambda into its +1 and -1
-      eigenspaces, of dimensions a and b (the kernels of [E_i; T -+ 1] on
-      the block), two simple modules: a^2 + b^2.
+      is one simple module, counted once at its representative,
+      m_lambda^2.  For lambda = sigma(lambda), t splits HW_lambda into its
+      +1 and -1 eigenspaces, of dimensions a and b (the kernels of
+      [E_i; T -+ 1] on the block), two simple modules: a^2 + b^2.
 
     Mod p every entry is a power of v (or 1), and each kernel only grows
     under the reduction, so m_lambda, a and b, and the count, are at least
@@ -1039,21 +1037,19 @@ def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
         raise DomainError("the oracle needs an EvalPoint or CLASSICAL")
     _guard_duality(rd.rank, n)
     g = spin_rep(rd, odd_doubled=False)
-    return sum(m * m for wt, block in _dominant_blocks(rd, n).items()
+    return sum(m * m for wt, block in _orbit_blocks(g, n).items()
                for m in _hw_multiplicities(g, n, wt, block, at))
 
 
 def _hw_multiplicities(g: GeneratorAction, n: int, wt: tuple[Fraction, ...],
                        block: list[int], at: Specialization) -> list[int]:
     """The multiplicities, at ``at``, of the simple modules of
-    :func:`commutant_dim_oracle` whose highest weight is the dominant
-    weight ``wt``, its block ``block``: [m] in type B and for a type-D pair
-    lambda != sigma(lambda) (listed at the member with a positive last
-    coordinate, [] at the other), [a, b] for lambda = sigma(lambda)."""
-    if g.t_perm is not None and wt[-1] < 0:
-        return []                       # counted with sigma(lambda)
+    :func:`commutant_dim_oracle` whose highest weight lies in the
+    sigma-orbit of ``wt``, a representative of :func:`_orbit_blocks` with
+    block ``block``: [m] in type B and for a type-D pair
+    lambda != sigma(lambda), [a, b] for lambda = sigma(lambda)."""
     rows = list(_raising_block(g, n, block, at).rows.values())
-    if g.t_perm is None or wt[-1] > 0:
+    if g.t_perm is None or wt[-1] != 0:
         return [_nullity(rows, len(block), at)]
     t = _on_basis(tensor_action(g, ("t", 0), n, at=at, columns=block), block)
     ident = SparseMat.identity(len(block), at.one)
@@ -1064,26 +1060,33 @@ def _hw_multiplicities(g: GeneratorAction, n: int, wt: tuple[Fraction, ...],
 def _duality_pair(k: int, parity: str) -> tuple[SparseMat, int]:
     """The pair operator whose embeddings generate the algebra counted by
     :func:`generated_algebra_dim`, and its slot dimension: C for even
-    parity; for odd, C^2 restricted to the parity block (C swaps blocks)
-    times (q + 1)^2, which clears its denominators.  The factor is nonzero
-    at every q0 > 0 and at q = 1, so the generated unital algebra stays the
-    same there; mod p a zero image of it can only drop the modular rank."""
+    parity; for odd, (q + 1)^2 C^2 on the even-parity block of both slots
+    (:func:`_block_square`).  The factor is nonzero at every q0 > 0 and at
+    q = 1, so the generated unital algebra stays the same there; mod p a
+    zero image of it can only drop the modular rank."""
     c = build_c(k, parity)
-    if parity == "even":
-        return c.mat, c.dim
-    # (q + 1)^2 C^2 is the restricted (sC)^2 over the monomial v^{2E}
-    square, s = _cleared_square_block(c)
-    return square.scale((ONE + qpow(1)) ** 2 / (s * s)), 1 << k
+    return (c.mat, c.dim) if parity == "even" else (_block_square(c), 1 << k)
 
 
 class _Generators(NamedTuple):
     """The pair operator of :func:`_duality_pair`, its slot dimension, and
-    whether :func:`_pair_in_commutant` has put it into the commutant: only
-    then does :func:`_algebra_rank` run on the dominant weight spaces."""
+    the basis :func:`_algebra_rank` runs on: the :func:`_orbit_blocks` once
+    :func:`_pair_in_commutant` holds, None (all of S^{ox n}) otherwise."""
 
     mat: SparseMat
     d: int
-    in_commutant: bool
+    basis: list[int] | None
+
+
+def _generators(rd: RootData, parity: str, n: int) -> _Generators:
+    """The one setup of :func:`generated_algebra_dim` and
+    :func:`verify_duality`: the generators and their basis, once a request."""
+    pair = _duality_pair(rd.rank, parity)
+    basis = None
+    if _pair_in_commutant(pair, rd):
+        blocks = _orbit_blocks(spin_rep(rd, odd_doubled=False), n).values()
+        basis = sorted(u for block in blocks for u in block)
+    return _Generators(*pair, basis)
 
 
 def generated_algebra_dim(k: int, parity: str, n: int,
@@ -1091,38 +1094,34 @@ def generated_algebra_dim(k: int, parity: str, n: int,
     """Dimension of the unital algebra generated by the C_i (odd parity:
     their squares, see :func:`_duality_pair`) on the n-th tensor power of
     the (2^k)-dimensional module, at an EvalPoint, at CLASSICAL or mod p at
-    a :class:`ModPoint`.  It runs on the dominant weight spaces once
-    :func:`_pair_in_commutant` holds, and on all of S^{ox n} otherwise
+    a :class:`ModPoint`.  It runs on one dominant block per sigma-orbit
+    once :func:`_pair_in_commutant` holds, and on all of S^{ox n} otherwise
     (:func:`_algebra_rank`).  :func:`_guard_duality` refuses oversized
     powers."""
     if at is SYMBOLIC:
         raise DomainError("pass an EvalPoint or CLASSICAL")
     _guard_duality(k, n)
     rd = RootData("D" if parity == "even" else "B", k)
-    pair = _duality_pair(k, parity)
-    return _algebra_rank(_Generators(*pair, _pair_in_commutant(pair, rd)),
-                         n, rd, at)
+    return _algebra_rank(_generators(rd, parity, n), n, at)
 
 
-def _algebra_rank(gens: _Generators, n: int, rd: RootData,
-                  at: Specialization) -> int:
+def _algebra_rank(gens: _Generators, n: int, at: Specialization) -> int:
     """:func:`generated_algebra_dim` for generators built already: the rank
-    of the words in the embedded generators, each flattened over its
-    entries.
+    of the words in the embedded generators on ``gens.basis``, each
+    flattened over its entries.
 
     Once the generators lie in the commutant, End_U(S^{ox n}), the words
-    run on D, the sum of the dominant weight spaces (:func:`_dominant_blocks`),
-    which every weight-preserving operator keeps.  That restriction is
-    faithful on End_U: an element is fixed by its values on highest-weight
-    vectors, since they generate the semisimple module, and those lie in D.
-    So the rank on D is dim A, and mod p, where ranks only drop,
-    gen_p <= gen.  Otherwise the words run on all of S^{ox n}, and the
-    exact count is dim A in every case."""
-    basis = (sorted(u for block in _dominant_blocks(rd, n).values()
-                    for u in block) if gens.in_commutant
-             else range(gens.d ** n))
-    family = _embedded_family(gens.mat, gens.d, n, at.of, basis)
-    size = len(basis)
+    run on the blocks of :func:`_orbit_blocks`, which every
+    weight-preserving operator keeps.  That is faithful on the generated
+    algebra A: an element of End_U is fixed by its values on highest-weight
+    vectors, which generate the semisimple module.  In type D the inclusion
+    test puts t ox t among the operators, so t^{ox n}, which maps HW_lambda
+    onto HW_sigma(lambda), commutes with A, and the representatives'
+    highest-weight vectors suffice.  So the rank is dim A, and mod p, where
+    ranks only drop, gen_p <= gen.  Otherwise the words run on all of
+    S^{ox n}, and the exact count is dim A in every case."""
+    family = _embedded_family(gens.mat, gens.d, n, at.of, gens.basis)
+    size = gens.d ** n if gens.basis is None else len(gens.basis)
 
     def flatten(m: SparseMat) -> dict[int, object]:
         return {u * size + v: val
@@ -1167,7 +1166,7 @@ def _duality_counts(gens: _Generators, n: int, rd: RootData,
                     at: Specialization) -> tuple[int, int]:
     """The generated-algebra and commutant dimensions at ``at``, for
     generators built already."""
-    return _algebra_rank(gens, n, rd, at), commutant_dim_oracle(rd, n, at)
+    return _algebra_rank(gens, n, at), commutant_dim_oracle(rd, n, at)
 
 
 DEFAULT_DUALITY_POINTS = (Fraction(3, 2), Fraction(5, 2), "classical")
@@ -1181,12 +1180,13 @@ def verify_duality(k: int, parity: str, n: int,
     branching diagram.  ``points`` holds rationals q0 and the string
     'classical' for q = 1.
 
-    Both counts come from :func:`_duality_counts`, on the dominant weight
-    blocks.  Once per call, :func:`_pair_in_commutant` shows over Q(v) that
+    Both counts come from :func:`_duality_counts`, on one dominant block
+    per sigma-orbit (:func:`_orbit_blocks`).  Once per call, in
+    :func:`_generators`, :func:`_pair_in_commutant` shows over Q(v) that
     every embedded generator lies in the commutant at every point, so
-    gen <= comm, and the generated algebra may run on the dominant weight
-    spaces (:func:`_algebra_rank`).  At every point S^{ox n} is semisimple,
-    so the commutant is the sum of squared highest-weight multiplicities
+    gen <= comm, and the words may run on those blocks
+    (:func:`_algebra_rank`).  At every point S^{ox n} is semisimple, so the
+    commutant is the sum of squared highest-weight multiplicities
     (:func:`commutant_dim_oracle`).  Each point then takes both counts mod
     the prime of :func:`certificate_prime`: ranks only drop there and
     kernels only grow, so gen_p <= gen <= comm <= comm_p, and
@@ -1194,25 +1194,23 @@ def verify_duality(k: int, parity: str, n: int,
     outcome -- a failed inclusion, a mismatch, a value with no image mod p
     -- takes both counts exactly at the point, the generated algebra on all
     of S^{ox n} when the inclusion failed.  The report is the same either
-    way, and a certified point does no exact-field arithmetic.  The Q(v)
-    pair operator is built once, fallback included.  Before any rank,
-    :func:`_guard_duality`, the one guard of both counts, refuses a power
-    past MAX_ORACLE_UNKNOWNS weight-preserving matrix entries.
+    way, and a certified point does no exact-field arithmetic.  Before any
+    rank, :func:`_guard_duality`, the one guard of both counts, refuses a
+    power past MAX_ORACLE_UNKNOWNS weight-preserving matrix entries.
     """
     _guard_duality(k, n)
     rd = RootData("D" if parity == "even" else "B", k)
     rep = VerificationReport("duality", {"parity": parity, "k": k, "n": n})
     expected = centralizer_dims(bratteli(rd, n))[n - 1]
     rep.params["branching_dimension"] = expected
-    pair = _duality_pair(k, parity)
-    gens = _Generators(*pair, _pair_in_commutant(pair, rd))
+    gens = _generators(rd, parity, n)
     for pt in points:
         if pt == "classical":
             at, tag = CLASSICAL, "classical"
         else:
             at, tag = EvalPoint.from_q(Fraction(pt)), f"q0={pt}"
         counts = None
-        if gens.in_commutant:
+        if gens.basis is not None:
             try:
                 counts = _duality_counts(
                     gens, n, rd, ModPoint.reducing(at, certificate_prime(at)))
@@ -1387,13 +1385,16 @@ def third_power_profile(k: int) -> VerificationReport:
                or "nonzero diagonal entry")
 
     models = _model_products(k)
+    # X_{i,i+1} X_{i+1,i} for i < N, None where a factor vanishes
+    products = [None if a is None or b is None else a * b
+                for a, b in ((X.entry(i, i + 1), X.entry(i + 1, i))
+                             for i in range(N))]
 
     def check_products():
-        for i, model in enumerate(models):
-            a, b = X.entry(i, i + 1), X.entry(i + 1, i)
-            if a is None or b is None:
+        for i, (ab, model) in enumerate(zip(products, models)):
+            if ab is None:
                 return f"off-diagonal ({i},{i + 1}) vanishes"
-            if a * b != model:
+            if ab != model:
                 return f"product at {i} mismatches"
         return True
 
@@ -1442,12 +1443,10 @@ def third_power_profile(k: int) -> VerificationReport:
         topsq = qint(k) * qint(k)
         # the alternating sums sum_{t<=i} (-1)^{i-t} d_t
         alts = list(accumulate(dwt, lambda alt, w: w - alt))
-        for i in range(N):
-            a, b = X.entry(i, i + 1), X.entry(i + 1, i)
-            if a is None or b is None:
+        for i, ab in enumerate(products):
+            if ab is None:
                 return f"off-diagonal ({i},{i + 1}) vanishes"
-            lhs = a * b * dwt[i] * dwt[i + 1]
-            if lhs != topsq * alts[i] * alts[i]:
+            if ab * dwt[i] * dwt[i + 1] != topsq * alts[i] * alts[i]:
                 return f"reconstruction fails at {i}"
         return True
 

@@ -36,7 +36,7 @@ from spincheck.invariant import (MAX_SYMBOLIC_DIM, build_c, build_c_even,
                                  verify_coideal, verify_commutation,
                                  verify_duality)
 from spincheck.linalg import ModRowReducer, RowReducer, SparseMat
-from spincheck.qspin import spin_rep, tensor_action
+from spincheck.qspin import block_lift, spin_rep, tensor_action
 from spincheck.report import VerificationReport
 from spincheck.scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint,
                               ModPoint, Scalar, certificate_prime, curly,
@@ -462,6 +462,23 @@ def test_spectrum_rank_by_trace_names_the_wrong_rank():
         False, "projection 0: rank 3, expected 2")
 
 
+@pytest.mark.parametrize("k,want", [(1, 1), (2, -1), (3, 1)])
+def test_spectrum_fingerprint_names_a_negated_flip(monkeypatch, k, want):
+    # with t ox t negated, the flip sign of the first plain label, height
+    # 0, is wrong; every other check passes
+    real = invariant.tensor_action
+
+    def negated_flip(g, gid, n, **kwargs):
+        mat = real(g, gid, n, **kwargs)
+        return mat.scale(-1) if gid == ("t", 0) else mat
+
+    monkeypatch.setattr(invariant, "tensor_action", negated_flip)
+    rep = spectrum_check(build_c_even(k))
+    assert [(ch.name, ch.witness) for ch in rep.checks if not ch.passed] == [
+        ("projection_label_fingerprint",
+         f"projection 0 (height 0): flip sign != {want}")]
+
+
 @pytest.mark.parametrize("bound", [0, 1, 6, 2 ** 80 + 3])
 def test_zero_test_point_lies_past_the_bound(bound):
     # for each step g, w = v^g lies past the bound, and q = v^4 = w^(4 / g)
@@ -575,8 +592,8 @@ def test_spectrum_same_under_optimize():
 def test_squared_block_spectrum_rank_one():
     # restricted to a parity block, C^2 has exactly the eigenvalues [1/2]^2
     # and [3/2]^2, each genuinely present
-    square, s = invariant._cleared_square_block(build_c_odd(1))
-    m = square.scale(ONE / (s * s))
+    square = invariant._block_square(build_c_odd(1))
+    m = square.scale(ONE / (ONE + qpow(1)) ** 2)
     lam = [qint(HALF) ** 2, qint(Fraction(3, 2)) ** 2]
     ident = SparseMat.identity(m.nrows, ONE)
     factors = [m - ident.scale(x) for x in lam]
@@ -587,7 +604,30 @@ def test_squared_block_spectrum_rank_one():
 
 def test_squared_block_rejects_even():
     with pytest.raises(DomainError):
-        invariant._cleared_square_block(build_c_even(1))
+        invariant._block_square(build_c_even(1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_odd_duality_pair_matches_cleared_square(k):
+    # the reference squares the cleared C on all of S ox S, restricts the
+    # square to the even-parity block of both slots and rescales it by
+    # (q + 1)^2 / s^2 over Q(v)
+    c = build_c_odd(k)
+    cleared = invariant._clearing(c.mat, [], ONE + qpow(1))
+    lift = [block_lift(x, k) for x in range(1 << k)]
+    square = invariant._on_basis(cleared.mat * cleared.mat,
+                                 [a * c.dim + b for a in lift for b in lift])
+    want = square.scale((ONE + qpow(1)) ** 2
+                        / (cleared.scale * cleared.scale))
+    assert invariant._duality_pair(k, "odd") == (want, 1 << k)
+
+
+def test_block_square_rejects_c_off_the_block_swap():
+    # an entry from V_00 back into V_00: C no longer swaps the slot parities
+    c = build_c_odd(1)
+    c.mat.set_entry(0, 0, ONE)
+    with pytest.raises(DomainError, match="block swap"):
+        invariant._block_square(c)
 
 
 # ---------------------------------------------------------------------------
@@ -1042,6 +1082,22 @@ def test_generated_count_runs_on_dominant_weight_spaces(monkeypatch):
     assert max(sizes) == 13
     blocks = invariant._dominant_blocks(RootData("B", 2), 3)
     assert sorted(map(len, blocks.values())) == [1, 3, 9]
+
+
+def test_generated_count_runs_on_flip_orbit_representatives(monkeypatch):
+    # even k=2 n=3: one block of each sigma pair and the sigma-fixed block
+    # whole hold 13 of the 26 dimensions of D, and no word is larger
+    at = _modular_classical()
+    want = _reference_algebra_dim(invariant._duality_pair(2, "even"), 3, at)
+    sizes = _spy_word_sizes(monkeypatch)
+    assert generated_algebra_dim(2, "even", 3, at) == want
+    assert max(sizes) == 13
+    g = spin_rep(RootData("D", 2))
+    blocks = invariant._dominant_blocks(g.rd, 3)
+    reps = invariant._orbit_blocks(g, 3)
+    assert sum(map(len, blocks.values())) == 26
+    assert sum(map(len, reps.values())) == 13
+    assert all(wt[-1] >= 0 for wt in reps)
 
 
 def test_generated_count_without_inclusion_runs_on_full_space(monkeypatch):
