@@ -25,7 +25,6 @@ sorted, fixed check order) so the JSON is suitable for golden-file diffing.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import dataclass, field
@@ -256,6 +255,10 @@ _HANDLERS: dict[str, Callable[[Command, TextIO], tuple[Any, bool]]] = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse and its gettext hold about 0.3 MB once imported; only the
+    # command line needs them, not a program that imports the package
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="spincheck",
         description="exact constructions and identity checks for spin "

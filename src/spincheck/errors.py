@@ -3,8 +3,8 @@
 DomainError flags arguments outside an operation's stated domain (bad ranks,
 non-integral exponents, labels that fail dominance, ...).  PoleError flags an
 exact evaluation hitting a vanishing denominator.  SizeGuardError flags a
-request whose symbolic cost would be unreasonable; callers are expected to
-rerun at a numeric evaluation point instead.
+request past a configured size bound, such as the bound on dim S ox S of the
+spectrum check; its message names the size and the bound.
 """
 
 from __future__ import annotations
@@ -19,4 +19,4 @@ class PoleError(ZeroDivisionError):
 
 
 class SizeGuardError(RuntimeError):
-    """The requested symbolic computation exceeds the configured size bound."""
+    """The request exceeds a configured size bound."""

@@ -522,9 +522,9 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
         extra = c.dim.bit_length() - 1 - c.k
         top = (MAX_SYMBOLIC_DIM.bit_length() - 1) // 2 - extra
         raise SizeGuardError(
-            f"spectrum check on S ox S of dimension {size} exceeds the "
-            f"symbolic bound {MAX_SYMBOLIC_DIM}; the largest {c.parity} rank "
-            f"accepted is {top}")
+            f"spectrum check on S ox S of dimension {size} exceeds the size "
+            f"bound {MAX_SYMBOLIC_DIM} on S ox S; the largest {c.parity} "
+            f"rank accepted is {top}")
     rep = VerificationReport("spectrum", {"parity": c.parity, "k": c.k})
     eigs = c.eigenvalues()
     even = c.parity == "even"

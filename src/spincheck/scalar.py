@@ -123,17 +123,11 @@ class Scalar:
     @staticmethod
     def from_fraction(x) -> "Scalar":
         x = Fraction(x)
-        s = Scalar.__new__(Scalar)
-        s._num = {0: x} if x else {}
-        s._den = {0: _F1}
-        return s
+        return _scalar({0: x} if x else {}, {0: _F1})
 
     @staticmethod
     def v_power(e: int) -> "Scalar":
-        s = Scalar.__new__(Scalar)
-        s._num = {int(e): _F1}
-        s._den = {0: _F1}
-        return s
+        return _scalar({int(e): _F1}, {0: _F1})
 
     # field structure -------------------------------------------------------
 
@@ -147,10 +141,7 @@ class Scalar:
         return self._num == other._num and self._den == other._den
 
     def __neg__(self) -> "Scalar":
-        s = Scalar.__new__(Scalar)
-        s._num = {e: -c for e, c in self._num.items()}
-        s._den = self._den
-        return s
+        return _scalar({e: -c for e, c in self._num.items()}, self._den)
 
     def __add__(self, other) -> "Scalar":
         other = _as_scalar(other)
@@ -185,11 +176,18 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other) -> "Scalar":
+        """The product; c v^e is a unit and a canonical denominator has
+        constant term 1, so c v^e * n/d = (c v^e n)/d is gcd-reduced as is."""
         other = _as_scalar(other)
         if other is NotImplemented:
             return NotImplemented
         if not self._num or not other._num:
             return ZERO
+        if len(other._num) == 1 and len(other._den) == 1:
+            self, other = other, self
+        if len(self._num) == 1 and len(self._den) == 1:
+            (e, c), = self._num.items()
+            return _scalar({e + f: c * x for f, x in other._num.items()}, other._den)
         return Scalar(_lmul(self._num, other._num), _lmul(self._den, other._den))
 
     __rmul__ = __mul__
@@ -254,6 +252,13 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({render_q(self)})"
+
+
+def _scalar(num: dict[int, Fraction], den: dict[int, Fraction]) -> Scalar:
+    """The Scalar of a pair already in canonical form."""
+    s = Scalar.__new__(Scalar)
+    s._num, s._den = num, den
+    return s
 
 
 def _as_scalar(x):
@@ -329,14 +334,21 @@ def qint(n, c=1) -> Scalar:
         [n] = (q^{cn} - q^{-cn}) / (q^c - q^{-c}).
 
     The default c = 1 is the usual [n]; a simple root alpha_i takes
-    c = <alpha_i, alpha_i>/2, so that q_i = q^c.
+    c = <alpha_i, alpha_i>/2, so that q_i = q^c.  Built in canonical form,
+    with no gcd: with t = 4|c| (c -> -c fixes [n]) and [-n] = -[n], [n] =
+    sum_{j<n} v^{t(n-1-2j)} at integer n > 0, and sum_{j<m} v^{t(m-2j)/2} /
+    (1 + v^t) at odd m = 2n > 0, gcd-free as with y = v^t the numerator is
+    a monomial times 1 + y + ... + y^{m-1}, which is 1 at y = -1.
     """
-    n = Fraction(n)
-    if (2 * n).denominator != 1:
+    m, t = 2 * Fraction(n), 4 * abs(Fraction(c))
+    if m.denominator != 1:
         raise DomainError(f"[{n}] needs 2n integral")
-    if n == 0:
-        return ZERO
-    return (qpow(c * n) - qpow(-c * n)) / (qpow(c) - qpow(-c))
+    odd, top, sign = m.numerator % 2, abs(m.numerator), _F1 if m > 0 else -_F1
+    if m and (not t or (t / (1 + odd)).denominator != 1):
+        raise DomainError(f"q**({c * n}) is not a monomial in v")
+    return _scalar({int(t) * e // 2: sign
+                    for e in range(top - 2 + 2 * odd, -top, 2 * odd - 4)},
+                   {0: _F1, int(t): _F1} if odd else {0: _F1})
 
 
 def curly(i) -> Scalar:
@@ -347,15 +359,34 @@ def curly(i) -> Scalar:
     return qpow(i) + qpow(-i)
 
 
+def qint_ratio(pairs, c=1) -> Scalar:
+    """prod [a]_c / [b]_c over (a, b) in ``pairs``, a Laurent polynomial, by
+    exact division over Z: with A = 4ca and B = 4cb, [a]_c / [b]_c =
+    v^{B-A} (v^{2A} - 1) / (v^{2B} - 1); each v^b - 1 divides from the top,
+    Q_j = P_{j+b} + Q_{j+b}.  DomainError when an A or B is not a positive
+    integer or a remainder (the low b coefficients) survives."""
+    ex = [(4 * c * Fraction(a), 4 * c * Fraction(b)) for a, b in pairs]
+    if any(x <= 0 or x.denominator != 1 for ab in ex for x in ab):
+        raise DomainError(f"{pairs}: not ratios of q-integers in powers of v")
+    poly, shift = [1], int(sum(B - A for A, B in ex))
+    for pad in ([0] * int(2 * A) for A, _ in ex):
+        poly = [x - y for x, y in zip(pad + poly, poly + pad)]
+    for _, B in ex:
+        b = int(2 * B)
+        for j in range(len(poly) - 1, b - 1, -1):
+            poly[j - b] += poly[j]
+        if any(poly[:b]):
+            raise DomainError(f"{pairs} in base q^({c}) does not divide")
+        del poly[:b]
+    return Scalar({shift + i: Fraction(x) for i, x in enumerate(poly)})
+
+
 def qbinom(n: int, m: int, c=1) -> Scalar:
-    """The q-binomial coefficient in base q^c (see :func:`qint`)."""
+    """The q-binomial coefficient in base q^c (see :func:`qint`), the
+    Laurent polynomial prod_{j<=m} [n-m+j]_c / [j]_c of :func:`qint_ratio`."""
     if not (0 <= m <= n):
         raise DomainError(f"qbinom({n},{m}) out of range")
-    m = min(m, n - m)
-    out = ONE
-    for j in range(1, m + 1):
-        out = out * qint(n - m + j, c) / qint(j, c)
-    return out
+    return qint_ratio([(n + 1 - j, j) for j in range(1, min(m, n - m) + 1)], c)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ yields the branching diagram (:func:`bratteli`), level n describing the n-th
 tensor power.
 
 Quantum dimensions use the q-Weyl formula prod [<lambda+rho, alpha>] /
-[<rho, alpha>] over positive roots (quantum integers at half-integer
-arguments are fine: the canonical-form field makes the ratios honest Laurent
-polynomials), and the quantum trace of a matrix on S^{otimes n} weights each
+[<rho, alpha>] over positive roots, a Laurent polynomial even at half-integer
+arguments, which :func:`spincheck.scalar.qint_ratio` divides out exactly over
+the integers; the quantum trace of a matrix on S^{otimes n} weights each
 diagonal entry by q^{<mu, 2 rho>} per tensor slot.
 """
 
@@ -37,7 +37,7 @@ from itertools import product as iproduct
 
 from .errors import DomainError
 from .linalg import SparseMat
-from .scalar import Scalar, ONE, qint, qpow, curly
+from .scalar import Scalar, ONE, curly, qbinom, qint_ratio, qpow
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -366,12 +366,13 @@ def classical_dimension(x: PinLabel, rd: RootData) -> int:
 
 
 def _q_weyl(entries: tuple[Fraction, ...], rd: RootData) -> Scalar:
-    out = ONE
+    """prod [<lambda+rho, alpha>] / [<rho, alpha>] over positive roots: the
+    character of V_lambda at q^{2 rho}, a Laurent polynomial.  Both brackets
+    are positive for a dominant lambda and its flip, as qint_ratio needs."""
     rho = rd.rho()
     lam_rho = tuple(a + b for a, b in zip(entries, rho))
-    for alpha in rd.positive_roots():
-        out = out * qint(inner(lam_rho, alpha)) / qint(inner(rho, alpha))
-    return out
+    return qint_ratio([(inner(lam_rho, alpha), inner(rho, alpha))
+                       for alpha in rd.positive_roots()])
 
 
 def qdimension(x: PinLabel, rd: RootData) -> Scalar:
@@ -403,8 +404,6 @@ def spin_qdim_product_form(rd: RootData) -> Scalar:
 def one_column_qdim_forms(N: int, r: int) -> tuple[Scalar, Scalar]:
     """The two closed forms for dim_q of the height-r column module in an
     N-dimensional space: binomial-sum form and balanced-bracket form."""
-    from .scalar import qbinom
-
     def qb(n, m):
         return qbinom(n, m) if 0 <= m <= n else Scalar.from_fraction(0)
 

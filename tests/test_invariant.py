@@ -17,6 +17,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import isqrt, prod
 
@@ -39,10 +40,10 @@ from spincheck.linalg import ModRowReducer, RowReducer, SparseMat
 from spincheck.qspin import block_lift, spin_rep, tensor_action
 from spincheck.report import VerificationReport
 from spincheck.scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint,
-                              ModPoint, Scalar, certificate_prime, curly,
-                              qbinom, qint, qpow, render_q)
-from spincheck.weights import (RootData, one_column_label, qdimension,
-                               spin_label)
+                              ModPoint, Scalar, _lmul, certificate_prime,
+                              curly, qbinom, qint, qpow, render_q)
+from spincheck.weights import (RootData, bratteli, inner, one_column_label,
+                               qdimension, spin_label)
 
 HALF = Fraction(1, 2)
 
@@ -278,6 +279,46 @@ def test_commutation_point_fallback_runs_only_failed_checks(monkeypatch,
 
 # ---------------------------------------------------------------------------
 # spectra
+
+
+def _reference_qdimension(label, rd) -> Scalar:
+    """The q-Weyl quotient over Q(v), one canonical reduction per module:
+    [a] = (v^{4a} - v^{-4a}) / (v^4 - v^{-4}), whose denominators cancel
+    between prod [<lambda+rho, alpha>] and prod [<rho, alpha>]."""
+    def brackets(weight):
+        return reduce(_lmul, ({4 * inner(weight, alpha): Fraction(1),
+                               -4 * inner(weight, alpha): Fraction(-1)}
+                              for alpha in rd.positive_roots()),
+                      {0: Fraction(1)})
+
+    rho = rd.rho()
+    out = ZERO
+    for entries in [label.entries] + ([label.bar()] if label.combined else []):
+        lam_rho = tuple(a + b for a, b in zip(entries, rho))
+        out = out + Scalar({int(e): c for e, c in brackets(lam_rho).items()},
+                           {int(e): c for e, c in brackets(rho).items()})
+    return out
+
+
+@pytest.mark.parametrize("family", ["B", "D"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_qdimension_matches_quotient_formula(family, k):
+    rd = RootData(family, k)
+    labels = {lbl for level in bratteli(rd, 5).levels for lbl in level}
+    labels |= {one_column_label(rd, r) for r in range(rd.vector_dim + 1)}
+    for lbl in labels:
+        got, want = qdimension(lbl, rd), _reference_qdimension(lbl, rd)
+        assert got._num == want._num and got._den == want._den, lbl
+        assert render_q(got) == render_q(want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_even_spectrum_and_qdimension_run_no_polynomial_gcd(gcd_calls, k):
+    rd = RootData("D", k)
+    for lbl in {lbl for level in bratteli(rd, 4).levels for lbl in level}:
+        qdimension(lbl, rd)
+    assert spectrum_check(build_c_even(k)).passed
+    assert not gcd_calls
 
 
 def test_spectrum_even_rank_one():
@@ -891,7 +932,7 @@ def test_coideal_builds_nothing_past_the_third_power(monkeypatch, k, parity,
 @pytest.mark.parametrize("build,k,top", [(build_c_odd, 4, 3),
                                          (build_c_even, 5, 4)])
 def test_spectrum_symbolic_size_guard(build, k, top):
-    # S ox S has dimension 1024 here, past the symbolic bound
+    # S ox S has dimension 1024 here, past the size bound
     c = build(k)
     assert c.dim ** 2 > MAX_SYMBOLIC_DIM
     with pytest.raises(SizeGuardError,

@@ -1,6 +1,7 @@
 """Field arithmetic in Q(v), q-combinatorics, and exact evaluation."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 from spincheck.errors import DomainError, PoleError
 from spincheck.scalar import (CLASSICAL, GAUSSIAN, ONE, SYMBOLIC, ZERO,
                               EvalPoint, Ext, ModPoint, Radical, Scalar,
-                              certificate_prime, curly, eval_scalar, qbinom,
-                              qint, qpow, render_q)
+                              _lmul, certificate_prime, curly, eval_scalar,
+                              qbinom, qint, qint_ratio, qpow, render_q)
 
 _0 = Fraction(0)
 
@@ -118,6 +119,84 @@ def test_qbinom_pascal():
             lhs = qbinom(n, m)
             rhs = qpow(m) * qbinom(n - 1, m) + qpow(m - n) * qbinom(n - 1, m - 1)
             assert lhs == rhs
+
+
+def reference_quotient(tops, bottoms) -> Scalar:
+    """prod tops / prod bottoms with one canonical reduction over Q(v): the
+    products by _lmul and a single gcd, with no shortcut of Scalar.__mul__."""
+    def product(xs, part):
+        return reduce(_lmul, (getattr(x, part) for x in xs), {0: Fraction(1)})
+    return Scalar(_lmul(product(tops, "_num"), product(bottoms, "_den")),
+                  _lmul(product(tops, "_den"), product(bottoms, "_num")))
+
+
+def reference_qint(n, c=1) -> Scalar:
+    """[n] in base q^c by the quotient formula over Q(v)."""
+    if n == 0:
+        return ZERO
+    return reference_quotient([qpow(c * n) - qpow(-c * n)],
+                              [qpow(c) - qpow(-c)])
+
+
+def same_canonical_form(got: Scalar, want: Scalar) -> bool:
+    return (got._num == want._num and got._den == want._den
+            and all(type(x) is Fraction
+                    for x in [*got._num.values(), *got._den.values()])
+            and render_q(got) == render_q(want))
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), 1, 2])
+def test_qint_closed_forms_match_quotient_formula(c):
+    for twice in range(-25, 26):
+        n = Fraction(twice, 2)
+        assert same_canonical_form(qint(n, c), reference_qint(n, c)), (n, c)
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 2), 1, 2])
+def test_qbinom_exact_division_matches_quotient_formula(c):
+    for n in range(0, 11):
+        for m in range(0, n + 1):
+            want = reference_quotient(
+                [reference_qint(n - m + j, c) for j in range(1, m + 1)],
+                [reference_qint(j, c) for j in range(1, m + 1)])
+            assert same_canonical_form(qbinom(n, m, c), want), (n, m, c)
+
+
+def test_qint_ratio_refuses_inexact_and_nonpositive_quotients():
+    # [3]/[2] in base q^(1/4) is (v^6 - 1)/(v^4 - 1) up to a power of v,
+    # which leaves the remainder v^2 - 1
+    with pytest.raises(DomainError, match="does not divide"):
+        qint_ratio([(3, 2)], Fraction(1, 4))
+    for pair in [(0, 1), (2, 0), (-1, 1), (Fraction(1, 8), 1)]:
+        with pytest.raises(DomainError, match="not ratios"):
+            qint_ratio([pair])
+    assert qint_ratio([]) == ONE
+    assert qint_ratio([(4, 2)]) == curly(2)
+
+
+def test_q_numbers_run_no_polynomial_gcd(gcd_calls):
+    for c in (Fraction(1, 2), 1, 2):
+        for twice in range(-9, 10):
+            qint(Fraction(twice, 2), c)
+        for n in range(0, 8):
+            for m in range(0, n + 1):
+                qbinom(n, m, c)
+    assert not gcd_calls
+    reference_qint(Fraction(3, 2))
+    assert gcd_calls                    # the spy sees the quotient formula
+
+
+@pytest.mark.parametrize("e", [-5, 0, 3])
+@pytest.mark.parametrize("coeff", [Fraction(1), Fraction(-3, 2)])
+def test_monomial_factor_shifts_and_scales(e, coeff):
+    mono = Scalar.from_fraction(coeff) * Scalar.v_power(e)
+    for other in (ONE / curly(Fraction(1, 2)),
+                  (qint(3) + qpow(Fraction(-3, 4))) / (qint(2) + ONE),
+                  qint(Fraction(5, 2), 2), qint(4), Scalar.v_power(-2)):
+        want = Scalar(_lmul(mono._num, other._num),
+                      _lmul(mono._den, other._den))
+        assert same_canonical_form(mono * other, want)
+        assert same_canonical_form(other * mono, want)
 
 
 def test_base_variants_match_quarter_powers():
