@@ -137,7 +137,7 @@ def build_c(k: int, parity: str) -> InvariantElement:
     odd = parity == "odd"
     K = k + 1 if odd else k
     d = 1 << K
-    inv2 = ONE / curly(_HALF) if odd else None
+    inv2 = qint(_HALF) if odd else None
     mat = SparseMat(d * d, d * d)
     for a in range(d):
         for b in range(d):
@@ -232,15 +232,16 @@ def _on_basis(mat: SparseMat, basis: list[int],
 
 
 def _block_square(c: InvariantElement) -> SparseMat:
-    """For odd parity: (q + 1)^2 C^2 on V_00, the even-parity block of both
-    slots, as B A.  C swaps slot parities: A, (q + 1) C from V_00 to V_11,
-    and B, back, have Laurent entries.  DomainError when C leaves the swap."""
+    """For odd parity: s^2 C^2 on V_00, the even-parity block of both
+    slots, as B A, s = (q + 1) v^E from :func:`_clearing`.  C swaps slot
+    parities: A, sC from V_00 to V_11, and B, back, have Laurent entries.
+    DomainError when C leaves the swap."""
     if c.parity != "odd":
         raise DomainError("block restriction applies to the odd operator")
     lift = [block_lift(x, c.k) for x in range(1 << c.k)]
     even = [a * c.dim + b for a in lift for b in lift]
     odd = [u ^ (c.dim + 1) for u in even]   # flip the invisible bit of both
-    mat = c.mat.scale(ONE + qpow(1))
+    mat = _clearing(c.mat).mat
     there, back = _on_basis(mat, even, odd), _on_basis(mat, odd, even)
     if there is None or back is None:
         raise DomainError("operator leaves the block swap")
@@ -292,7 +293,6 @@ def _commutators_vanish(mat: SparseMat,
     of X lie in Q(v); those of each G are Laurent polynomials with integer
     coefficients, such as the single powers of v of a tensor action.
 
-    With delta from :func:`_common_denominator` over the entries of X,
     :func:`_clearing` gives s = delta v^E and sX in Z[w]; one power v^F,
     the least that lifts every exponent of every G to 0 or more, lifts every
     G to v^F G, with entries in Z[v] too.  s and v^F are nonzero, so
@@ -309,8 +309,7 @@ def _commutators_vanish(mat: SparseMat,
     the commutator has l1 norm at most B = h (R + m E), and by Cauchy's
     bound (:func:`_zero_test_point`) it vanishes at w0 = B + 2 exactly when
     it is zero."""
-    cleared = _clearing(mat, [], _common_denominator(
-        [x for row in mat.rows.values() for x in row.values()]))
+    cleared = _clearing(mat)
     # the integer coefficients of each entry of each G, read once
     coeffs = [{r: {col: x.integer_coefficients() for col, x in row.items()}
                for r, row in act.rows.items()} for act in actions]
@@ -377,7 +376,7 @@ def _zero_test_point(bound: int, g: int) -> IntPoint:
 class _Cleared(NamedTuple):
     """The output of :func:`_clearing`."""
 
-    scale: Scalar           # s = factor * v^E
+    scale: Scalar           # s = delta * v^E
     mat: SparseMat          # sM
     eigs: list[Scalar]      # s e_i over the eigenvalues e_i of M
     row: int                # R, the largest l1 row sum of sM
@@ -399,42 +398,38 @@ def _w_step(values) -> int:
     return gcd(4, *(e for x in values for e in x.integer_coefficients()))
 
 
-def _common_denominator(values) -> Scalar:
-    """delta in Z[v] with every delta x, x in ``values``, a Laurent
-    polynomial with integer coefficients: the product of their distinct
-    integer denominators (:meth:`Scalar.integer_denominator`), each of
-    which clears its own values."""
+def _clearing(mat: SparseMat, eigs: list[Scalar] | tuple = ()) -> _Cleared:
+    """s = delta v^E, sM, the s e_i over the eigenvalues e_i of M, R, the
+    largest l1 row sum of sM, and g = gcd(4, every exponent of sM and of the
+    s e_i).  delta is the product of the distinct integer denominators d of
+    the entries of M and the e_i: with x = n / d (:meth:`Scalar.integer_parts`,
+    read once per value), delta x = n times the other distinct d's, a Laurent
+    polynomial with integer coefficients formed with no gcd.  v^E is the
+    least power that lifts every exponent of those to 0 or more, so sM and
+    the s e_i lie in Z[v], and in fact in Z[w] for w = v^g."""
     dens: list[Scalar] = []
-    for x in values:
-        den = x.integer_denominator()
+
+    def parts(x: Scalar) -> tuple[Scalar, int]:
+        num, den = x.integer_parts()
         if den not in dens:
             dens.append(den)
-    return prod(dens, start=ONE)
+        return num, dens.index(den)
 
+    pmat, peigs = mat.map_values(parts), [parts(e) for e in eigs]
+    others = [prod(dens[:i] + dens[i + 1:], start=ONE)
+              for i in range(len(dens))]
 
-def _clearing(mat: SparseMat, eigs: list[Scalar],
-              factor: Scalar) -> _Cleared:
-    """s = factor * v^E, sM, the s e_i over the eigenvalues e_i of M, R, the
-    largest l1 row sum of sM, and g = gcd(4, every exponent of sM and of the
-    s e_i).  ``factor`` must turn every entry of M and every e_i into a
-    Laurent polynomial with integer coefficients, and v^E is the least power
-    that lifts every exponent of those to 0 or more, so sM and the s e_i lie
-    in Z[v], and in fact in Z[w] for w = v^g."""
-    fmat, feigs = mat.scale(factor), [factor * e for e in eigs]
+    def cleared(part: tuple[Scalar, int]) -> Scalar:
+        num, i = part   # with one denominator (all of even C), delta x = n
+        return num * others[i] if len(dens) > 1 else num
+
+    fmat, feigs = pmat.map_values(cleared), list(map(cleared, peigs))
     lift = _lift([x for r in fmat.rows.values() for x in r.values()] + feigs)
     cmat, ceigs = fmat.scale(lift), [e * lift for e in feigs]
     row = max((sum(map(_l1, r.values())) for r in cmat.rows.values()),
               default=0)
     g = _w_step([x for r in cmat.rows.values() for x in r.values()] + ceigs)
-    return _Cleared(factor * lift, cmat, ceigs, row, g)
-
-
-def _clearing_of(c: InvariantElement) -> _Cleared:
-    """:func:`_clearing` of C over its eigenvalues.  The factor is D = q + 1
-    at odd parity, turning 1/{1/2} into v^2, and 1 at even; g is 4 at even
-    parity and 2 at odd."""
-    return _clearing(c.mat, c.eigenvalues(),
-                     ONE if c.parity == "even" else ONE + qpow(1))
+    return _Cleared(prod(dens, start=ONE) * lift, cmat, ceigs, row, g)
 
 
 def _eigenprojections(cleared: _Cleared, count: int, a: int, b: int
@@ -496,23 +491,24 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
 
     The eigenprojection identities are decided over plain ints at one
     integer point, from the chain of :func:`_eigenprojections`.  With
-    s = D v^E (D = q + 1 at odd parity, turning 1/{1/2} into v^2, else 1;
-    v^E the least power lifting every exponent of D*C and D*e_i to 0 or
-    more), sC and s e_i lie in Z[w], w = v^g with g the gcd of 4 and their
-    exponents (:func:`_clearing_of`; 4 at even parity, 2 at odd).  With O_i
-    and L_i from there, the projection is P_i = O_i / L_i, and each claim is
-    an identity in Z[w^{+-1}]: full product = 0, O_i != 0 (minimality),
-    O_i^2 = L_i O_i (idempotence, which the full product implies),
-    tr_q(O_i) = dim_q L_i and the t ox t sign of a column of O_i (even;
-    q-trace weights and quantum dimensions are Laurent polynomials in
-    q = v^4), and tr(O_i) = mult C(N, i) L_i (ranks: the rank of an
-    idempotent is its trace).  The partition sum_i O_i / L_i = I is
-    Lagrange interpolation of the constant 1 at the m distinct s e_i, which
-    holds for every matrix, so ``idempotent_partition`` reports the
-    idempotence verdict alone.  With n = dim^2 and K the largest of
-    ||dim_q||_1 and mult C(N, i), the trace, sign and rank claims have l1
-    norms at most (n + 2) F^{m-1} + K Lambda (t ox t is a permutation): the
-    claim terms a = n + 2 and b = K of the bound.
+    s = delta v^E from :func:`_clearing` (delta = q + 1 at odd parity,
+    turning 1/{1/2} into v^2, else 1; v^E the least power lifting every
+    exponent of delta C and delta e_i to 0 or more), sC and s e_i lie in
+    Z[w], w = v^g with g the gcd of 4 and their exponents (4 at even
+    parity, 2 at odd).  With O_i and L_i from there, the projection is
+    P_i = O_i / L_i, and each claim is an identity in Z[w^{+-1}]: full
+    product = 0, O_i != 0 (minimality), O_i^2 = L_i O_i (idempotence,
+    which the full product implies), tr_q(O_i) = dim_q L_i and the t ox t
+    sign of a column of O_i (even; q-trace weights and quantum dimensions
+    are Laurent polynomials in q = v^4), and tr(O_i) = mult C(N, i) L_i
+    (ranks: the rank of an idempotent is its trace).  The partition
+    sum_i O_i / L_i = I is Lagrange interpolation of the constant 1 at the
+    m distinct s e_i, which holds for every matrix, so
+    ``idempotent_partition`` reports the idempotence verdict alone.  With
+    n = dim^2 and K the largest of ||dim_q||_1 and mult C(N, i), the trace,
+    sign and rank claims have l1 norms at most (n + 2) F^{m-1} + K Lambda
+    (t ox t is a permutation): the claim terms a = n + 2 and b = K of the
+    bound.
 
     Raises SizeGuardError when S ox S is larger than MAX_SYMBOLIC_DIM.
     """
@@ -534,7 +530,7 @@ def spectrum_check(c: InvariantElement) -> VerificationReport:
     qdims = [qdimension(lbl, c.rd) for lbl in labels]
     ranks = [mult * comb(N, i) for i in range(len(eigs))]
     at, full, others, lags, idempotent = _eigenprojections(
-        _clearing_of(c), len(eigs), size + 2,
+        _clearing(c.mat, eigs), len(eigs), size + 2,
         max(ranks + [_l1(q) for q in qdims]))
 
     rep.record("annihilating_product",
@@ -838,8 +834,8 @@ def verify_coideal(k: int, parity: str, n: int, *,
     on disjoint slots.  No product runs on more than d^3 dimensions, d the
     dimension of S; only the size guard still counts d^n.
 
-    Every relation is decided in cleared form.  With s = D v^E and sC from
-    :func:`_clearing_of`, sC and the generators G_i = I ox sC ox I have
+    Every relation is decided in cleared form.  With s = delta v^E and sC
+    from :func:`_clearing`, sC and the generators G_i = I ox sC ox I have
     entries in Z[w], w = v^g (g = 4 at even parity, 2 at odd), and with
     q = v^4 the cubic times s^3 q is the identity
 
@@ -877,7 +873,7 @@ def verify_coideal(k: int, parity: str, n: int, *,
     c = build_c(k, parity)
     _guard_power("coideal", n, lambda m: c.dim ** m, MAX_POINT_DIM,
                  "dimensions at a point")
-    cleared = _clearing_of(c)
+    cleared = _clearing(c.mat, c.eigenvalues())
     at = _zero_test_point(_coideal_bound(cleared), cleared.g)
     checks = _coideal_relations(c, cleared, n, at.of)
 
@@ -1060,10 +1056,10 @@ def _hw_multiplicities(g: GeneratorAction, n: int, wt: tuple[Fraction, ...],
 def _duality_pair(k: int, parity: str) -> tuple[SparseMat, int]:
     """The pair operator whose embeddings generate the algebra counted by
     :func:`generated_algebra_dim`, and its slot dimension: C for even
-    parity; for odd, (q + 1)^2 C^2 on the even-parity block of both slots
-    (:func:`_block_square`).  The factor is nonzero at every q0 > 0 and at
-    q = 1, so the generated unital algebra stays the same there; mod p a
-    zero image of it can only drop the modular rank."""
+    parity; for odd, s^2 C^2 on the even-parity block of both slots, s =
+    (q + 1) v^E (:func:`_block_square`).  s^2 is nonzero at every q0 > 0
+    and at q = 1, so the generated unital algebra stays the same there; mod
+    p a zero image of it can only drop the modular rank."""
     c = build_c(k, parity)
     return (c.mat, c.dim) if parity == "even" else (_block_square(c), 1 << k)
 
@@ -1306,23 +1302,22 @@ def third_power_profile(k: int) -> VerificationReport:
 
     The characteristic polynomial and the extreme projection are decided in
     cleared form with plain ints at one integer point, from the chain of
-    :func:`_eigenprojections` at i = 0.  With delta from
-    :func:`_common_denominator` over the entries of X, :func:`_clearing`
-    gives s = delta v^E, Y = sX and the s e_r in Z[w], w = v^g.  There
+    :func:`_eigenprojections` at i = 0.  :func:`_clearing` gives
+    s = delta v^E, Y = sX and the s e_r in Z[w], w = v^g.  There
     O = prod_{r>=1} (Y - s e_r I), Z = L_0 = prod_{r>=1} (s e_0 - s e_r),
     and the projection is P = O/Z.
 
     - Characteristic polynomial: the model coefficients (the recursion over
       Q(v)) are those of prod_r (x - e_r), so s^{N+1} p(X) is the full
       product.
-    - Extreme projection: with d_i = num_i / den_i (den_i its integer
-      denominator) and D the quantum dimension, the claims are O^2 = Z O
-      (idempotence, which the full product implies), tr O = Z (rank 1: an
-      idempotent's rank is its trace) and O_ii D^2 den_i = num_i Z, the
-      last times one power of v that makes D^2 den_i and num_i
-      polynomials.  They fix the off-diagonal products too: P = O/Z is then
-      a rank-1 idempotent, P = u w^T with w^T u = 1, so
-      P_ij P_ji = u_i w_j u_j w_i = P_ii P_jj.  The trace and diagonal
+    - Extreme projection: with d_i = num_i / den_i
+      (:meth:`Scalar.integer_parts`) and D the quantum dimension, the
+      claims are O^2 = Z O (idempotence, which the full product implies),
+      tr O = Z (rank 1: an idempotent's rank is its trace) and
+      O_ii D^2 den_i = num_i Z, the last times one power of v that makes
+      D^2 den_i and num_i polynomials.  They fix the off-diagonal products
+      too: P = O/Z is then a rank-1 idempotent, P = u w^T with w^T u = 1,
+      so P_ij P_ji = u_i w_j u_j w_i = P_ii P_jj.  The trace and diagonal
       claims have l1 norms at most (N + 1) F^N + ||Z||_1 and
       W F^N + T ||Z||_1, with W = max ||D^2 den_i||_1 and
       T = max ||num_i||_1: the claim terms a = N + 1 + W and b = 1 + T of
@@ -1403,17 +1398,16 @@ def third_power_profile(k: int) -> VerificationReport:
     D = qdimension(spin_label(rd), rd)
     dwt = [qbinom(N, i) * curly(k - i) / curly(k) for i in range(N + 1)]
     # X and its eigenvalues cleared: Y = sX and the s e_r lie in Z[w]
-    cleared = _clearing(X, eigs, _common_denominator(
-        [x for row in X.rows.values() for x in row.values()]))
+    cleared = _clearing(X, eigs)
 
     @cache
     def projection():
         # the chain at i = 0, with Z = L_0, and both sides of the diagonal
         # claims: num_i and D^2 den_i, times one power of v that makes all
         # of them polynomials, whose step the point must follow too
-        nums = [w * w.integer_denominator() for w in dwt]
-        left = [D * D * w.integer_denominator() for w in dwt]
-        lift = _lift(nums + left)
+        nums, dens = zip(*(w.integer_parts() for w in dwt))
+        left = [D * D * den for den in dens]
+        lift = _lift([*nums, *left])
         nums, left = [x * lift for x in nums], [x * lift for x in left]
         at, full, (o,), (z,), (idempotent,) = _eigenprojections(
             cleared._replace(g=gcd(cleared.g, _w_step(left + nums))), 1,
@@ -1481,7 +1475,7 @@ def markov_property_check(k: int, pairs: int = 20,
     and A that of a over its last.
 
     Each trial is decided in cleared form with plain ints at one integer
-    point.  With s = v^E and sC from :func:`_clearing_of` and M = 2k + 1,
+    point.  With s = v^E and sC from :func:`_clearing` and M = 2k + 1,
     s^M a = sum_j c_j s^{M-j} (sC)^j lies in Z[w], w = v^g, for the same
     random c_j drawn in the same order, and likewise s^M b.  Multiplied by
     s^{2M} D q^{4c}, D the quantum dimension of S and c = -min_u s(u), the
@@ -1504,7 +1498,7 @@ def markov_property_check(k: int, pairs: int = 20,
     D = qdimension(spin_label(rd), rd)
     rng = random.Random(seed)
     top = 2 * k + 1
-    cleared = _clearing_of(c)
+    cleared = _clearing(c.mat, c.eigenvalues())
     slot_exp = slot_exponents(rd)
     low = min(slot_exp)
     weights = [qpow(e - low) for e in slot_exp]

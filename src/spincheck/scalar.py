@@ -238,14 +238,18 @@ class Scalar:
                               f"integer coefficients")
         return {e: c.numerator for e, c in self._num.items()}
 
-    def integer_denominator(self) -> "Scalar":
-        """A polynomial d with integer coefficients such that d * self is a
-        Laurent polynomial with integer coefficients: the canonical
-        denominator times the least common denominator of every
-        coefficient."""
+    def integer_parts(self) -> tuple["Scalar", "Scalar"]:
+        """(n, d) with self = n / d, both with integer coefficients, n a
+        Laurent polynomial and d a polynomial of nonzero constant term: the
+        canonical pair times the lcm of the coefficient denominators, with
+        no gcd, or (self, 1) when self is already such an n."""
         scale = lcm(*(c.denominator for part in (self._num, self._den)
                       for c in part.values()))
-        return Scalar({e: c * scale for e, c in self._den.items()})
+        if scale == 1 and self.is_laurent_polynomial:
+            return self, ONE
+        num, den = ({e: c * scale for e, c in part.items()}
+                    for part in (self._num, self._den))
+        return _scalar(num, {0: _F1}), _scalar(den, {0: _F1})
 
     def __str__(self) -> str:
         return render_q(self)

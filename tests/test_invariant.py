@@ -19,7 +19,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -231,8 +231,7 @@ def test_commutators_vanish_match_symbolic_reference(monkeypatch, k, parity,
     verdicts = invariant._commutators_vanish(c.mat, actions)
     assert verdicts == [c.mat.commutator(a).is_zero() for a in actions]
     assert all(verdicts) == (perturb is None)
-    cleared = invariant._clearing(c.mat, [], invariant._common_denominator(
-        [x for row in c.mat.rows.values() for x in row.values()]))
+    cleared = invariant._clearing(c.mat)
     lift = invariant._lift([x for a in actions for row in a.rows.values()
                             for x in row.values()])
     norms = []
@@ -321,6 +320,30 @@ def test_even_spectrum_and_qdimension_run_no_polynomial_gcd(gcd_calls, k):
     assert not gcd_calls
 
 
+def _odd_commutation(k):
+    c = build_c_odd(k)
+    return verify_commutation(c, generator_action_for(c))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: spectrum_check(build_c_odd(1)),
+    lambda: spectrum_check(build_c_odd(2)),
+    lambda: _odd_commutation(1),
+    lambda: _odd_commutation(2),
+    lambda: verify_coideal(1, "odd", 3),
+    lambda: verify_coideal(2, "odd", 3,
+                           point=EvalPoint.from_q(Fraction(3, 2))),
+    lambda: verify_duality(1, "odd", 3),
+    lambda: verify_duality(2, "odd", 2),
+], ids=["spectrum-1", "spectrum-2", "commute-1", "commute-2", "coideal-1",
+        "coideal-2-point", "duality-1-n3", "duality-2-n2"])
+def test_odd_checks_run_no_polynomial_gcd(gcd_calls, run):
+    # build_c writes 1/{1/2} as [1/2], and _clearing multiplies numerators
+    # by the other denominators: the odd operator is cleared with no gcd
+    assert run().passed
+    assert not gcd_calls
+
+
 def test_spectrum_even_rank_one():
     rep = spectrum_check(build_c_even(1))
     assert rep.passed, rep.summary()
@@ -362,12 +385,17 @@ def test_spectrum_certificate_matches_symbolic_reference(k, parity):
         _check_certificate(c, mutated)
 
 
+def _cleared_c(c):
+    """C and its eigenvalues cleared, as the checks clear them."""
+    return invariant._clearing(c.mat, c.eigenvalues())
+
+
 def _spectrum_chain(c):
     """The eigenprojection chain of spectrum_check at every eigenvalue.
     Its claim term b enters only the bounds of the trace and rank
     comparisons; these tests compare traces as exact rationals."""
-    return invariant._eigenprojections(invariant._clearing_of(c),
-                                       len(c.eigenvalues()), c.dim ** 2 + 2, 1)
+    return invariant._eigenprojections(_cleared_c(c), len(c.eigenvalues()),
+                                       c.dim ** 2 + 2, 1)
 
 
 def _check_certificate(c, mutated: bool) -> None:
@@ -376,7 +404,7 @@ def _check_certificate(c, mutated: bool) -> None:
     at, full, others, lags, chain_idempotent = _spectrum_chain(c)
     assert full.is_zero() == (not mutated)
     idempotent = []
-    s = invariant._clearing_of(c).scale ** (len(eigs) - 1)
+    s = _cleared_c(c).scale ** (len(eigs) - 1)
     for i, (o, lag) in enumerate(zip(others, lags)):
         ref = invariant._factor_chain(c.mat, eigs[:i] + eigs[i + 1:],
                                       ident)[-1]
@@ -442,7 +470,7 @@ def test_spectrum_partition_is_lagrange_identity():
     for c in _spectrum_mutants():
         at, full, others, lags, _ = _spectrum_chain(c)
         fulls.append(full.is_zero())
-        ieigs = [at.of(e) for e in invariant._clearing_of(c).eigs]
+        ieigs = [at.of(e) for e in _cleared_c(c).eigs]
         vand = prod(a - b for a, b in combinations(ieigs, 2))
         assert vand and all(vand % lag == 0 for lag in lags)
         total = SparseMat(c.dim ** 2, c.dim ** 2)
@@ -476,7 +504,7 @@ def test_spectrum_multiplies_only_by_sparse_factors(monkeypatch, k, parity):
     monkeypatch.undo()
     assert rep.passed, rep.summary()
     at, = points
-    cleared = invariant._clearing_of(c)
+    cleared = _cleared_c(c)
     imat = cleared.mat.map_values(at.of)
     ident = SparseMat.identity(c.dim ** 2, 1)
     factors = [imat - ident.scale(at.of(e)) for e in cleared.eigs]
@@ -571,17 +599,82 @@ def test_zero_test_point_decides_zero(g, coeffs, roots, low, slack):
 @pytest.mark.parametrize("k,parity,g", [(1, "even", 4), (3, "even", 4),
                                         (1, "odd", 2), (2, "odd", 2)])
 def test_clearing_step_is_the_gcd_of_the_exponents(k, parity, g):
-    cleared = invariant._clearing_of(build_c(k, parity))
+    cleared = _cleared_c(build_c(k, parity))
     assert cleared.g == g
     values = [x for row in cleared.mat.rows.values() for x in row.values()]
     assert all(e % g == 0 for x in values + cleared.eigs
                for e in x.integer_coefficients())
 
 
+def _reference_clearing(mat, eigs):
+    """The distinct integer denominators of the entries of ``mat`` and of
+    ``eigs`` (each canonical denominator times the lcm of the coefficient
+    denominators), and the fields of _Cleared built over Q(v) from delta,
+    their product: delta M and delta e_i, then the least lift v^E."""
+    dens = []
+    for x in [v for row in mat.rows.values() for v in row.values()] + eigs:
+        scale = lcm(*(c.denominator for part in (x._num, x._den)
+                      for c in part.values()))
+        den = Scalar({e: c * scale for e, c in x._den.items()})
+        if den not in dens:
+            dens.append(den)
+    delta = prod(dens, start=ONE)
+    fmat, feigs = mat.scale(delta), [delta * e for e in eigs]
+    low = min(min(x.integer_coefficients(), default=0)
+              for x in [v for row in fmat.rows.values()
+                        for v in row.values()] + feigs)
+    lift = Scalar.v_power(max(0, -low))
+    cmat, ceigs = fmat.scale(lift), [e * lift for e in feigs]
+    values = [v for row in cmat.rows.values() for v in row.values()] + ceigs
+    row = max(sum(invariant._l1(v) for v in r.values())
+              for r in cmat.rows.values())
+    g = gcd(4, *(e for v in values for e in v.integer_coefficients()))
+    return dens, (delta * lift, cmat, ceigs, row, g)
+
+
+def _hand_made_clearing_case():
+    """A 2 x 2 matrix with the coprime non-monic integer denominators
+    6 + 4 v^4 and 6 - 15 v^2, the denominator 4 and rational coefficients,
+    and two eigenvalues."""
+    x = Scalar({-3: Fraction(1, 2)}, {0: Fraction(3), 4: Fraction(2)})
+    y = Scalar({2: Fraction(5, 3), 5: Fraction(-1)},
+               {0: Fraction(2), 2: Fraction(-5)})
+    quarter = Scalar.from_fraction(Fraction(7, 4))
+    mat = SparseMat(2, 2, {0: {0: x, 1: quarter}, 1: {0: qpow(-1), 1: y}})
+    return mat, [y, ONE]
+
+
+@pytest.mark.parametrize("case,ndens", [
+    *((f"{parity}-k{k}", 1 if parity == "even" else 2)
+      for parity in ("even", "odd") for k in (1, 2, 3)),
+    ("third-power", 4), ("hand-made", 4)])
+def test_clearing_matches_reference(monkeypatch, case, ndens):
+    # every field of _Cleared equals the Q(v) construction; the third-power
+    # X at k = 3 has the denominators 1, 2, q^4 + 1 and q^4 + q^2 + 1, so
+    # each value is cleared by the product of the other three
+    if case == "third-power":
+        xs = []
+        _patch_x(monkeypatch, lambda x: xs.append(x) or x)
+        assert third_power_profile(3).passed
+        (mat,), eigs = xs, [qint(3 - r) if r % 2 == 0 else -qint(3 - r)
+                            for r in range(7)]
+    elif case == "hand-made":
+        mat, eigs = _hand_made_clearing_case()
+    else:
+        parity, k = case.split("-k")
+        c = build_c(int(k), parity)
+        mat, eigs = c.mat, c.eigenvalues()
+    dens, want = _reference_clearing(mat, eigs)
+    assert len(dens) == ndens
+    got = invariant._clearing(mat, eigs)
+    for name, value in zip(got._fields, want):
+        assert getattr(got, name) == value, name
+
+
 def test_clearing_step_follows_an_odd_exponent():
     # one entry times v: the cleared entries are polynomials in v only
     c = _scale_one_entry(build_c(1, "even"), Scalar.v_power(1))
-    assert invariant._clearing_of(c).g == 1
+    assert _cleared_c(c).g == 1
 
 
 @pytest.mark.parametrize("k,parity", [(3, "even"), (2, "odd")])
@@ -633,8 +726,9 @@ def test_spectrum_same_under_optimize():
 def test_squared_block_spectrum_rank_one():
     # restricted to a parity block, C^2 has exactly the eigenvalues [1/2]^2
     # and [3/2]^2, each genuinely present
-    square = invariant._block_square(build_c_odd(1))
-    m = square.scale(ONE / (ONE + qpow(1)) ** 2)
+    c = build_c_odd(1)
+    square = invariant._block_square(c)
+    m = square.scale(ONE / invariant._clearing(c.mat).scale ** 2)
     lam = [qint(HALF) ** 2, qint(Fraction(3, 2)) ** 2]
     ident = SparseMat.identity(m.nrows, ONE)
     factors = [m - ident.scale(x) for x in lam]
@@ -650,17 +744,18 @@ def test_squared_block_rejects_even():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_odd_duality_pair_matches_cleared_square(k):
-    # the reference squares the cleared C on all of S ox S, restricts the
-    # square to the even-parity block of both slots and rescales it by
-    # (q + 1)^2 / s^2 over Q(v)
+    # the reference squares the cleared C, sC with s = (q + 1) v^E, on all
+    # of S ox S and restricts the square to the even-parity block of both
+    # slots
     c = build_c_odd(k)
-    cleared = invariant._clearing(c.mat, [], ONE + qpow(1))
-    lift = [block_lift(x, k) for x in range(1 << k)]
+    cleared = invariant._clearing(c.mat)
+    lift = cleared.scale / (ONE + qpow(1))
+    assert lift == Scalar.v_power(min(lift.integer_coefficients()))
+    assert min(lift.integer_coefficients()) >= 0
+    even = [block_lift(x, k) for x in range(1 << k)]
     square = invariant._on_basis(cleared.mat * cleared.mat,
-                                 [a * c.dim + b for a in lift for b in lift])
-    want = square.scale((ONE + qpow(1)) ** 2
-                        / (cleared.scale * cleared.scale))
-    assert invariant._duality_pair(k, "odd") == (want, 1 << k)
+                                 [a * c.dim + b for a in even for b in even])
+    assert invariant._duality_pair(k, "odd") == (square, 1 << k)
 
 
 def test_block_square_rejects_c_off_the_block_swap():
@@ -770,7 +865,7 @@ def _coideal_reference(c, n, at):
     """The coideal verdicts with the uncleared C_i multiplied at ``at``
     (SYMBOLIC: over Q(v)), and, over Q(v), each identity and each word of
     the cubic times the power of s that clears it."""
-    s = invariant._clearing_of(c)[0]
+    s = _cleared_c(c).scale
     gens = [embed_pair_operator(c.mat.map_values(at.of), c.dim, i, n)
             for i in range(1, n)]
     sq = [g * g for g in gens]
@@ -848,7 +943,7 @@ def test_coideal_integer_point_matches_symbolic_reference(
     rep = verify_coideal(k, parity, n)
     assert {ch.name: ch.passed for ch in rep.checks} == verdicts
     assert perturbed != rep.passed
-    bound = invariant._coideal_bound(invariant._clearing_of(c))
+    bound = invariant._coideal_bound(_cleared_c(c))
     top = max(abs(x) for m in cleared for row in m.rows.values()
               for val in row.values()
               for x in val.integer_coefficients().values())
@@ -860,8 +955,7 @@ def _exact_coideal_report(k, parity, n, point):
     c = invariant.build_c(k, parity)
     rep = VerificationReport("coideal", {"parity": parity, "k": k, "n": n,
                                          "point": str(point)})
-    relations = invariant._coideal_relations(c, invariant._clearing_of(c), n,
-                                             point.of)
+    relations = invariant._coideal_relations(c, _cleared_c(c), n, point.of)
     for name, (_, check) in relations.items():
         rep.record(name, check)
     return rep
@@ -1528,8 +1622,7 @@ def test_third_power_projection_point_bounds_its_terms(monkeypatch):
         x, = xs
         eigs = [qint(k - r) if r % 2 == 0 else -qint(k - r)
                 for r in range(n + 1)]
-        cleared = invariant._clearing(x, eigs, invariant._common_denominator(
-            [v for row in x.rows.values() for v in row.values()]))
+        cleared = invariant._clearing(x, eigs)
         ident = SparseMat.identity(n + 1, ONE)
         o = invariant._factor_chain(cleared.mat, cleared.eigs[1:], ident)[-1]
         full = (cleared.mat - ident.scale(cleared.eigs[0])) * o
@@ -1537,8 +1630,9 @@ def test_third_power_projection_point_bounds_its_terms(monkeypatch):
         rd = RootData("D", k)
         dim = qdimension(spin_label(rd), rd)
         dwt = [qbinom(n, i) * curly(k - i) / curly(k) for i in range(n + 1)]
-        left = [dim * dim * w.integer_denominator() for w in dwt]
-        right = [w * w.integer_denominator() * z for w in dwt]
+        parts = [w.integer_parts() for w in dwt]
+        left = [dim * dim * den for _, den in parts]
+        right = [num * z for num, _ in parts]
         terms = [val for m in (full, o, o * o, o.scale(z))
                  for row in m.rows.values() for val in row.values()]
         for i in range(n + 1):

@@ -186,6 +186,39 @@ def test_q_numbers_run_no_polynomial_gcd(gcd_calls):
     assert gcd_calls                    # the spy sees the quotient formula
 
 
+def _assert_integer_parts(x: Scalar) -> None:
+    # x = n / d, n and d with integer coefficients, d a polynomial with a
+    # nonzero constant term
+    num, den = x.integer_parts()
+    assert num / den == x
+    num.integer_coefficients()
+    dcoeffs = den.integer_coefficients()
+    assert min(dcoeffs) == 0 and dcoeffs[0]
+
+
+@given(scalars(), scalars(nonzero=True),
+       st.fractions(min_value=-3, max_value=3, max_denominator=6))
+@settings(max_examples=60, deadline=None)
+def test_integer_parts_split_a_quotient(a, b, c):
+    _assert_integer_parts(a / b * Scalar.from_fraction(c))
+
+
+def test_integer_parts_run_no_polynomial_gcd(gcd_calls):
+    values = [ZERO, ONE, qpow(-3) - 2 * qpow(2), qint(Fraction(5, 2)),
+              Scalar({-3: Fraction(1, 2)}, {0: Fraction(3), 4: Fraction(2)}),
+              Scalar({2: Fraction(5, 3), 5: Fraction(-1)},
+                     {0: Fraction(2), 2: Fraction(-5)}),
+              Scalar.from_fraction(Fraction(-7, 4)) / curly(1)]
+    gcd_calls.clear()
+    parts = [x.integer_parts() for x in values]
+    assert not gcd_calls
+    assert parts[0] == (ZERO, ONE)
+    # an integer Laurent polynomial is its own numerator
+    assert parts[2][0] is values[2] and parts[2][1] == ONE
+    for x in values:
+        _assert_integer_parts(x)
+
+
 @pytest.mark.parametrize("e", [-5, 0, 3])
 @pytest.mark.parametrize("coeff", [Fraction(1), Fraction(-3, 2)])
 def test_monomial_factor_shifts_and_scales(e, coeff):
