@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
-from itertools import accumulate, combinations, product
+from itertools import accumulate, chain, combinations, product
 from math import comb, gcd, prod
 from operator import mul
 from typing import Callable, NamedTuple
@@ -176,20 +176,39 @@ def generator_action_for(c: InvariantElement) -> GeneratorAction:
 # ---------------------------------------------------------------------------
 # embedding into tensor powers
 
-def embed_pair_operator(mat: SparseMat, d: int, i: int, n: int) -> SparseMat:
-    """Embed a two-slot operator (d^2 x d^2) into slots (i, i+1) of d^{ox n}."""
+def embed_pair_operator(mat: SparseMat, d: int, i: int, n: int,
+                        basis: list[int] | None = None) -> SparseMat:
+    """Embed a two-slot operator (d^2 x d^2) into slots (i, i+1) of d^{ox n}.
+
+    With ``basis`` (weight blocks, which a weight-preserving ``mat`` keeps),
+    only the columns of ``basis`` are built, as ``tensor_action(...,
+    columns=)`` does, and the result is the embedded operator taken
+    :func:`_on_basis`: rows and columns indexed by position in ``basis``.
+    DomainError when a column leaves span(basis)."""
     if not 1 <= i <= n - 1:
         raise DomainError(f"slot {i} outside 1..{n - 1}")
     if mat.nrows != d * d or mat.ncols != d * d:
         raise DomainError(f"pair operator is {mat.nrows}x{mat.ncols}, "
                           f"not {d * d}x{d * d}")
-    size = d ** n
-    pre = d ** (i - 1)
     post = d ** (n - i - 1)
-    out = SparseMat(size, size)
+    if basis is not None:
+        # index u = (p d^2 + pc) post + s: the pair operator's column pc
+        # sends it to u + (pr - pc) post
+        cols = mat.transpose().rows
+        pos = {u: p for p, u in enumerate(basis)}
+        out = SparseMat(len(basis), len(basis))
+        for p, u in enumerate(basis):
+            pc = u // post % (d * d)
+            for pr, val in cols.get(pc, {}).items():
+                r = pos.get(u + (pr - pc) * post)
+                if r is None:
+                    raise DomainError("operator leaves the span of the basis")
+                out.set_entry(r, p, val)
+        return out
+    out = SparseMat(d ** n, d ** n)
     for pr, row in mat.rows.items():
         for pc, val in row.items():
-            for p in range(pre):
+            for p in range(d ** (i - 1)):
                 base_r = (p * d * d + pr) * post
                 base_c = (p * d * d + pc) * post
                 for s in range(post):
@@ -202,16 +221,10 @@ def _embedded_family(mat: SparseMat, d: int, n: int, of: Callable,
     """A Q(v) pair operator on d-dimensional slots, its values mapped once
     by ``of`` (such as ``at.of``) and embedded into slots (i, i+1) of the
     n-th tensor power for i = 1..n-1: the family C_1, ..., C_{n-1} when
-    ``mat`` is C.  With ``basis`` (weight blocks, which a weight-preserving
-    ``mat`` keeps), each member is taken :func:`_on_basis`; DomainError
-    when one leaves it."""
+    ``mat`` is C.  With ``basis``, each member is built on it alone
+    (:func:`embed_pair_operator`)."""
     mat = mat.map_values(of)
-    family = [embed_pair_operator(mat, d, i, n) for i in range(1, n)]
-    if basis is not None:
-        family = [_on_basis(m, basis) for m in family]
-        if any(m is None for m in family):
-            raise DomainError("operator leaves the span of the basis")
-    return family
+    return [embed_pair_operator(mat, d, i, n, basis) for i in range(1, n)]
 
 
 def _on_basis(mat: SparseMat, basis: list[int],
@@ -286,12 +299,14 @@ def verify_commutation(c: InvariantElement, g: GeneratorAction, *,
     return rep
 
 
-def _commutators_vanish(mat: SparseMat,
-                        actions: list[SparseMat]) -> list[bool]:
+def _commutators_vanish(mat: SparseMat, actions: list[SparseMat],
+                        cleared: _Cleared | None = None) -> list[bool]:
     """Whether [X, G] = 0 over Q(v), for X = ``mat`` and each G of
     ``actions``, decided with plain ints at one integer point.  The entries
     of X lie in Q(v); those of each G are Laurent polynomials with integer
     coefficients, such as the single powers of v of a tensor action.
+    ``cleared`` is X from :func:`_clearing` when the caller holds it
+    already, with or without its eigenvalues.
 
     :func:`_clearing` gives s = delta v^E and sX in Z[w]; one power v^F,
     the least that lifts every exponent of every G to 0 or more, lifts every
@@ -309,7 +324,8 @@ def _commutators_vanish(mat: SparseMat,
     the commutator has l1 norm at most B = h (R + m E), and by Cauchy's
     bound (:func:`_zero_test_point`) it vanishes at w0 = B + 2 exactly when
     it is zero."""
-    cleared = _clearing(mat)
+    if cleared is None:
+        cleared = _clearing(mat)
     # the integer coefficients of each entry of each G, read once
     coeffs = [{r: {col: x.integer_coefficients() for col, x in row.items()}
                for r, row in act.rows.items()} for act in actions]
@@ -406,7 +422,9 @@ def _clearing(mat: SparseMat, eigs: list[Scalar] | tuple = ()) -> _Cleared:
     read once per value), delta x = n times the other distinct d's, a Laurent
     polynomial with integer coefficients formed with no gcd.  v^E is the
     least power that lifts every exponent of those to 0 or more, so sM and
-    the s e_i lie in Z[v], and in fact in Z[w] for w = v^g."""
+    the s e_i lie in Z[v], and in fact in Z[w] for w = v^g.  The integer
+    coefficients of each delta x are read once: E, g and R all come from
+    them, since v^E moves every exponent by E and keeps every coefficient."""
     dens: list[Scalar] = []
 
     def parts(x: Scalar) -> tuple[Scalar, int]:
@@ -424,12 +442,17 @@ def _clearing(mat: SparseMat, eigs: list[Scalar] | tuple = ()) -> _Cleared:
         return num * others[i] if len(dens) > 1 else num
 
     fmat, feigs = pmat.map_values(cleared), list(map(cleared, peigs))
-    lift = _lift([x for r in fmat.rows.values() for x in r.values()] + feigs)
-    cmat, ceigs = fmat.scale(lift), [e * lift for e in feigs]
-    row = max((sum(map(_l1, r.values())) for r in cmat.rows.values()),
+    rows = [[x.integer_coefficients() for x in r.values()]
+            for r in fmat.rows.values()]
+    exps = [e for p in chain(*rows, (x.integer_coefficients() for x in feigs))
+            for e in p]
+    top = max(0, -min(exps, default=0))                               # E
+    row = max((sum(abs(c) for p in r for c in p.values()) for r in rows),
               default=0)
-    g = _w_step([x for r in cmat.rows.values() for x in r.values()] + ceigs)
-    return _Cleared(prod(dens, start=ONE) * lift, cmat, ceigs, row, g)
+    lift = Scalar.v_power(top)
+    return _Cleared(prod(dens, start=ONE) * lift, fmat.scale(lift),
+                    [e * lift for e in feigs], row,
+                    gcd(4, *(e + top for e in exps)))
 
 
 def _eigenprojections(cleared: _Cleared, count: int, a: int, b: int
@@ -712,20 +735,21 @@ def _coideal_bound(cleared: _Cleared) -> int:
 
 
 def _coideal_relations(c: InvariantElement, cleared: _Cleared, n: int, of,
-                       mod: int = 0
+                       mod: int = 0, basis: list[int] | None = None
                        ) -> dict[str, tuple[bool, Callable[[], bool | str]]]:
     """The checks of :func:`verify_coideal` in report order, by name: whether
     the check claims that its identities vanish, and the check, which
     returns True or the witness of its first failure.  Each identity is the
     cleared one (see there), built from the output of :func:`_clearing`
     mapped by ``of``: ints at w0, ints read mod ``mod``, or point values.
-    Nothing is multiplied before a check runs.  By the lemma of
+    Nothing is multiplied before a check runs.  By the lemmas of
     :func:`verify_coideal`, the products run on S ox S and the cubics at
-    (C_1, C_2) and (C_2, C_1) on S^{ox 3}; these are the first failures in
-    generator order, and the distant commutators vanish for every C."""
+    (C_1, C_2) and (C_2, C_1) on S^{ox 3}, restricted to ``basis`` (D) when
+    it is given; these are the first failures in generator order, and the
+    distant commutators vanish for every C."""
     scale, ceigs = cleared.scale, cleared.eigs
     pair = cleared.mat.map_values(of)
-    gens = ([embed_pair_operator(pair, c.dim, i, 3) for i in (1, 2)]
+    gens = ([embed_pair_operator(pair, c.dim, i, 3, basis) for i in (1, 2)]
             if n >= 3 else [])
     q, mid, rhs = of(qpow(1)), of(qpow(2) + ONE), of(scale * scale * qpow(1))
     sq_eigs = [of(e * e) for e in reversed(ceigs[:len(ceigs) // 2])]
@@ -831,8 +855,30 @@ def verify_coideal(k: int, parity: str, n: int, *,
     every polynomial p: the eigenvalue products run on S ox S.  The cubic
     at (C_i, C_{i+-1}) is I ox (the cubic at (C_1, C_2) or (C_2, C_1) on
     S^{ox 3}) ox I, and the distant commutators vanish for every operator
-    on disjoint slots.  No product runs on more than d^3 dimensions, d the
-    dimension of S; only the size guard still counts d^n.
+    on disjoint slots.
+
+    The cubics run on D, the sum of the dominant weight spaces of S^{ox 3}
+    (:func:`_dominant_space`), once :func:`_pair_in_commutant` shows over
+    Q(v) that C lies in End_U(S ox S), S the module of
+    :func:`generator_action_for` (the doubled module at odd parity).  Then
+    C_1 and C_2 lie in End_U(S^{ox 3}), and so does each cubic X, a
+    polynomial in them; C_1 and C_2 keep weights, so X(D) lies in D and X|_D
+    is the same polynomial in C_1|_D and C_2|_D, which are built on D's
+    columns alone (:func:`embed_pair_operator`).  X is zero exactly when
+    X|_D is:
+
+    - S^{ox 3} is semisimple over Q(v), at every q0 > 0 and at q = 1: a sum
+      of simple modules, each generated by a highest-weight vector, whose
+      weight is dominant and so lies in D.  X commutes with U, so it is
+      fixed by its values on those vectors, and X|_D = 0 gives X = 0.
+    - The entries of X|_D are a subset of the entries of X, so the bound B
+      below covers them and w0 still decides X|_D.
+    - A nonzero image of X|_D mod p proves X|_D, and so X, nonzero.
+
+    D has 80 of the 512 dimensions of S^{ox 3} at even k = 3 and 104 of
+    512 at odd k = 2.  When the inclusion fails, the cubics run on all of
+    S^{ox 3}.  No product runs on more than d^3 dimensions, d the dimension
+    of S; only the size guard still counts d^n.
 
     Every relation is decided in cleared form.  With s = delta v^E and sC
     from :func:`_clearing`, sC and the generators G_i = I ox sC ox I have
@@ -863,8 +909,10 @@ def verify_coideal(k: int, parity: str, n: int, *,
     (:meth:`ModPoint.reducing`), a ring map on the point's values of Z[v]:
     a nonzero image proves a nonzero value.  Any other outcome -- a zero
     claim failing at w0, a zero image, a point with no reduction -- reruns
-    that check with exact point values, so the report is the same either
-    way.  SizeGuardError refuses powers past MAX_POINT_DIM dimensions.
+    that check with exact point values on all of S^{ox 3}, so the report is
+    the same either way.  Without a point, the verdict at w0 on D is final,
+    by the lemma above.  SizeGuardError refuses powers past MAX_POINT_DIM
+    dimensions.
     """
     rep = VerificationReport(
         "coideal",
@@ -874,8 +922,13 @@ def verify_coideal(k: int, parity: str, n: int, *,
     _guard_power("coideal", n, lambda m: c.dim ** m, MAX_POINT_DIM,
                  "dimensions at a point")
     cleared = _clearing(c.mat, c.eigenvalues())
+    basis = None
+    if n >= 3:
+        g = generator_action_for(c)
+        if _pair_in_commutant(c.mat, g, cleared):
+            basis = _dominant_space(g, 3)
     at = _zero_test_point(_coideal_bound(cleared), cleared.g)
-    checks = _coideal_relations(c, cleared, n, at.of)
+    checks = _coideal_relations(c, cleared, n, at.of, basis=basis)
 
     @cache
     def images():
@@ -883,7 +936,7 @@ def verify_coideal(k: int, parity: str, n: int, *,
             mod = ModPoint.reducing(point, certificate_prime(point))
         except PoleError:
             return {}
-        return _coideal_relations(c, cleared, n, mod.of, mod.p)
+        return _coideal_relations(c, cleared, n, mod.of, mod.p, basis)
 
     exact = cache(lambda: _coideal_relations(c, cleared, n, point.of))
 
@@ -915,11 +968,16 @@ def _module_actions(rd: RootData, n: int, at: Specialization
     against, at ``at``: Delta^n(E_i) and Delta^n(F_i) for each simple root
     and, in type D, where the flip extends the module structure, t^{ox n}."""
     g = spin_rep(rd, odd_doubled=False)
-    gids = [(kind, i) for i in range(1, g.nsimple + 1) for kind in ("E", "F")]
-    if g.t_perm is not None:
-        gids.append(("t", 0))
     return (_tensor_weights(g, n),
-            [tensor_action(g, gid, n, at=at) for gid in gids])
+            [tensor_action(g, gid, n, at=at) for gid in _module_gids(g)])
+
+
+def _module_gids(g: GeneratorAction) -> list[tuple[str, int]]:
+    """E_i and F_i for each simple root of ``g`` and, where ``g`` has the
+    flip, t: the generators whose tensor actions a commutant is taken
+    against."""
+    gids = [(kind, i) for i in range(1, g.nsimple + 1) for kind in ("E", "F")]
+    return gids + [("t", 0)] if g.t_perm is not None else gids
 
 
 def _weight_block(k: int, n: int, wt: tuple[Fraction, ...]) -> list[int]:
@@ -947,6 +1005,24 @@ def _dominant_blocks(rd: RootData, n: int
     return {wt: _weight_block(rd.rank, n, wt)
             for wt in product(coords, repeat=rd.rank)
             if all(inner(wt, a) >= 0 for a in simple)}
+
+
+def _dominant_space(g: GeneratorAction, n: int) -> list[int]:
+    """D for the module of ``g``: the basis indices of every
+    :func:`_dominant_blocks` block of S^{ox n}, ascending, with no other
+    weight listed.  On the doubled module (type B, one more, invisible,
+    coordinate in the lowest bit of each slot) each visible slot digit x
+    of a block index becomes x << 1 | b, for both values of b."""
+    k = g.rd.rank
+    space = [u for block in _dominant_blocks(g.rd, n).values() for u in block]
+    if g.doubled:
+        low, width = (1 << k) - 1, k + 1
+        spread = [sum(((u >> t * k) & low) << (t * width + 1)
+                      for t in range(n)) for u in space]
+        bits = [sum(c) for c in product(*((0, 1 << t * width)
+                                         for t in range(n)))]
+        space = [u | b for u in spread for b in bits]
+    return sorted(space)
 
 
 def _orbit_blocks(g: GeneratorAction, n: int
@@ -1078,10 +1154,11 @@ def _generators(rd: RootData, parity: str, n: int) -> _Generators:
     """The one setup of :func:`generated_algebra_dim` and
     :func:`verify_duality`: the generators and their basis, once a request."""
     pair = _duality_pair(rd.rank, parity)
+    g = spin_rep(rd, odd_doubled=False)
     basis = None
-    if _pair_in_commutant(pair, rd):
-        blocks = _orbit_blocks(spin_rep(rd, odd_doubled=False), n).values()
-        basis = sorted(u for block in blocks for u in block)
+    if _pair_in_commutant(pair[0], g):
+        basis = sorted(u for block in _orbit_blocks(g, n).values()
+                       for u in block)
     return _Generators(*pair, basis)
 
 
@@ -1136,26 +1213,29 @@ def _algebra_rank(gens: _Generators, n: int, at: Specialization) -> int:
     return red.rank
 
 
-def _pair_in_commutant(pair: tuple[SparseMat, int], rd: RootData) -> bool:
-    """Whether the pair operator X lies in the commutant on S ox S over
-    Q(v): it preserves weights and commutes with each operator of
-    :func:`_module_actions` at n = 2 (:func:`_commutators_vanish`).
+def _pair_in_commutant(mat: SparseMat, g: GeneratorAction,
+                       cleared: _Cleared | None = None) -> bool:
+    """Whether the pair operator X = ``mat`` lies in the commutant on S ox S
+    over Q(v), S the module of ``g``: it preserves weights and commutes with
+    Delta^2(E_i), Delta^2(F_i) and, where ``g`` has the flip, t ox t
+    (:func:`_module_gids`, :func:`_commutators_vanish`; ``cleared`` is
+    passed on).
 
     Then I ox X ox I (X on slots j, j + 1) lies in the commutant on S^{ox n}
     for every n.  In Delta^n(E) as :func:`tensor_action` builds it, a term
     on another slot puts K^{+-1/2} ox K^{+-1/2} on the pair's slots, a
     scalar on each weight space of S ox S; the two terms on the pair's slots
     sum to (K^{1/2})^{ox (j-1)} ox Delta^2(E) ox (K^{-1/2})^{ox (n-j-1)};
-    t^{ox n} contains t ox t; and weights add over the slots.  X has Laurent
-    polynomial entries (:func:`_duality_pair`), so this holds at every
+    t^{ox n} contains t ox t; and weights add over the slots.  For X with
+    Laurent polynomial entries (:func:`_duality_pair`) this holds at every
     q0 > 0 and at q = 1, and then for the unital algebra the embedded X
     generate too."""
-    mat, _ = pair
-    wts, actions = _module_actions(rd, 2, SYMBOLIC)
+    wts = _tensor_weights(g, 2)
     for u, row in mat.rows.items():
         if any(wts[v] != wts[u] for v in row):
             return False
-    return all(_commutators_vanish(mat, actions))
+    return all(_commutators_vanish(
+        mat, [tensor_action(g, gid, 2) for gid in _module_gids(g)], cleared))
 
 
 def _duality_counts(gens: _Generators, n: int, rd: RootData,

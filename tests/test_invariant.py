@@ -981,14 +981,15 @@ def test_coideal_point_fallback_matches_exact_path(monkeypatch, defect,
     exact_runs = []
     relations = invariant._coideal_relations
 
-    def spy(c, cleared, n, of, mod=0):
+    def spy(c, cleared, n, of, mod=0, basis=None):
         if of == point.of:
-            exact_runs.append(n)
-        return relations(c, cleared, n, of, mod)
+            exact_runs.append((n, basis))
+        return relations(c, cleared, n, of, mod, basis)
 
     monkeypatch.setattr(invariant, "_coideal_relations", spy)
     rep = verify_coideal(1, "odd", 3, point=point)
-    assert exact_runs == [3]
+    # the exact path runs once, on all of S^{ox 3}
+    assert exact_runs == [(3, None)]
     assert {ch.name for ch in rep.checks if not ch.passed} == fails
     assert rep.as_json() == _exact_coideal_report(1, "odd", 3,
                                                   point).as_json()
@@ -996,19 +997,10 @@ def test_coideal_point_fallback_matches_exact_path(monkeypatch, defect,
     assert {ch.name: ch.passed for ch in rep.checks} == verdicts
 
 
-@pytest.mark.parametrize("scalar", [False, True])
-@pytest.mark.parametrize("k,parity,n", [(1, "odd", 4), (1, "odd", 5),
-                                        (2, "even", 4), (1, "even", 5)])
-def test_coideal_builds_nothing_past_the_third_power(monkeypatch, k, parity,
-                                                     n, scalar):
-    # every relation lives on S ox S or S^{ox 3}: no matrix on more than
-    # d^3 dimensions is built, symbolically or at q0 = 3/2, where C = [1/2]
-    # I (odd) or [1] I sends a check down the exact path
-    c = build_c(k, parity)
-    if scalar:
-        c.mat = SparseMat.identity(c.dim ** 2,
-                                   qint(HALF) if parity == "odd" else ONE)
-        monkeypatch.setattr(invariant, "build_c", lambda *args: c)
+def _coideal_sizes(monkeypatch, c, n, point):
+    """The verify_coideal report for ``c`` and the larger side of every
+    matrix it builds."""
+    monkeypatch.setattr(invariant, "build_c", lambda *args: c)
     sizes = []
     init = SparseMat.__init__
 
@@ -1017,10 +1009,93 @@ def test_coideal_builds_nothing_past_the_third_power(monkeypatch, k, parity,
         init(self, nrows, ncols, rows)
 
     monkeypatch.setattr(SparseMat, "__init__", spy)
+    return verify_coideal(c.k, c.parity, n, point=point), sizes
+
+
+COIDEAL_SIZE_CASES = [(1, "odd", 4), (1, "odd", 5), (2, "even", 4),
+                      (1, "even", 5)]
+
+
+@pytest.mark.parametrize("scalar", [False, True])
+@pytest.mark.parametrize("k,parity,n", COIDEAL_SIZE_CASES)
+def test_coideal_builds_nothing_past_the_third_power(monkeypatch, k, parity,
+                                                     n, scalar):
+    # every relation lives on S ox S or S^{ox 3}, and once C commutes with
+    # the quantum group the cubics run on D: symbolically no matrix on more
+    # than max(d^2, dim D) dimensions is built.  C = [1/2] I (odd) or [1] I
+    # commutes too, but at q0 = 3/2 it sends a check down the exact path,
+    # on S^{ox 3}
+    c = build_c(k, parity)
+    if scalar:
+        c.mat = SparseMat.identity(c.dim ** 2,
+                                   qint(HALF) if parity == "odd" else ONE)
+    dominant = len(invariant._dominant_space(generator_action_for(c), 3))
     point = EvalPoint.from_q(Fraction(3, 2)) if scalar else None
-    rep = verify_coideal(k, parity, n, point=point)
+    rep, sizes = _coideal_sizes(monkeypatch, c, n, point)
     assert rep.passed != scalar, rep.summary()
+    if scalar:
+        assert max(sizes) == c.dim ** 3
+    else:
+        # D_1 has no simple root, so at even k = 1 D is all of S^{ox 3}
+        assert max(sizes) <= max(c.dim ** 2, dominant)
+        assert dominant < c.dim ** 3 or (k, parity) == (1, "even")
+
+
+@pytest.mark.parametrize("k,parity,n", COIDEAL_SIZE_CASES)
+def test_coideal_without_inclusion_runs_on_the_third_power(monkeypatch, k,
+                                                           parity, n):
+    # C with one entry times q does not commute with the quantum group, so
+    # its cubics run on all of S^{ox 3}, and on nothing larger
+    c = _scale_one_entry(build_c(k, parity), qpow(1))
+    assert not invariant._pair_in_commutant(c.mat, generator_action_for(c))
+    rep, sizes = _coideal_sizes(monkeypatch, c, n, None)
+    assert not rep.passed
     assert max(sizes) == c.dim ** 3
+
+
+@pytest.mark.parametrize("k,parity", [(1, "even"), (2, "even"), (3, "even"),
+                                      (4, "even"), (1, "odd"), (2, "odd"),
+                                      (3, "odd")])
+def test_dominant_space_matches_tensor_weights(k, parity):
+    # D of S^{ox 3} for the module C acts on, the doubled one at odd
+    # parity, is the brute-force list of indices with a dominant weight
+    g = spin_rep(_rd(k, parity), odd_doubled=parity == "odd")
+    simple = g.rd.simple_roots()
+    want = [u for u, wt in enumerate(invariant._tensor_weights(g, 3))
+            if all(inner(wt, a) >= 0 for a in simple)]
+    assert invariant._dominant_space(g, 3) == want
+    assert len(want) == {(3, "even"): 80, (2, "odd"): 104}.get((k, parity),
+                                                              len(want))
+
+
+@pytest.mark.parametrize("q0", [None, Fraction(3, 2)])
+@pytest.mark.parametrize("change", ["plus identity", "doubled"])
+@pytest.mark.parametrize("k,parity", [(2, "even"), (1, "odd")])
+def test_coideal_dominant_path_matches_reference(monkeypatch, k, parity,
+                                                 change, q0):
+    # C + I and 2C still commute with the quantum group, so the cubics run
+    # on D, but they break relations: the verdicts are those of the
+    # uncleared products on all of S^{ox 3}
+    c = build_c(k, parity)
+    c.mat = (c.mat + SparseMat.identity(c.dim ** 2, ONE)
+             if change == "plus identity" else c.mat.scale(2))
+    monkeypatch.setattr(invariant, "build_c", lambda *args: c)
+    bases = []
+    relations = invariant._coideal_relations
+
+    def spy(c, cleared, n, of, mod=0, basis=None):
+        bases.append(basis)
+        return relations(c, cleared, n, of, mod, basis)
+
+    monkeypatch.setattr(invariant, "_coideal_relations", spy)
+    point = None if q0 is None else EvalPoint.from_q(q0)
+    rep = verify_coideal(k, parity, 3, point=point)
+    assert not rep.passed
+    verdicts, _ = _coideal_reference(c, 3, SYMBOLIC if point is None
+                                     else point)
+    assert {ch.name: ch.passed for ch in rep.checks} == verdicts
+    dominant = invariant._dominant_space(generator_action_for(c), 3)
+    assert bases[0] == dominant and len(dominant) < c.dim ** 3
 
 
 @pytest.mark.parametrize("build,k,top", [(build_c_odd, 4, 3),
@@ -1237,7 +1312,7 @@ def test_generated_count_runs_on_flip_orbit_representatives(monkeypatch):
 
 def test_generated_count_without_inclusion_runs_on_full_space(monkeypatch):
     monkeypatch.setattr(invariant, "_pair_in_commutant",
-                        lambda pair, rd: False)
+                        lambda mat, g: False)
     sizes = _spy_word_sizes(monkeypatch)
     assert generated_algebra_dim(1, "odd", 3, _modular_classical()) == 5
     assert max(sizes) == 8
@@ -1334,7 +1409,7 @@ def test_duality_failed_inclusion_takes_exact_counts(monkeypatch):
         raise AssertionError("a mod-p count ran without the inclusion")
 
     monkeypatch.setattr(invariant, "_pair_in_commutant",
-                        lambda pair, rd: False)
+                        lambda mat, g: False)
     monkeypatch.setattr(invariant, "certificate_prime", no_certificate)
     calls = _spy_exact_counts(monkeypatch)
     rep = verify_duality(1, "odd", 3)
@@ -1373,11 +1448,12 @@ def test_pair_inclusion_agrees_with_tensor_power(k, parity, n, q0):
     rd = _rd(k, parity)
     pair = invariant._duality_pair(k, parity)
     gens = invariant._embedded_family(*pair, n, at.of)
-    assert invariant._pair_in_commutant(pair, rd)
+    g = spin_rep(rd)
+    assert invariant._pair_in_commutant(pair[0], g)
     assert _generators_in_commutant(gens, rd, n, at)
     # and both reject the pair with its first entry doubled
     bent, d = _doubled_first_entry(pair[0]), pair[1]
-    assert not invariant._pair_in_commutant((bent, d), rd)
+    assert not invariant._pair_in_commutant(bent, g)
     assert not _generators_in_commutant(
         invariant._embedded_family(bent, d, n, at.of), rd, n, at)
 
@@ -1393,15 +1469,16 @@ def test_duality_pair_has_laurent_entries(k, parity):
 def test_inclusion_check_rejects_mutated_generator(k, parity):
     rd = _rd(k, parity)
     mat, d = invariant._duality_pair(k, parity)
-    assert invariant._pair_in_commutant((mat, d), rd)
-    assert not invariant._pair_in_commutant((_doubled_first_entry(mat), d), rd)
+    g = spin_rep(rd)
+    assert invariant._pair_in_commutant(mat, g)
+    assert not invariant._pair_in_commutant(_doubled_first_entry(mat), g)
     # entries between the all-plus and the all-minus vector of S ox S, both
     # ways: at even k = 1, where t ox t is the only action, they commute with
     # it, and only the weight test rejects them
     leak = mat.copy()
     leak.set_entry(0, d * d - 1, ONE)
     leak.set_entry(d * d - 1, 0, ONE)
-    assert not invariant._pair_in_commutant((leak, d), rd)
+    assert not invariant._pair_in_commutant(leak, g)
 
 
 def test_duality_grid_certified_without_fallback(monkeypatch):
@@ -1421,9 +1498,9 @@ def test_duality_builds_pair_operator_once(monkeypatch):
     tests = []
     included = invariant._pair_in_commutant
 
-    def counting_inclusion(pair, rd):
-        tests.append(rd)
-        return included(pair, rd)
+    def counting_inclusion(mat, g, cleared=None):
+        tests.append(g.rd)
+        return included(mat, g, cleared)
 
     monkeypatch.setattr(invariant, "_pair_in_commutant", counting_inclusion)
     rep = verify_duality(2, "odd", 3)
