@@ -180,39 +180,31 @@ def embed_pair_operator(mat: SparseMat, d: int, i: int, n: int,
                         basis: list[int] | None = None) -> SparseMat:
     """Embed a two-slot operator (d^2 x d^2) into slots (i, i+1) of d^{ox n}.
 
-    With ``basis`` (weight blocks, which a weight-preserving ``mat`` keeps),
-    only the columns of ``basis`` are built, as ``tensor_action(...,
-    columns=)`` does, and the result is the embedded operator taken
-    :func:`_on_basis`: rows and columns indexed by position in ``basis``.
-    DomainError when a column leaves span(basis)."""
+    Only the columns of ``basis`` (default: every index; else weight
+    blocks, which a weight-preserving ``mat`` keeps) are built, as
+    ``tensor_action(..., columns=)`` does, and the result is the embedded
+    operator taken :func:`_on_basis`: rows and columns indexed by position
+    in ``basis``.  DomainError when a column leaves span(basis)."""
     if not 1 <= i <= n - 1:
         raise DomainError(f"slot {i} outside 1..{n - 1}")
     if mat.nrows != d * d or mat.ncols != d * d:
         raise DomainError(f"pair operator is {mat.nrows}x{mat.ncols}, "
                           f"not {d * d}x{d * d}")
     post = d ** (n - i - 1)
-    if basis is not None:
-        # index u = (p d^2 + pc) post + s: the pair operator's column pc
-        # sends it to u + (pr - pc) post
-        cols = mat.transpose().rows
-        pos = {u: p for p, u in enumerate(basis)}
-        out = SparseMat(len(basis), len(basis))
-        for p, u in enumerate(basis):
-            pc = u // post % (d * d)
-            for pr, val in cols.get(pc, {}).items():
-                r = pos.get(u + (pr - pc) * post)
-                if r is None:
-                    raise DomainError("operator leaves the span of the basis")
-                out.set_entry(r, p, val)
-        return out
-    out = SparseMat(d ** n, d ** n)
-    for pr, row in mat.rows.items():
-        for pc, val in row.items():
-            for p in range(d ** (i - 1)):
-                base_r = (p * d * d + pr) * post
-                base_c = (p * d * d + pc) * post
-                for s in range(post):
-                    out.set_entry(base_r + s, base_c + s, val)
+    # index u = (p d^2 + pc) post + s: the pair operator's column pc sends
+    # it to u + (pr - pc) post
+    if basis is None:
+        basis = range(d ** n)
+    cols = mat.transpose().rows
+    pos = {u: p for p, u in enumerate(basis)}
+    out = SparseMat(len(basis), len(basis))
+    for p, u in enumerate(basis):
+        pc = u // post % (d * d)
+        for pr, val in cols.get(pc, {}).items():
+            r = pos.get(u + (pr - pc) * post)
+            if r is None:
+                raise DomainError("operator leaves the span of the basis")
+            out.set_entry(r, p, val)
     return out
 
 
@@ -962,22 +954,17 @@ def _tensor_weights(g: GeneratorAction, n: int) -> list[tuple[Fraction, ...]]:
             for slots in product(g.weights, repeat=n)]
 
 
-def _module_actions(rd: RootData, n: int, at: Specialization
+def _module_actions(g: GeneratorAction, n: int, at: Specialization
                     ) -> tuple[list[tuple[Fraction, ...]], list[SparseMat]]:
-    """The weights of S^{ox n} and the operators its commutant is taken
-    against, at ``at``: Delta^n(E_i) and Delta^n(F_i) for each simple root
-    and, in type D, where the flip extends the module structure, t^{ox n}."""
-    g = spin_rep(rd, odd_doubled=False)
-    return (_tensor_weights(g, n),
-            [tensor_action(g, gid, n, at=at) for gid in _module_gids(g)])
-
-
-def _module_gids(g: GeneratorAction) -> list[tuple[str, int]]:
-    """E_i and F_i for each simple root of ``g`` and, where ``g`` has the
-    flip, t: the generators whose tensor actions a commutant is taken
-    against."""
+    """The weights of S^{ox n}, S the module of ``g``, and the operators its
+    commutant is taken against, at ``at``: Delta^n(E_i) and Delta^n(F_i) for
+    each simple root and, where ``g`` has the flip (type D, where it extends
+    the module structure), t^{ox n}."""
     gids = [(kind, i) for i in range(1, g.nsimple + 1) for kind in ("E", "F")]
-    return gids + [("t", 0)] if g.t_perm is not None else gids
+    if g.t_perm is not None:
+        gids.append(("t", 0))
+    return (_tensor_weights(g, n),
+            [tensor_action(g, gid, n, at=at) for gid in gids])
 
 
 def _weight_block(k: int, n: int, wt: tuple[Fraction, ...]) -> list[int]:
@@ -1217,9 +1204,8 @@ def _pair_in_commutant(mat: SparseMat, g: GeneratorAction,
                        cleared: _Cleared | None = None) -> bool:
     """Whether the pair operator X = ``mat`` lies in the commutant on S ox S
     over Q(v), S the module of ``g``: it preserves weights and commutes with
-    Delta^2(E_i), Delta^2(F_i) and, where ``g`` has the flip, t ox t
-    (:func:`_module_gids`, :func:`_commutators_vanish`; ``cleared`` is
-    passed on).
+    each operator of :func:`_module_actions` at n = 2
+    (:func:`_commutators_vanish`; ``cleared`` is passed on).
 
     Then I ox X ox I (X on slots j, j + 1) lies in the commutant on S^{ox n}
     for every n.  In Delta^n(E) as :func:`tensor_action` builds it, a term
@@ -1230,12 +1216,11 @@ def _pair_in_commutant(mat: SparseMat, g: GeneratorAction,
     Laurent polynomial entries (:func:`_duality_pair`) this holds at every
     q0 > 0 and at q = 1, and then for the unital algebra the embedded X
     generate too."""
-    wts = _tensor_weights(g, 2)
+    wts, actions = _module_actions(g, 2, SYMBOLIC)
     for u, row in mat.rows.items():
         if any(wts[v] != wts[u] for v in row):
             return False
-    return all(_commutators_vanish(
-        mat, [tensor_action(g, gid, 2) for gid in _module_gids(g)], cleared))
+    return all(_commutators_vanish(mat, actions, cleared))
 
 
 def _duality_counts(gens: _Generators, n: int, rd: RootData,

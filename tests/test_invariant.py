@@ -1177,7 +1177,7 @@ def _reference_commutant_dim(rd: RootData, n: int, at) -> int:
     weight-preserving matrix, C(2n, n)^k in all, and one equation per entry
     of its commutator with each operator of ``_module_actions``.  The
     reference for the count from highest-weight multiplicities."""
-    wts, actions = invariant._module_actions(rd, n, at)
+    wts, actions = invariant._module_actions(spin_rep(rd), n, at)
     blocks: dict[tuple, list[int]] = {}
     for u, w in enumerate(wts):
         blocks.setdefault(w, []).append(u)
@@ -1423,7 +1423,7 @@ def _generators_in_commutant(gens: list[SparseMat], rd: RootData, n: int,
     """The inclusion test on S^{ox n} itself, at ``at``: every generator is
     supported on the weight blocks and commutes with each operator of
     ``_module_actions``.  The reference for the test on S ox S."""
-    wts, actions = invariant._module_actions(rd, n, at)
+    wts, actions = invariant._module_actions(spin_rep(rd), n, at)
     for m in gens:
         for u, row in m.rows.items():
             if any(wts[v] != wts[u] for v in row):
