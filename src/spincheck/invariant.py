@@ -47,7 +47,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
-from itertools import accumulate, chain, combinations, product
+from itertools import (accumulate, chain, combinations,
+                       combinations_with_replacement, product)
 from math import comb, gcd, prod
 from operator import mul
 from typing import Callable, NamedTuple
@@ -323,13 +324,11 @@ def _commutators_vanish(mat: SparseMat, actions: list[SparseMat],
                for r, row in act.rows.items()} for act in actions]
     polys = [p for act in coeffs for row in act.values() for p in row.values()]
     lift = -min([0, *(e for p in polys for e in p)])     # F
-    top = max((_l1(x) for row in cleared.mat.rows.values()
-               for x in row.values()), default=0)
     wide = max((len(row) for act in actions for row in act.rows.values()),
                default=0)
     at = _zero_test_point(
         max((sum(map(abs, p.values())) for p in polys), default=0)
-        * (cleared.row + wide * top),
+        * (cleared.row + wide * cleared.entry),
         gcd(cleared.g, *(e + lift for p in polys for e in p)))
     w0, g = at.w0, at.g
 
@@ -389,6 +388,7 @@ class _Cleared(NamedTuple):
     eigs: list[Scalar]      # s e_i over the eigenvalues e_i of M
     row: int                # R, the largest l1 row sum of sM
     g: int                  # sM and the s e_i lie in Z[w], w = v^g
+    entry: int              # the largest l1 norm of an entry of sM
 
 
 def _lift(values) -> Scalar:
@@ -407,16 +407,17 @@ def _w_step(values) -> int:
 
 
 def _clearing(mat: SparseMat, eigs: list[Scalar] | tuple = ()) -> _Cleared:
-    """s = delta v^E, sM, the s e_i over the eigenvalues e_i of M, R, the
-    largest l1 row sum of sM, and g = gcd(4, every exponent of sM and of the
-    s e_i).  delta is the product of the distinct integer denominators d of
-    the entries of M and the e_i: with x = n / d (:meth:`Scalar.integer_parts`,
-    read once per value), delta x = n times the other distinct d's, a Laurent
-    polynomial with integer coefficients formed with no gcd.  v^E is the
-    least power that lifts every exponent of those to 0 or more, so sM and
-    the s e_i lie in Z[v], and in fact in Z[w] for w = v^g.  The integer
-    coefficients of each delta x are read once: E, g and R all come from
-    them, since v^E moves every exponent by E and keeps every coefficient."""
+    """s = delta v^E, sM, the s e_i over the eigenvalues e_i of M, R and
+    the largest entry l1 norm of sM, and g = gcd(4, every exponent of sM
+    and of the s e_i).  delta is the product of the distinct integer
+    denominators d of the entries of M and the e_i: with x = n / d
+    (:meth:`Scalar.integer_parts`, read once per value), delta x = n times
+    the other distinct d's, a Laurent polynomial with integer coefficients
+    formed with no gcd.  v^E is the least power that lifts every exponent of
+    those to 0 or more, so sM and the s e_i lie in Z[v], and in fact in Z[w]
+    for w = v^g.  The integer coefficients of each delta x are read once:
+    E, g and both norms come from them, since v^E moves every exponent by E
+    and keeps every coefficient."""
     dens: list[Scalar] = []
 
     def parts(x: Scalar) -> tuple[Scalar, int]:
@@ -439,12 +440,12 @@ def _clearing(mat: SparseMat, eigs: list[Scalar] | tuple = ()) -> _Cleared:
     exps = [e for p in chain(*rows, (x.integer_coefficients() for x in feigs))
             for e in p]
     top = max(0, -min(exps, default=0))                               # E
-    row = max((sum(abs(c) for p in r for c in p.values()) for r in rows),
-              default=0)
+    norms = [[sum(map(abs, p.values())) for p in r] for r in rows]
     lift = Scalar.v_power(top)
     return _Cleared(prod(dens, start=ONE) * lift, fmat.scale(lift),
-                    [e * lift for e in feigs], row,
-                    gcd(4, *(e + top for e in exps)))
+                    [e * lift for e in feigs], max(map(sum, norms), default=0),
+                    gcd(4, *(e + top for e in exps)),
+                    max(map(max, norms), default=0))
 
 
 def _eigenprojections(cleared: _Cleared, count: int, a: int, b: int
@@ -849,28 +850,20 @@ def verify_coideal(k: int, parity: str, n: int, *,
     S^{ox 3}) ox I, and the distant commutators vanish for every operator
     on disjoint slots.
 
-    The cubics run on D, the sum of the dominant weight spaces of S^{ox 3}
-    (:func:`_dominant_space`), once :func:`_pair_in_commutant` shows over
-    Q(v) that C lies in End_U(S ox S), S the module of
-    :func:`generator_action_for` (the doubled module at odd parity).  Then
-    C_1 and C_2 lie in End_U(S^{ox 3}), and so does each cubic X, a
-    polynomial in them; C_1 and C_2 keep weights, so X(D) lies in D and X|_D
-    is the same polynomial in C_1|_D and C_2|_D, which are built on D's
-    columns alone (:func:`embed_pair_operator`).  X is zero exactly when
-    X|_D is:
-
-    - S^{ox 3} is semisimple over Q(v), at every q0 > 0 and at q = 1: a sum
-      of simple modules, each generated by a highest-weight vector, whose
-      weight is dominant and so lies in D.  X commutes with U, so it is
-      fixed by its values on those vectors, and X|_D = 0 gives X = 0.
-    - The entries of X|_D are a subset of the entries of X, so the bound B
-      below covers them and w0 still decides X|_D.
-    - A nonzero image of X|_D mod p proves X|_D, and so X, nonzero.
-
-    D has 80 of the 512 dimensions of S^{ox 3} at even k = 3 and 104 of
-    512 at odd k = 2.  When the inclusion fails, the cubics run on all of
-    S^{ox 3}.  No product runs on more than d^3 dimensions, d the dimension
-    of S; only the size guard still counts d^n.
+    Every path runs on D (:func:`_dominant_space`) once
+    :func:`_pair_in_commutant` shows over Q(v) that C commutes with U and
+    t ox t on S ox S, S the module of :func:`generator_action_for` (doubled
+    at odd parity).  Then each cubic X, a polynomial in C_1 and C_2,
+    commutes with U and t^{ox 3}; C_1 and C_2 keep weights, so X|_D is the
+    same polynomial in C_1|_D and C_2|_D, built on D's columns alone
+    (:func:`embed_pair_operator`), and X is zero exactly when X|_D is, by
+    the sigma-orbit lemma of :func:`_orbit_blocks`.  The entries of X|_D
+    are among those of X, so the bound B below covers them, and a nonzero
+    image of X|_D mod p proves X nonzero.  D has 40 of the 512 dimensions
+    of S^{ox 3} at even k = 3 and 104 of 512 at odd k = 2.  When the
+    inclusion fails, every path runs on all of S^{ox 3}.  No product runs
+    on more than d^3 dimensions, d the dimension of S; only the size guard
+    still counts d^n.
 
     Every relation is decided in cleared form.  With s = delta v^E and sC
     from :func:`_clearing`, sC and the generators G_i = I ox sC ox I have
@@ -901,9 +894,9 @@ def verify_coideal(k: int, parity: str, n: int, *,
     (:meth:`ModPoint.reducing`), a ring map on the point's values of Z[v]:
     a nonzero image proves a nonzero value.  Any other outcome -- a zero
     claim failing at w0, a zero image, a point with no reduction -- reruns
-    that check with exact point values on all of S^{ox 3}, so the report is
-    the same either way.  Without a point, the verdict at w0 on D is final,
-    by the lemma above.  SizeGuardError refuses powers past MAX_POINT_DIM
+    that check with exact point values, on D too, so the report is the same
+    either way.  Without a point, the verdict at w0 on D is final, by the
+    lemma.  SizeGuardError refuses powers past MAX_POINT_DIM
     dimensions.
     """
     rep = VerificationReport(
@@ -930,7 +923,8 @@ def verify_coideal(k: int, parity: str, n: int, *,
             return {}
         return _coideal_relations(c, cleared, n, mod.of, mod.p, basis)
 
-    exact = cache(lambda: _coideal_relations(c, cleared, n, point.of))
+    exact = cache(lambda: _coideal_relations(c, cleared, n, point.of,
+                                             basis=basis))
 
     def decide(name: str, zero: bool, check) -> bool | str:
         # at the point: a zero claim by w0, a nonzero claim mod p, or exactly
@@ -982,26 +976,34 @@ def _weight_block(k: int, n: int, wt: tuple[Fraction, ...]) -> list[int]:
     return sorted(map(sum, product(*choices)))
 
 
-def _dominant_blocks(rd: RootData, n: int
-                     ) -> dict[tuple[Fraction, ...], list[int]]:
-    """The dominant weights lambda of S^{ox n}, <lambda, alpha_i> >= 0 for
-    each simple root, each with its :func:`_weight_block`.  Their sum is D,
-    where every highest-weight vector lies."""
-    coords = [Fraction(n, 2) - m for m in range(n + 1)]
-    simple = rd.simple_roots()
-    return {wt: _weight_block(rd.rank, n, wt)
-            for wt in product(coords, repeat=rd.rank)
-            if all(inner(wt, a) >= 0 for a in simple)}
+def _orbit_blocks(k: int, n: int) -> dict[tuple[Fraction, ...], list[int]]:
+    """The weights lambda_1 >= ... >= lambda_k >= 0 of S^{ox n}, rank k,
+    each with its :func:`_weight_block`, from the non-decreasing minus
+    counts m_j = n/2 - lambda_j <= n/2: in type B the dominant weights, in
+    type D (lambda_{k-1} >= |lambda_k|, every weight at D_1, sigma negating
+    lambda_k) one dominant weight per sigma-orbit.
+
+    The sigma-orbit lemma: let X commute with U and, in type D, with
+    t^{ox n}.  Where S^{ox n} is semisimple (over Q(v), at every q0 > 0 and
+    at q = 1), highest-weight vectors of dominant weight generate it, so X
+    is fixed by its values on them.  t^{ox n} conjugates E_i to
+    E_{sigma(i)} and maps those of weight lambda onto those of
+    sigma(lambda), where X takes the values t^{ox n} X.  So X is zero
+    exactly when it vanishes on the sum of these blocks."""
+    return {wt: _weight_block(k, n, wt)
+            for wt in (tuple(n * _HALF - m for m in minus)
+                       for minus in combinations_with_replacement(
+                           range(n // 2 + 1), k))}
 
 
 def _dominant_space(g: GeneratorAction, n: int) -> list[int]:
     """D for the module of ``g``: the basis indices of every
-    :func:`_dominant_blocks` block of S^{ox n}, ascending, with no other
+    :func:`_orbit_blocks` block of S^{ox n}, ascending, with no other
     weight listed.  On the doubled module (type B, one more, invisible,
     coordinate in the lowest bit of each slot) each visible slot digit x
     of a block index becomes x << 1 | b, for both values of b."""
     k = g.rd.rank
-    space = [u for block in _dominant_blocks(g.rd, n).values() for u in block]
+    space = [u for block in _orbit_blocks(k, n).values() for u in block]
     if g.doubled:
         low, width = (1 << k) - 1, k + 1
         spread = [sum(((u >> t * k) & low) << (t * width + 1)
@@ -1010,16 +1012,6 @@ def _dominant_space(g: GeneratorAction, n: int) -> list[int]:
                                          for t in range(n)))]
         space = [u | b for u in spread for b in bits]
     return sorted(space)
-
-
-def _orbit_blocks(g: GeneratorAction, n: int
-                  ) -> dict[tuple[Fraction, ...], list[int]]:
-    """The :func:`_dominant_blocks` of ``g``, one per sigma-orbit.  Where the
-    flip t is in the module structure (type D), t^{ox n} maps the lambda
-    block onto the sigma(lambda) block, sigma negating the last coordinate:
-    one block of each pair (last coordinate > 0), a fixed block whole."""
-    return {wt: block for wt, block in _dominant_blocks(g.rd, n).items()
-            if g.t_perm is None or wt[-1] >= 0}
 
 
 def _raising_block(g: GeneratorAction, n: int, block: list[int],
@@ -1079,11 +1071,11 @@ def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
     the commutant is the sum of End(HW_lambda).
 
     - Type B: the count is sum_lambda m_lambda^2.
-    - Type D: t^{ox n} maps the lambda block onto the sigma(lambda) block,
-      sigma flipping the sign of the last coordinate, and conjugates E_i to
-      E_{sigma(i)}.  For lambda != sigma(lambda), V_lambda + V_sigma(lambda)
-      is one simple module, counted once at its representative,
-      m_lambda^2.  For lambda = sigma(lambda), t splits HW_lambda into its
+    - Type D: t^{ox n} maps HW_lambda onto HW_sigma(lambda) (the
+      sigma-orbit lemma of :func:`_orbit_blocks`).  For lambda !=
+      sigma(lambda), V_lambda + V_sigma(lambda) is one simple module,
+      counted once at its representative, m_lambda^2.  For
+      lambda = sigma(lambda), t splits HW_lambda into its
       +1 and -1 eigenspaces, of dimensions a and b (the kernels of
       [E_i; T -+ 1] on the block), two simple modules: a^2 + b^2.
 
@@ -1096,7 +1088,7 @@ def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
         raise DomainError("the oracle needs an EvalPoint or CLASSICAL")
     _guard_duality(rd.rank, n)
     g = spin_rep(rd, odd_doubled=False)
-    return sum(m * m for wt, block in _orbit_blocks(g, n).items()
+    return sum(m * m for wt, block in _orbit_blocks(rd.rank, n).items()
                for m in _hw_multiplicities(g, n, wt, block, at))
 
 
@@ -1129,7 +1121,7 @@ def _duality_pair(k: int, parity: str) -> tuple[SparseMat, int]:
 
 class _Generators(NamedTuple):
     """The pair operator of :func:`_duality_pair`, its slot dimension, and
-    the basis :func:`_algebra_rank` runs on: the :func:`_orbit_blocks` once
+    the basis :func:`_algebra_rank` runs on: :func:`_dominant_space` once
     :func:`_pair_in_commutant` holds, None (all of S^{ox n}) otherwise."""
 
     mat: SparseMat
@@ -1142,10 +1134,7 @@ def _generators(rd: RootData, parity: str, n: int) -> _Generators:
     :func:`verify_duality`: the generators and their basis, once a request."""
     pair = _duality_pair(rd.rank, parity)
     g = spin_rep(rd, odd_doubled=False)
-    basis = None
-    if _pair_in_commutant(pair[0], g):
-        basis = sorted(u for block in _orbit_blocks(g, n).values()
-                       for u in block)
+    basis = _dominant_space(g, n) if _pair_in_commutant(pair[0], g) else None
     return _Generators(*pair, basis)
 
 
@@ -1170,16 +1159,13 @@ def _algebra_rank(gens: _Generators, n: int, at: Specialization) -> int:
     of the words in the embedded generators on ``gens.basis``, each
     flattened over its entries.
 
-    Once the generators lie in the commutant, End_U(S^{ox n}), the words
-    run on the blocks of :func:`_orbit_blocks`, which every
-    weight-preserving operator keeps.  That is faithful on the generated
-    algebra A: an element of End_U is fixed by its values on highest-weight
-    vectors, which generate the semisimple module.  In type D the inclusion
-    test puts t ox t among the operators, so t^{ox n}, which maps HW_lambda
-    onto HW_sigma(lambda), commutes with A, and the representatives'
-    highest-weight vectors suffice.  So the rank is dim A, and mod p, where
-    ranks only drop, gen_p <= gen.  Otherwise the words run on all of
-    S^{ox n}, and the exact count is dim A in every case."""
+    Once the generators lie in the commutant, End_U(S^{ox n}), with t ox t
+    among its operators in type D, the words run on
+    :func:`_dominant_space`, which every weight-preserving operator keeps.
+    That is faithful on the generated algebra A, by the sigma-orbit lemma
+    of :func:`_orbit_blocks`.  So the rank is dim A, and mod p, where ranks
+    only drop, gen_p <= gen.  Otherwise the words run on all of S^{ox n},
+    and the exact count is dim A in every case."""
     family = _embedded_family(gens.mat, gens.d, n, at.of, gens.basis)
     size = gens.d ** n if gens.basis is None else len(gens.basis)
 

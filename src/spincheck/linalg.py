@@ -105,17 +105,30 @@ class SparseMat:
         return out
 
     def __add__(self, other: "SparseMat") -> "SparseMat":
+        return self._combine(other, negate=False)
+
+    def __sub__(self, other: "SparseMat") -> "SparseMat":
+        return self._combine(other, negate=True)
+
+    def _combine(self, other: "SparseMat", negate: bool) -> "SparseMat":
+        """``self - other`` if ``negate`` else ``self + other``, in one pass
+        over the union of rows, dropping cancelled entries and empty rows."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DomainError(f"cannot add {self.nrows}x{self.ncols} and "
                               f"{other.nrows}x{other.ncols} matrices")
-        out = self.copy()
-        for i, r in other.rows.items():
-            for j, v in r.items():
-                out.add_to(i, j, v)
+        out, mine = SparseMat(self.nrows, self.ncols), self.rows
+        for i in [*mine, *(i for i in other.rows if i not in mine)]:
+            row = dict(mine.get(i, ()))
+            for j, y in other.rows.get(i, {}).items():
+                if (x := row.get(j)) is None:
+                    row[j] = -y if negate else y
+                elif z := x - y if negate else x + y:
+                    row[j] = z
+                else:
+                    del row[j]
+            if row:
+                out.rows[i] = row
         return out
-
-    def __sub__(self, other: "SparseMat") -> "SparseMat":
-        return self + (-other)
 
     def scale(self, c) -> "SparseMat":
         if not c:

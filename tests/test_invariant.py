@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, isqrt, lcm, prod
 
 import pytest
@@ -629,7 +629,9 @@ def _reference_clearing(mat, eigs):
     row = max(sum(invariant._l1(v) for v in r.values())
               for r in cmat.rows.values())
     g = gcd(4, *(e for v in values for e in v.integer_coefficients()))
-    return dens, (delta * lift, cmat, ceigs, row, g)
+    entry = max(invariant._l1(v) for r in cmat.rows.values()
+                for v in r.values())
+    return dens, (delta * lift, cmat, ceigs, row, g, entry)
 
 
 def _hand_made_clearing_case():
@@ -667,6 +669,7 @@ def test_clearing_matches_reference(monkeypatch, case, ndens):
     dens, want = _reference_clearing(mat, eigs)
     assert len(dens) == ndens
     got = invariant._clearing(mat, eigs)
+    assert len(got) == len(want)
     for name, value in zip(got._fields, want):
         assert getattr(got, name) == value, name
 
@@ -988,8 +991,11 @@ def test_coideal_point_fallback_matches_exact_path(monkeypatch, defect,
 
     monkeypatch.setattr(invariant, "_coideal_relations", spy)
     rep = verify_coideal(1, "odd", 3, point=point)
-    # the exact path runs once, on all of S^{ox 3}
-    assert exact_runs == [(3, None)]
+    # the exact path runs once: on all of S^{ox 3} when the inclusion fails
+    # (one entry times q), else on D
+    assert exact_runs == [(3, None if defect == "entry" else
+                           invariant._dominant_space(generator_action_for(c),
+                                                     3))]
     assert {ch.name for ch in rep.checks if not ch.passed} == fails
     assert rep.as_json() == _exact_coideal_report(1, "odd", 3,
                                                   point).as_json()
@@ -1021,10 +1027,10 @@ COIDEAL_SIZE_CASES = [(1, "odd", 4), (1, "odd", 5), (2, "even", 4),
 def test_coideal_builds_nothing_past_the_third_power(monkeypatch, k, parity,
                                                      n, scalar):
     # every relation lives on S ox S or S^{ox 3}, and once C commutes with
-    # the quantum group the cubics run on D: symbolically no matrix on more
-    # than max(d^2, dim D) dimensions is built.  C = [1/2] I (odd) or [1] I
-    # commutes too, but at q0 = 3/2 it sends a check down the exact path,
-    # on S^{ox 3}
+    # the quantum group the cubics run on D: no matrix on more than
+    # max(d^2, dim D) dimensions is built.  C = [1/2] I (odd) or [1] I
+    # commutes too, and at q0 = 3/2 it sends a check down the exact path,
+    # on D as well
     c = build_c(k, parity)
     if scalar:
         c.mat = SparseMat.identity(c.dim ** 2,
@@ -1033,12 +1039,8 @@ def test_coideal_builds_nothing_past_the_third_power(monkeypatch, k, parity,
     point = EvalPoint.from_q(Fraction(3, 2)) if scalar else None
     rep, sizes = _coideal_sizes(monkeypatch, c, n, point)
     assert rep.passed != scalar, rep.summary()
-    if scalar:
-        assert max(sizes) == c.dim ** 3
-    else:
-        # D_1 has no simple root, so at even k = 1 D is all of S^{ox 3}
-        assert max(sizes) <= max(c.dim ** 2, dominant)
-        assert dominant < c.dim ** 3 or (k, parity) == (1, "even")
+    assert max(sizes) <= max(c.dim ** 2, dominant)
+    assert dominant < c.dim ** 3
 
 
 @pytest.mark.parametrize("k,parity,n", COIDEAL_SIZE_CASES)
@@ -1058,44 +1060,48 @@ def test_coideal_without_inclusion_runs_on_the_third_power(monkeypatch, k,
                                       (3, "odd")])
 def test_dominant_space_matches_tensor_weights(k, parity):
     # D of S^{ox 3} for the module C acts on, the doubled one at odd
-    # parity, is the brute-force list of indices with a dominant weight
+    # parity, is the brute-force list of indices whose weight passes the
+    # reference filter: at even parity half the dominant weight spaces
     g = spin_rep(_rd(k, parity), odd_doubled=parity == "odd")
-    simple = g.rd.simple_roots()
     want = [u for u, wt in enumerate(invariant._tensor_weights(g, 3))
-            if all(inner(wt, a) >= 0 for a in simple)]
+            if _orbit_representative(g.rd, wt)]
     assert invariant._dominant_space(g, 3) == want
-    assert len(want) == {(3, "even"): 80, (2, "odd"): 104}.get((k, parity),
-                                                              len(want))
+    assert len(want) == {(1, "even"): 4, (2, "even"): 13, (3, "even"): 40,
+                         (4, "even"): 121, (1, "odd"): 32, (2, "odd"): 104,
+                         (3, "odd"): 320}[k, parity]
 
 
 @pytest.mark.parametrize("q0", [None, Fraction(3, 2)])
 @pytest.mark.parametrize("change", ["plus identity", "doubled"])
-@pytest.mark.parametrize("k,parity", [(2, "even"), (1, "odd")])
+@pytest.mark.parametrize("k,parity", [(2, "even"), (3, "even"), (1, "odd")])
 def test_coideal_dominant_path_matches_reference(monkeypatch, k, parity,
                                                  change, q0):
-    # C + I and 2C still commute with the quantum group, so the cubics run
-    # on D, but they break relations: the verdicts are those of the
-    # uncleared products on all of S^{ox 3}
+    # C + I and 2C still commute with the quantum group and t ox t, so every
+    # path runs on D, one weight per sigma-orbit at even parity, but they
+    # break relations: the verdicts are those of the uncleared products on
+    # all of S^{ox 3}, and at q0 the broken relations rerun exactly on D
     c = build_c(k, parity)
     c.mat = (c.mat + SparseMat.identity(c.dim ** 2, ONE)
              if change == "plus identity" else c.mat.scale(2))
     monkeypatch.setattr(invariant, "build_c", lambda *args: c)
-    bases = []
+    point = None if q0 is None else EvalPoint.from_q(q0)
+    runs = []
     relations = invariant._coideal_relations
 
     def spy(c, cleared, n, of, mod=0, basis=None):
-        bases.append(basis)
+        runs.append((point is not None and of == point.of, basis))
         return relations(c, cleared, n, of, mod, basis)
 
     monkeypatch.setattr(invariant, "_coideal_relations", spy)
-    point = None if q0 is None else EvalPoint.from_q(q0)
     rep = verify_coideal(k, parity, 3, point=point)
     assert not rep.passed
     verdicts, _ = _coideal_reference(c, 3, SYMBOLIC if point is None
                                      else point)
     assert {ch.name: ch.passed for ch in rep.checks} == verdicts
     dominant = invariant._dominant_space(generator_action_for(c), 3)
-    assert bases[0] == dominant and len(dominant) < c.dim ** 3
+    assert all(basis == dominant for _, basis in runs)
+    assert any(exact for exact, _ in runs) == (point is not None)
+    assert len(dominant) == {2: 13, 3: 40, 1: 32}[k]
 
 
 @pytest.mark.parametrize("build,k,top", [(build_c_odd, 4, 3),
@@ -1161,6 +1167,18 @@ def _rd(k: int, parity: str) -> RootData:
     return RootData("D" if parity == "even" else "B", k)
 
 
+def _dominant(rd: RootData, wt: tuple[Fraction, ...]) -> bool:
+    """<wt, alpha_i> >= 0 for each simple root."""
+    return all(inner(wt, a) >= 0 for a in rd.simple_roots())
+
+
+def _orbit_representative(rd: RootData, wt: tuple[Fraction, ...]) -> bool:
+    """The brute-force reference for the weights of ``_orbit_blocks``:
+    ``wt`` is dominant and, in type D, where sigma negates the last
+    coordinate, that coordinate is >= 0."""
+    return _dominant(rd, wt) and (rd.family == "B" or wt[-1] >= 0)
+
+
 @pytest.mark.parametrize("q0", [Fraction(3, 2), 1])
 @pytest.mark.parametrize("k,parity,n", DUALITY_CASES)
 def test_modular_counts_match_exact(k, parity, n, q0):
@@ -1172,12 +1190,15 @@ def test_modular_counts_match_exact(k, parity, n, q0):
     assert commutant_dim_oracle(rd, n, mod) == commutant_dim_oracle(rd, n, at)
 
 
-def _reference_commutant_dim(rd: RootData, n: int, at) -> int:
+def _reference_commutant_dim(rd: RootData, n: int, at,
+                             flip: bool = True) -> int:
     """The commutant on all of S^{ox n}: one unknown per entry of a
     weight-preserving matrix, C(2n, n)^k in all, and one equation per entry
-    of its commutator with each operator of ``_module_actions``.  The
-    reference for the count from highest-weight multiplicities."""
-    wts, actions = invariant._module_actions(spin_rep(rd), n, at)
+    of its commutator with each operator of ``_module_actions`` (without
+    t^{ox n} when not ``flip``).  The reference for the count from
+    highest-weight multiplicities."""
+    g = spin_rep(rd) if flip else replace(spin_rep(rd), t_perm=None)
+    wts, actions = invariant._module_actions(g, n, at)
     blocks: dict[tuple, list[int]] = {}
     for u, w in enumerate(wts):
         blocks.setdefault(w, []).append(u)
@@ -1266,18 +1287,23 @@ def _spy_word_sizes(monkeypatch) -> list:
     return sizes
 
 
-@pytest.mark.parametrize("family,k,n", [("D", 1, 4), ("D", 2, 3), ("B", 2, 3),
-                                        ("D", 3, 2), ("B", 1, 5)])
+@pytest.mark.parametrize("family,k,n", [(family, k, n) for family in "BD"
+                                        for k in (1, 2, 3, 4)
+                                        for n in (2, 3, 4, 5)])
 def test_weight_blocks_match_tensor_weights(family, k, n):
+    # each block is its weight's indices (listed while S^{ox n} is small),
+    # and the enumerator lists the weights of the reference filter among
+    # every (n + 1)^k candidate
     rd = RootData(family, k)
-    wts = invariant._tensor_weights(spin_rep(rd), n)
-    for wt in set(wts):
-        assert (invariant._weight_block(k, n, wt)
-                == [u for u, w in enumerate(wts) if w == wt])
-    simple = rd.simple_roots()
-    assert invariant._dominant_blocks(rd, n) == {
-        wt: invariant._weight_block(k, n, wt) for wt in set(wts)
-        if all(sum(x * y for x, y in zip(wt, a)) >= 0 for a in simple)}
+    if k * n <= 12:
+        wts = invariant._tensor_weights(spin_rep(rd), n)
+        for wt in set(wts):
+            assert (invariant._weight_block(k, n, wt)
+                    == [u for u, w in enumerate(wts) if w == wt])
+    coords = [Fraction(n, 2) - m for m in range(n + 1)]
+    assert invariant._orbit_blocks(k, n) == {
+        wt: invariant._weight_block(k, n, wt)
+        for wt in product(coords, repeat=k) if _orbit_representative(rd, wt)}
 
 
 def _modular_classical() -> ModPoint:
@@ -1290,7 +1316,7 @@ def test_generated_count_runs_on_dominant_weight_spaces(monkeypatch):
     sizes = _spy_word_sizes(monkeypatch)
     assert generated_algebra_dim(2, "odd", 3, _modular_classical()) == 14
     assert max(sizes) == 13
-    blocks = invariant._dominant_blocks(RootData("B", 2), 3)
+    blocks = invariant._orbit_blocks(2, 3)
     assert sorted(map(len, blocks.values())) == [1, 3, 9]
 
 
@@ -1302,10 +1328,11 @@ def test_generated_count_runs_on_flip_orbit_representatives(monkeypatch):
     sizes = _spy_word_sizes(monkeypatch)
     assert generated_algebra_dim(2, "even", 3, at) == want
     assert max(sizes) == 13
-    g = spin_rep(RootData("D", 2))
-    blocks = invariant._dominant_blocks(g.rd, 3)
-    reps = invariant._orbit_blocks(g, 3)
-    assert sum(map(len, blocks.values())) == 26
+    rd = RootData("D", 2)
+    dominant = [wt for wt in set(invariant._tensor_weights(spin_rep(rd), 3))
+                if _dominant(rd, wt)]
+    reps = invariant._orbit_blocks(2, 3)
+    assert sum(len(invariant._weight_block(2, 3, wt)) for wt in dominant) == 26
     assert sum(map(len, reps.values())) == 13
     assert all(wt[-1] >= 0 for wt in reps)
 
@@ -1320,24 +1347,27 @@ def test_generated_count_without_inclusion_runs_on_full_space(monkeypatch):
 
 @pytest.mark.parametrize("k,n,with_flip,without_flip", [(1, 2, 3, 6),
                                                         (2, 2, 5, 10)])
-def test_commutant_counts_flip_orbits(monkeypatch, k, n, with_flip,
-                                      without_flip):
+def test_commutant_counts_flip_orbits(k, n, with_flip, without_flip):
     # a dominant weight with sigma(lambda) = lambda counts a^2 + b^2, the
     # +-1 eigenspaces of t on its highest-weight space; a pair
     # lambda != sigma(lambda) counts m^2 once
     rd = RootData("D", k)
     g = spin_rep(rd)
     fixed = {wt: invariant._hw_multiplicities(g, n, wt, block, CLASSICAL)
-             for wt, block in invariant._dominant_blocks(rd, n).items()
+             for wt, block in invariant._orbit_blocks(k, n).items()
              if wt[-1] == 0}
     assert fixed and all(ab == [1, 1] for ab in fixed.values())
     assert commutant_dim_oracle(rd, n, CLASSICAL) == with_flip
     assert _reference_commutant_dim(rd, n, CLASSICAL) == with_flip
-    # without the flip in the module structure, every block counts m^2
-    real = invariant.spin_rep
-    monkeypatch.setattr(invariant, "spin_rep", lambda rd, odd_doubled=False:
-                        replace(real(rd, odd_doubled), t_perm=None))
-    assert commutant_dim_oracle(rd, n, CLASSICAL) == without_flip
+    # without the flip in the module structure, every dominant weight
+    # counts m^2: both members of a pair, and a fixed weight once
+    g = replace(g, t_perm=None)
+    dominant = [wt for wt in set(invariant._tensor_weights(g, n))
+                if _dominant(rd, wt)]
+    assert sum(m * m for wt in dominant for m in invariant._hw_multiplicities(
+        g, n, wt, invariant._weight_block(k, n, wt), CLASSICAL)) == without_flip
+    assert _reference_commutant_dim(rd, n, CLASSICAL,
+                                    flip=False) == without_flip
 
 
 def _spy_exact_counts(monkeypatch) -> list:

@@ -217,3 +217,52 @@ def test_scalar_products_match_termwise_reference(case):
                                   if a.entry(i, j) is not None))}
     assert img == want_img
     assert all(img.values())
+
+
+# ---------------------------------------------------------------------------
+# sums and differences against an entrywise reference
+
+int_entries = st.one_of(st.none(), st.integers(-2, 2))
+
+
+@st.composite
+def summands(draw, values):
+    nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return tuple(
+        SparseMat(nrows, ncols, {i: {j: v for j in range(ncols)
+                                     if (v := draw(values)) is not None}
+                                 for i in range(nrows)})
+        for _ in range(2))
+
+
+def _entrywise(a: SparseMat, b: SparseMat, negate: bool) -> dict:
+    """a + b, or a + (-b) when ``negate``, entry by entry."""
+    want: dict[int, dict] = {}
+    for i in range(a.nrows):
+        for j in range(a.ncols):
+            x, y = a.entry(i, j), b.entry(i, j)
+            if y is not None and negate:
+                y = -y
+            v = x if y is None else y if x is None else x + y
+            if v:
+                want.setdefault(i, {})[j] = v
+    return want
+
+
+_CANCEL = SparseMat(2, 3, {0: {0: _ODD, 2: _V(-3)}, 1: {1: _LAGRANGE}})
+
+
+@given(st.one_of(summands(int_entries), summands(q_entries)))
+@settings(max_examples=60, deadline=None)
+@example((_CANCEL, _CANCEL))                 # a - a: every row cancels
+@example((_CANCEL, -_CANCEL))                # a + (-a)
+@example((SparseMat(2, 2, {0: {0: 1, 1: -2}, 1: {0: 3}}),   # row 0 cancels
+          SparseMat(2, 2, {0: {0: -1, 1: 2}, 1: {1: 1}})))
+def test_sums_match_entrywise_reference(pair):
+    a, b = pair
+    before = a.copy(), b.copy()
+    for negate, total in ((False, a + b), (True, a - b)):
+        assert total.rows == _entrywise(a, b, negate)
+        assert all(row and all(row.values()) for row in total.rows.values())
+    assert (a, b) == before
+    assert (a - a).is_zero() and (a + (-a)).is_zero()
