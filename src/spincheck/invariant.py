@@ -1027,14 +1027,6 @@ def _raising_block(g: GeneratorAction, n: int, block: list[int],
     return SparseMat(len(rows), len(block), dict(enumerate(rows)))
 
 
-def _nullity(rows: list[dict], width: int, at: Specialization) -> int:
-    """``width`` minus the rank of ``rows`` at ``at``."""
-    red = at.reducer()
-    for row in rows:
-        red.add_row(row)
-    return width - red.rank
-
-
 def _oracle_unknowns(k: int, n: int) -> int:
     """The entries of a weight-preserving matrix on S^{ox n}, the cost
     :func:`_guard_duality` bounds: sum_w mult(w)^2 over the weights of
@@ -1049,7 +1041,8 @@ def _guard_duality(k: int, n: int) -> None:
     whose weight-preserving matrices have more than MAX_ORACLE_UNKNOWNS
     entries (:func:`_oracle_unknowns`).  C(2n, n)^k is at least the
     dimension 2^{kn} of S^{ox n}, so it bounds every block either count
-    runs on."""
+    runs on.  It does not price the mod-p closure of :func:`_hw_closure`,
+    whose words have only sum m_lambda^2 entries."""
     _guard_power("duality", n, lambda m: _oracle_unknowns(k, m),
                  MAX_ORACLE_UNKNOWNS, "weight-preserving matrix entries")
 
@@ -1081,31 +1074,33 @@ def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
 
     Mod p every entry is a power of v (or 1), and each kernel only grows
     under the reduction, so m_lambda, a and b, and the count, are at least
-    their exact values: comm <= comm_p.  :func:`_guard_duality`, the guard
-    of both duality counts, runs first.
+    their exact values: comm <= comm_p.  :func:`_hw_closure` runs on the
+    same kernels (:func:`_hw_kernels`).  :func:`_guard_duality` runs first.
     """
     if at is SYMBOLIC:
         raise DomainError("the oracle needs an EvalPoint or CLASSICAL")
     _guard_duality(rd.rank, n)
     g = spin_rep(rd, odd_doubled=False)
-    return sum(m * m for wt, block in _orbit_blocks(rd.rank, n).items()
-               for m in _hw_multiplicities(g, n, wt, block, at))
+    return sum(len(hw) ** 2 for wt, block in _orbit_blocks(rd.rank, n).items()
+               for hw in _hw_kernels(g, n, wt, block, at))
 
 
-def _hw_multiplicities(g: GeneratorAction, n: int, wt: tuple[Fraction, ...],
-                       block: list[int], at: Specialization) -> list[int]:
-    """The multiplicities, at ``at``, of the simple modules of
-    :func:`commutant_dim_oracle` whose highest weight lies in the
-    sigma-orbit of ``wt``, a representative of :func:`_orbit_blocks` with
-    block ``block``: [m] in type B and for a type-D pair
-    lambda != sigma(lambda), [a, b] for lambda = sigma(lambda)."""
+def _hw_kernels(g: GeneratorAction, n: int, wt: tuple[Fraction, ...],
+                block: list[int], at: Specialization) -> list[list[dict]]:
+    """The :func:`kernel_basis`, at ``at`` and by position in ``block``, of
+    each simple module of :func:`commutant_dim_oracle` with highest weight
+    in the sigma-orbit of ``wt``, the block's :func:`_orbit_blocks` weight:
+    [HW_lambda], or for lambda = sigma(lambda) those of [E_i; T -+ 1]."""
     rows = list(_raising_block(g, n, block, at).rows.values())
-    if g.t_perm is None or wt[-1] != 0:
-        return [_nullity(rows, len(block), at)]
-    t = _on_basis(tensor_action(g, ("t", 0), n, at=at, columns=block), block)
-    ident = SparseMat.identity(len(block), at.one)
-    return [_nullity(rows + list(sign.rows.values()), len(block), at)
-            for sign in (t - ident, t + ident)]
+    stacks = [rows]
+    if g.t_perm is not None and wt[-1] == 0:
+        t = _on_basis(tensor_action(g, ("t", 0), n, at=at, columns=block),
+                      block)
+        ident = SparseMat.identity(len(block), at.one)
+        stacks = [rows + list(sign.rows.values())
+                  for sign in (t - ident, t + ident)]
+    return [kernel_basis(SparseMat(len(r), len(block), dict(enumerate(r))),
+                         at.one, at.reducer()) for r in stacks]
 
 
 def _duality_pair(k: int, parity: str) -> tuple[SparseMat, int]:
@@ -1120,13 +1115,15 @@ def _duality_pair(k: int, parity: str) -> tuple[SparseMat, int]:
 
 
 class _Generators(NamedTuple):
-    """The pair operator of :func:`_duality_pair`, its slot dimension, and
-    the basis :func:`_algebra_rank` runs on: :func:`_dominant_space` once
-    :func:`_pair_in_commutant` holds, None (all of S^{ox n}) otherwise."""
+    """The pair operator of :func:`_duality_pair`, its slot dimension, the
+    basis :func:`_algebra_rank` runs on: :func:`_dominant_space` once
+    :func:`_pair_in_commutant` holds, None (all of S^{ox n}) otherwise, and
+    the module both were tested on."""
 
     mat: SparseMat
     d: int
     basis: list[int] | None
+    g: GeneratorAction
 
 
 def _generators(rd: RootData, parity: str, n: int) -> _Generators:
@@ -1135,7 +1132,7 @@ def _generators(rd: RootData, parity: str, n: int) -> _Generators:
     pair = _duality_pair(rd.rank, parity)
     g = spin_rep(rd, odd_doubled=False)
     basis = _dominant_space(g, n) if _pair_in_commutant(pair[0], g) else None
-    return _Generators(*pair, basis)
+    return _Generators(*pair, basis, g)
 
 
 def generated_algebra_dim(k: int, parity: str, n: int,
@@ -1156,8 +1153,8 @@ def generated_algebra_dim(k: int, parity: str, n: int,
 
 def _algebra_rank(gens: _Generators, n: int, at: Specialization) -> int:
     """:func:`generated_algebra_dim` for generators built already: the rank
-    of the words in the embedded generators on ``gens.basis``, each
-    flattened over its entries.
+    of the words in the embedded generators on ``gens.basis``
+    (:func:`_word_rank`).
 
     Once the generators lie in the commutant, End_U(S^{ox n}), with t ox t
     among its operators in type D, the words run on
@@ -1168,7 +1165,14 @@ def _algebra_rank(gens: _Generators, n: int, at: Specialization) -> int:
     and the exact count is dim A in every case."""
     family = _embedded_family(gens.mat, gens.d, n, at.of, gens.basis)
     size = gens.d ** n if gens.basis is None else len(gens.basis)
+    return _word_rank(family, size, at)
 
+
+def _word_rank(family: list[SparseMat], size: int, at: Specialization,
+               stop: int | None = None) -> int:
+    """The rank at ``at`` of the words in ``family`` (size x size), the
+    identity included, each flattened over its entries; it stops once the
+    rank reaches ``stop``."""
     def flatten(m: SparseMat) -> dict[int, object]:
         return {u * size + v: val
                 for u, row in m.rows.items() for v, val in row.items()}
@@ -1182,8 +1186,38 @@ def _algebra_rank(gens: _Generators, n: int, at: Specialization) -> int:
         for gmat in family:
             prod = at.product(gmat, m)
             if red.add_row(flatten(prod)):
+                if red.rank == stop:
+                    return stop
                 queue.append(prod)
     return red.rank
+
+
+def _hw_closure(gens: _Generators, n: int, at: ModPoint) -> tuple[int, int]:
+    """L and comm_p = sum m_lambda^2 from the highest-weight spaces
+    HW_{p,lambda} of :func:`_hw_kernels`: L is the rank of the words in the
+    generators restricted to their sum, one block-diagonal matrix of width
+    sum m_lambda, stopped at comm_p; 0 when an image leaves its space."""
+    mat, g = gens.mat.map_values(at.of), gens.g
+    rows: list[dict] = [{} for _ in range(1, n)]
+    width, comm, inside = 0, 0, True
+    for wt, block in _orbit_blocks(g.rd.rank, n).items():
+        xs = [embed_pair_operator(mat, gens.d, i, n, block)
+              for i in range(1, n)]
+        for hw in _hw_kernels(g, n, wt, block, at):
+            # coordinates in HW: the entries at the free columns, the first
+            # key of each kernel vector
+            m, free = len(hw), [next(iter(v)) for v in hw]
+            basis = SparseMat(m, len(block), dict(enumerate(hw))).transpose()
+            for x, out in zip(xs, rows):
+                image = at.product(x, basis)
+                coords = SparseMat(m, m, {r: image.rows.get(f, {})
+                                          for r, f in enumerate(free)})
+                inside = inside and at.product(basis, coords) == image
+                out.update({width + r: {width + c: v for c, v in row.items()}
+                            for r, row in coords.rows.items()})
+            width, comm = width + m, comm + m * m
+    family = [SparseMat(width, width, r) for r in rows]
+    return (_word_rank(family, width, at, comm) if inside else 0), comm
 
 
 def _pair_in_commutant(mat: SparseMat, g: GeneratorAction,
@@ -1212,8 +1246,13 @@ def _pair_in_commutant(mat: SparseMat, g: GeneratorAction,
 def _duality_counts(gens: _Generators, n: int, rd: RootData,
                     at: Specialization) -> tuple[int, int]:
     """The generated-algebra and commutant dimensions at ``at``, for
-    generators built already."""
-    return _algebra_rank(gens, n, at), commutant_dim_oracle(rd, n, at)
+    generators built already.  Mod p, once ``gens.basis`` is set, comm_p
+    and, when L = comm_p, gen_p come from :func:`_hw_closure`; any other
+    gen from :func:`_algebra_rank`, the reference path."""
+    if gens.basis is None or not isinstance(at, ModPoint):
+        return _algebra_rank(gens, n, at), commutant_dim_oracle(rd, n, at)
+    closure, comm = _hw_closure(gens, n, at)
+    return (comm if closure == comm else _algebra_rank(gens, n, at)), comm
 
 
 DEFAULT_DUALITY_POINTS = (Fraction(3, 2), Fraction(5, 2), "classical")
@@ -1235,12 +1274,15 @@ def verify_duality(k: int, parity: str, n: int,
     (:func:`_algebra_rank`).  At every point S^{ox n} is semisimple, so the
     commutant is the sum of squared highest-weight multiplicities
     (:func:`commutant_dim_oracle`).  Each point then takes both counts mod
-    the prime of :func:`certificate_prime`: ranks only drop there and
-    kernels only grow, so gen_p <= gen <= comm <= comm_p, and
-    gen_p = comm_p = the branching count proves all three equal.  Any other
-    outcome -- a failed inclusion, a mismatch, a value with no image mod p
-    -- takes both counts exactly at the point, the generated algebra on all
-    of S^{ox n} when the inclusion failed.  The report is the same either
+    the prime of :func:`certificate_prime` from the highest-weight kernels
+    HW_{p,lambda} (:func:`_hw_closure`).  Each is invariant, as
+    [X, Delta^n(E_i)] and [X, t^{ox n}] vanish as Laurent identities, and
+    restricting to it only lowers ranks, as does reduction mod p, while
+    kernels only grow: L <= gen_p <= gen <= comm <= comm_p, so L = comm_p =
+    the branching count proves all equal.  Any other outcome -- a failed
+    inclusion, a mismatch, a value with no image mod p -- takes both counts
+    exactly at the point, the generated algebra on all of S^{ox n} when the
+    inclusion failed.  The report is the same either
     way, and a certified point does no exact-field arithmetic.  Before any
     rank, :func:`_guard_duality`, the one guard of both counts, refuses a
     power past MAX_ORACLE_UNKNOWNS weight-preserving matrix entries.

@@ -17,8 +17,8 @@ elimination loop multiplies but never divides -- a significant saving when
 coefficients are rational functions.  Incoming rows are reduced against
 pivots in insertion order; since every pivot row is fully reduced against
 all earlier pivots, a single pass suffices.  :func:`kernel_basis` runs on
-it, and so do callers that append tag columns to solve for coordinates in
-a basis.
+either, and callers that append tag columns to solve for coordinates in a
+basis run on it.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ class SparseMat:
         """``self - other`` if ``negate`` else ``self + other``, in one pass
         over the union of rows, dropping cancelled entries and empty rows."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DomainError(f"cannot add {self.nrows}x{self.ncols} and "
+            raise DomainError(f"cannot {'subtract' if negate else 'add'} "
+                              f"{self.nrows}x{self.ncols} and "
                               f"{other.nrows}x{other.ncols} matrices")
         out, mine = SparseMat(self.nrows, self.ncols), self.rows
         for i in [*mine, *(i for i in other.rows if i not in mine)]:
@@ -236,6 +237,7 @@ class RowReducer:
     """
 
     __slots__ = ("order",)
+    p = 0           # the characteristic, as in ModRowReducer
 
     def __init__(self):
         # insertion-ordered (pivot_col, normalized_row) pairs
@@ -300,21 +302,24 @@ class ModRowReducer:
         return True
 
 
-def kernel_basis(mat: SparseMat, one) -> list[dict[int, Any]]:
-    """A basis of the right null space {x : mat @ x = 0}.
+def kernel_basis(mat: SparseMat, one, red=None) -> list[dict[int, Any]]:
+    """A basis of the right null space {x : mat @ x = 0} over the field of
+    ``red``, an empty reducer (default: a new :class:`RowReducer`).
 
     Returns one vector per free column, deterministically ordered by the free
-    column index.  ``one`` must be the multiplicative unit of the field.
+    column index.  Each vector's first key is its free column, where it is
+    ``one``, the unit of the field; it is zero at every other free column.
     """
     # Forward pass: echelon pivots in insertion order.
-    red = RowReducer()
+    red = RowReducer() if red is None else red
     for _, row in sorted(mat.rows.items()):
         red.add_row(row)
     # Backward pass: full Jordan reduction, so each pivot row involves only
     # its own pivot column plus free columns.  A pivot row can only contain
     # pivot columns inserted after itself, so reducing in reverse insertion
-    # order settles everything in one sweep.
-    order = red.order
+    # order settles everything in one sweep.  Over F_p a settled row is
+    # reduced mod p; each factor f is then an untouched entry below p.
+    order, p = red.order, red.p
     for i in range(len(order) - 1, -1, -1):
         c_i, row_i = order[i]
         for k in range(i + 1, len(order)):
@@ -322,6 +327,8 @@ def kernel_basis(mat: SparseMat, one) -> list[dict[int, Any]]:
             f = row_i.get(c_k)
             if f is not None:
                 vec_sub_scaled(row_i, f, row_k)
+        if p:
+            order[i] = c_i, {j: x for j, v in row_i.items() if (x := v % p)}
     pivot_cols = {c: row for c, row in order}
     free_cols = [j for j in range(mat.ncols) if j not in pivot_cols]
     basis = []
@@ -330,6 +337,6 @@ def kernel_basis(mat: SparseMat, one) -> list[dict[int, Any]]:
         for c, row in pivot_cols.items():
             a = row.get(fc)
             if a is not None:
-                vec[c] = -a
+                vec[c] = -a % p if p else -a
         basis.append(vec)
     return basis

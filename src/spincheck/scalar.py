@@ -623,15 +623,20 @@ def eval_scalar(s: Scalar, p: EvalPoint):
 # ---------------------------------------------------------------------------
 # reduction modulo a prime
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Sinclair's bases: with each reduced mod n, Miller-Rabin is exact below 2^64
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first 12 prime bases, which is deterministic
-    for every n below 3.3 * 10^24."""
+    """Trial division up to 37, then Miller-Rabin with Sinclair's bases,
+    each reduced mod n and skipped when 0: deterministic for n < 2^64, and
+    DomainError past it (every :func:`certificate_prime` is below 2^61)."""
+    if n >= 1 << 64:
+        raise DomainError(f"{n} is past the deterministic range 2^64")
     if n < 2:
         return False
-    for b in _MR_BASES:
+    for b in _SMALL_PRIMES:
         if n % b == 0:
             return n == b
     d, s = n - 1, 0
@@ -639,6 +644,9 @@ def _is_prime(n: int) -> bool:
         d >>= 1
         s += 1
     for b in _MR_BASES:
+        b %= n
+        if not b:
+            continue
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -42,8 +42,8 @@ from spincheck.report import VerificationReport
 from spincheck.scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint,
                               ModPoint, Scalar, _lmul, certificate_prime,
                               curly, qbinom, qint, qpow, render_q)
-from spincheck.weights import (RootData, bratteli, inner, one_column_label,
-                               qdimension, spin_label)
+from spincheck.weights import (RootData, bratteli, centralizer_dims, inner,
+                               one_column_label, qdimension, spin_label)
 
 HALF = Fraction(1, 2)
 
@@ -1345,6 +1345,11 @@ def test_generated_count_without_inclusion_runs_on_full_space(monkeypatch):
     assert max(sizes) == 8
 
 
+def _hw_multiplicities(g, n, wt, block, at) -> list[int]:
+    """The dimensions of the highest-weight spaces of ``_hw_kernels``."""
+    return [len(hw) for hw in invariant._hw_kernels(g, n, wt, block, at)]
+
+
 @pytest.mark.parametrize("k,n,with_flip,without_flip", [(1, 2, 3, 6),
                                                         (2, 2, 5, 10)])
 def test_commutant_counts_flip_orbits(k, n, with_flip, without_flip):
@@ -1353,7 +1358,7 @@ def test_commutant_counts_flip_orbits(k, n, with_flip, without_flip):
     # lambda != sigma(lambda) counts m^2 once
     rd = RootData("D", k)
     g = spin_rep(rd)
-    fixed = {wt: invariant._hw_multiplicities(g, n, wt, block, CLASSICAL)
+    fixed = {wt: _hw_multiplicities(g, n, wt, block, CLASSICAL)
              for wt, block in invariant._orbit_blocks(k, n).items()
              if wt[-1] == 0}
     assert fixed and all(ab == [1, 1] for ab in fixed.values())
@@ -1364,7 +1369,7 @@ def test_commutant_counts_flip_orbits(k, n, with_flip, without_flip):
     g = replace(g, t_perm=None)
     dominant = [wt for wt in set(invariant._tensor_weights(g, n))
                 if _dominant(rd, wt)]
-    assert sum(m * m for wt in dominant for m in invariant._hw_multiplicities(
+    assert sum(m * m for wt in dominant for m in _hw_multiplicities(
         g, n, wt, invariant._weight_block(k, n, wt), CLASSICAL)) == without_flip
     assert _reference_commutant_dim(rd, n, CLASSICAL,
                                     flip=False) == without_flip
@@ -1416,12 +1421,14 @@ def test_duality_pole_mod_p_falls_back(monkeypatch):
 
 def test_duality_count_mismatch_mod_p_falls_back(monkeypatch):
     want = json.dumps(verify_duality(2, "even", 2).as_json())
-    oracle = invariant.commutant_dim_oracle
+    closure = invariant._hw_closure
 
-    def off_by_one_mod_p(rd, n, at):
-        return oracle(rd, n, at) + isinstance(at, ModPoint)
+    def off_by_one_mod_p(gens, n, at):
+        rank, comm = closure(gens, n, at)
+        return rank, comm + 1
 
-    monkeypatch.setattr(invariant, "commutant_dim_oracle", off_by_one_mod_p)
+    # mod p the commutant count is comm_p of the highest-weight closure
+    monkeypatch.setattr(invariant, "_hw_closure", off_by_one_mod_p)
     builds = _count_build_c(monkeypatch)
     calls = _spy_exact_counts(monkeypatch)
     rep = verify_duality(2, "even", 2)
@@ -1512,14 +1519,127 @@ def test_inclusion_check_rejects_mutated_generator(k, parity):
 
 
 def test_duality_grid_certified_without_fallback(monkeypatch):
+    # every seed-0 point is certified by the highest-weight closure alone:
+    # no exact count and no word closure on D
     calls = _spy_exact_counts(monkeypatch)
+    ranks = []
+    algebra_rank = invariant._algebra_rank
+
+    def spy_rank(gens, n, at):
+        ranks.append(at)
+        return algebra_rank(gens, n, at)
+
+    monkeypatch.setattr(invariant, "_algebra_rank", spy_rank)
     grids = [("even", 1, (2, 3, 4)), ("even", 2, (2, 3)),
              ("odd", 1, (2, 3, 4)), ("odd", 2, (2, 3))]
     for parity, k, powers in grids:
         for n in powers:
             rep = verify_duality(k, parity, n)
             assert rep.passed, rep.summary()
-    assert calls == []
+    assert calls == [] and ranks == []
+
+
+# the mod-p images of the seed-0 points and of the other benchmark points
+HW_POINTS = [Fraction(3, 2), Fraction(5, 2), 1, Fraction(5, 3), Fraction(7, 2),
+             Fraction(7, 3), Fraction(7, 5)]
+
+
+@pytest.mark.parametrize("q0", HW_POINTS)
+@pytest.mark.parametrize("k,parity,n", DUALITY_CASES)
+def test_hw_closure_matches_algebra_rank(k, parity, n, q0):
+    at = CLASSICAL if q0 == 1 else EvalPoint.from_q(q0)
+    mod = ModPoint.reducing(at, certificate_prime(at))
+    gens = invariant._generators(_rd(k, parity), parity, n)
+    rank, comm = invariant._hw_closure(gens, n, mod)
+    assert rank == comm == invariant._algebra_rank(gens, n, mod)
+    assert comm == commutant_dim_oracle(_rd(k, parity), n, mod)
+
+
+def _reference_duality_counts(gens, n, rd, at):
+    """Both duality counts as taken before the highest-weight closure: the
+    words on D and the oracle, at every point."""
+    return (invariant._algebra_rank(gens, n, at),
+            commutant_dim_oracle(rd, n, at))
+
+
+@pytest.mark.parametrize("k,parity,n", [(2, "even", 2), (1, "odd", 3)])
+def test_identity_pair_closure_falls_back(monkeypatch, k, parity, n):
+    # the identity lies in the commutant, so the inclusion holds, but its
+    # words span the scalars alone: L = 1 < comm_p, and gen_p comes from the
+    # words on D, with the report of the reference path
+    monkeypatch.setattr(invariant, "_duality_pair", lambda k, parity: (
+        SparseMat.identity(4 ** k, ONE), 2 ** k))
+    closures, ranks = [], []
+    closure, algebra_rank = invariant._hw_closure, invariant._algebra_rank
+
+    def spy_closure(gens, n, at):
+        closures.append(closure(gens, n, at))
+        return closures[-1]
+
+    def spy_rank(gens, n, at):
+        ranks.append(at)
+        return algebra_rank(gens, n, at)
+
+    monkeypatch.setattr(invariant, "_hw_closure", spy_closure)
+    monkeypatch.setattr(invariant, "_algebra_rank", spy_rank)
+    rep = verify_duality(k, parity, n)
+    expected = rep.params["branching_dimension"]
+    assert closures == [(1, expected)] * 3
+    assert [type(at) for at in ranks] == [ModPoint, EvalPoint] * 3
+    assert not rep.passed
+    assert f"generated 1 != commutant {expected}" in json.dumps(rep.as_json())
+    monkeypatch.setattr(invariant, "_duality_counts",
+                        _reference_duality_counts)
+    assert (json.dumps(rep.as_json())
+            == json.dumps(verify_duality(k, parity, n).as_json()))
+
+
+def test_hw_closure_image_leaving_its_space_falls_back(monkeypatch):
+    # mod p, each highest-weight basis is swapped for the unit vectors at
+    # its free columns: the same dimensions, but a space the generators do
+    # not keep, so the closure gives L = 0 and gen_p comes from the words
+    # on D; the counts still certify every point, with the same report
+    want = json.dumps(verify_duality(2, "even", 3).as_json())
+    kernels, closure = invariant._hw_kernels, invariant._hw_closure
+    closures, ranks = [], []
+
+    def unit_kernels(g, n, wt, block, at):
+        return [[{next(iter(v)): 1} for v in hw]
+                for hw in kernels(g, n, wt, block, at)]
+
+    def spy_closure(gens, n, at):
+        monkeypatch.setattr(invariant, "_hw_kernels", unit_kernels)
+        closures.append(closure(gens, n, at))
+        monkeypatch.setattr(invariant, "_hw_kernels", kernels)
+        return closures[-1]
+
+    algebra_rank = invariant._algebra_rank
+
+    def spy_rank(gens, n, at):
+        ranks.append(at)
+        return algebra_rank(gens, n, at)
+
+    monkeypatch.setattr(invariant, "_hw_closure", spy_closure)
+    monkeypatch.setattr(invariant, "_algebra_rank", spy_rank)
+    calls = _spy_exact_counts(monkeypatch)
+    rep = verify_duality(2, "even", 3)
+    assert closures == [(0, 35)] * 3
+    assert [type(at) for at in ranks] == [ModPoint] * 3 and calls == []
+    assert json.dumps(rep.as_json()) == want
+
+
+@pytest.mark.parametrize("k,parity,n,want", [
+    (2, "odd", 4, 84), (3, "even", 3, 84), (2, "even", 4, 294),
+    (1, "odd", 5, 42)])
+def test_hw_closure_certifies_past_the_guard(k, parity, n, want):
+    # sizes the duality guard refuses or that take seconds on D: the closure
+    # on the highest-weight spaces certifies them at one mod-p point
+    rd = _rd(k, parity)
+    assert centralizer_dims(bratteli(rd, n))[n - 1] == want
+    at = EvalPoint.from_q(Fraction(3, 2))
+    mod = ModPoint.reducing(at, certificate_prime(at))
+    assert invariant._hw_closure(invariant._generators(rd, parity, n), n,
+                                 mod) == (want, want)
 
 
 def test_duality_builds_pair_operator_once(monkeypatch):

@@ -121,6 +121,36 @@ def test_add_to_accumulates_and_cancels():
 
 def test_kernel_of_identity_is_trivial():
     assert kernel_basis(SparseMat.identity(4, ONE), ONE) == []
+    assert kernel_basis(SparseMat.identity(4, 1), 1, ModRowReducer(7)) == []
+
+
+@given(matrices())
+@settings(max_examples=50, deadline=None)
+def test_mod_p_kernel_matches_rational_kernel(m):
+    # as in the rank test above, every rank survives mod a 61-bit prime, so
+    # the kernel mod p is the exact kernel's image, vector by vector; each
+    # vector is one at its free column (its first key) and zero at the
+    # other free columns
+    p = 2**61 - 1
+
+    def image(x: Fraction) -> int:
+        return x.numerator * pow(x.denominator, -1, p) % p
+
+    exact = kernel_basis(m, ONE)
+    mod = kernel_basis(m.map_values(image), 1, ModRowReducer(p))
+    assert mod == [{j: image(x) for j, x in v.items()} for v in exact]
+    free = [next(iter(v)) for v in mod]
+    for v, fc in zip(mod, free):
+        assert v[fc] == 1 and not set(v) & (set(free) - {fc})
+        assert all(0 < x < p for x in v.values())
+        assert not any(x % p for x in m.map_values(image).apply_to(v).values())
+
+
+def test_mod_p_kernel_grows_past_a_divisor_of_a_minor():
+    # det [[1, 1], [1, 4]] = 3: no kernel over Q, a line mod 3
+    m = SparseMat(2, 2, {0: {0: 1, 1: 1}, 1: {0: 1, 1: 4}})
+    assert kernel_basis(m, 1, ModRowReducer(5)) == []
+    assert kernel_basis(m, 1, ModRowReducer(3)) == [{1: 1, 0: 2}]
 
 
 def test_shape_mismatch_raises_under_optimize():
@@ -266,3 +296,13 @@ def test_sums_match_entrywise_reference(pair):
         assert all(row and all(row.values()) for row in total.rows.values())
     assert (a, b) == before
     assert (a - a).is_zero() and (a + (-a)).is_zero()
+
+
+def test_shape_mismatch_names_the_operation():
+    a, b = SparseMat(2, 2), SparseMat(2, 3)
+    with pytest.raises(DomainError) as added:
+        a + b
+    with pytest.raises(DomainError) as subtracted:
+        a - b
+    assert str(added.value) == "cannot add 2x2 and 2x3 matrices"
+    assert str(subtracted.value) == "cannot subtract 2x2 and 2x3 matrices"

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 from functools import reduce
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spincheck import scalar
 from spincheck.errors import DomainError, PoleError
 from spincheck.scalar import (CLASSICAL, GAUSSIAN, ONE, SYMBOLIC, ZERO,
                               EvalPoint, Ext, ModPoint, Radical, Scalar,
@@ -374,6 +376,23 @@ def test_certificate_prime_choice():
         assert pow(mod.v0, point.degree, p) * c.denominator % p \
             == c.numerator % p
     assert ModPoint.reducing(CLASSICAL, 2**61 - 1) == ModPoint(2**61 - 1, 1)
+
+
+def _trial_division(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_is_deterministic_below_2_64():
+    assert [n for n in range(10**5)
+            if scalar._is_prime(n) != _trial_division(n)] == []
+    # the least strong pseudoprimes to the bases 2..7 and 2..23, which
+    # Sinclair's bases reject, and primes that divide a base
+    for n in (3215031751, 3825123056546413051):
+        assert not scalar._is_prime(n)
+    assert all(scalar._is_prime(n) for n in (73, 193, 2**61 - 1, 2**64 - 59))
+    assert not scalar._is_prime(73 * 193)
+    with pytest.raises(DomainError, match="2\\^64"):
+        scalar._is_prime(2**64 + 13)
 
 
 def _mod(x, mod: ModPoint) -> int:
