@@ -54,7 +54,7 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, PoleError, SizeGuardError
-from .linalg import RowReducer, SparseMat, kernel_basis
+from .linalg import RowReducer, SparseMat, kernel_basis, reduced_kernel
 from .qspin import GeneratorAction, block_lift, spin_rep, tensor_action
 from .report import VerificationReport
 from .scalar import (CLASSICAL, ONE, SYMBOLIC, ZERO, EvalPoint, IntPoint,
@@ -1074,23 +1074,24 @@ def commutant_dim_oracle(rd: RootData, n: int, at: Specialization) -> int:
 
     Mod p every entry is a power of v (or 1), and each kernel only grows
     under the reduction, so m_lambda, a and b, and the count, are at least
-    their exact values: comm <= comm_p.  :func:`_hw_closure` runs on the
-    same kernels (:func:`_hw_kernels`).  :func:`_guard_duality` runs first.
+    their exact values: comm <= comm_p.  The ranks of :func:`_hw_reducers`
+    give each m; :func:`_guard_duality` runs first.
     """
     if at is SYMBOLIC:
         raise DomainError("the oracle needs an EvalPoint or CLASSICAL")
     _guard_duality(rd.rank, n)
     g = spin_rep(rd, odd_doubled=False)
-    return sum(len(hw) ** 2 for wt, block in _orbit_blocks(rd.rank, n).items()
-               for hw in _hw_kernels(g, n, wt, block, at))
+    return sum((len(block) - red.rank) ** 2
+               for wt, block in _orbit_blocks(rd.rank, n).items()
+               for red in _hw_reducers(g, n, wt, block, at))
 
 
-def _hw_kernels(g: GeneratorAction, n: int, wt: tuple[Fraction, ...],
-                block: list[int], at: Specialization) -> list[list[dict]]:
-    """The :func:`kernel_basis`, at ``at`` and by position in ``block``, of
-    each simple module of :func:`commutant_dim_oracle` with highest weight
-    in the sigma-orbit of ``wt``, the block's :func:`_orbit_blocks` weight:
-    [HW_lambda], or for lambda = sigma(lambda) those of [E_i; T -+ 1]."""
+def _hw_reducers(g: GeneratorAction, n: int, wt: tuple[Fraction, ...],
+                 block: list[int], at: Specialization) -> list:
+    """A reducer at ``at`` per highest-weight space of the
+    :func:`_orbit_blocks` block of ``wt`` (see :func:`commutant_dim_oracle`),
+    holding the rows, by position in ``block``, of [E_i], or of
+    [E_i; T -+ 1] for lambda = sigma(lambda), whose kernel it is."""
     rows = list(_raising_block(g, n, block, at).rows.values())
     stacks = [rows]
     if g.t_perm is not None and wt[-1] == 0:
@@ -1099,8 +1100,12 @@ def _hw_kernels(g: GeneratorAction, n: int, wt: tuple[Fraction, ...],
         ident = SparseMat.identity(len(block), at.one)
         stacks = [rows + list(sign.rows.values())
                   for sign in (t - ident, t + ident)]
-    return [kernel_basis(SparseMat(len(r), len(block), dict(enumerate(r))),
-                         at.one, at.reducer()) for r in stacks]
+    reducers = []
+    for stack in stacks:
+        reducers.append(red := at.reducer())
+        for row in stack:
+            red.add_row(row)
+    return reducers
 
 
 def _duality_pair(k: int, parity: str) -> tuple[SparseMat, int]:
@@ -1118,7 +1123,7 @@ class _Generators(NamedTuple):
     """The pair operator of :func:`_duality_pair`, its slot dimension, the
     basis :func:`_algebra_rank` runs on: :func:`_dominant_space` once
     :func:`_pair_in_commutant` holds, None (all of S^{ox n}) otherwise, and
-    the module both were tested on."""
+    the module of :func:`spin_rep`, built once a request."""
 
     mat: SparseMat
     d: int
@@ -1193,19 +1198,19 @@ def _word_rank(family: list[SparseMat], size: int, at: Specialization,
 
 
 def _hw_closure(gens: _Generators, n: int, at: ModPoint) -> tuple[int, int]:
-    """L and comm_p = sum m_lambda^2 from the highest-weight spaces
-    HW_{p,lambda} of :func:`_hw_kernels`: L is the rank of the words in the
-    generators restricted to their sum, one block-diagonal matrix of width
-    sum m_lambda, stopped at comm_p; 0 when an image leaves its space."""
+    """L and comm_p = sum m^2 over the kernels HW_{p,lambda} of
+    :func:`_hw_reducers`: L is the rank, stopped at comm_p, of the words in
+    the generators restricted to their sum, one block-diagonal matrix of
+    width sum m; 0 when an image leaves its space."""
     mat, g = gens.mat.map_values(at.of), gens.g
     rows: list[dict] = [{} for _ in range(1, n)]
     width, comm, inside = 0, 0, True
     for wt, block in _orbit_blocks(g.rd.rank, n).items():
         xs = [embed_pair_operator(mat, gens.d, i, n, block)
               for i in range(1, n)]
-        for hw in _hw_kernels(g, n, wt, block, at):
-            # coordinates in HW: the entries at the free columns, the first
-            # key of each kernel vector
+        for red in _hw_reducers(g, n, wt, block, at):
+            hw = reduced_kernel(red, len(block), at.one)
+            # coordinates in HW: the entries at each vector's free column
             m, free = len(hw), [next(iter(v)) for v in hw]
             basis = SparseMat(m, len(block), dict(enumerate(hw))).transpose()
             for x, out in zip(xs, rows):
@@ -1246,13 +1251,12 @@ def _pair_in_commutant(mat: SparseMat, g: GeneratorAction,
 def _duality_counts(gens: _Generators, n: int, rd: RootData,
                     at: Specialization) -> tuple[int, int]:
     """The generated-algebra and commutant dimensions at ``at``, for
-    generators built already.  Mod p, once ``gens.basis`` is set, comm_p
-    and, when L = comm_p, gen_p come from :func:`_hw_closure`; any other
-    gen from :func:`_algebra_rank`, the reference path."""
-    if gens.basis is None or not isinstance(at, ModPoint):
-        return _algebra_rank(gens, n, at), commutant_dim_oracle(rd, n, at)
-    closure, comm = _hw_closure(gens, n, at)
-    return (comm if closure == comm else _algebra_rank(gens, n, at)), comm
+    generators built already: mod p, once ``gens.basis`` is set, L and
+    comm_p of :func:`_hw_closure`; otherwise :func:`_algebra_rank`, the
+    reference path, and :func:`commutant_dim_oracle`."""
+    if gens.basis is not None and isinstance(at, ModPoint):
+        return _hw_closure(gens, n, at)
+    return _algebra_rank(gens, n, at), commutant_dim_oracle(rd, n, at)
 
 
 DEFAULT_DUALITY_POINTS = (Fraction(3, 2), Fraction(5, 2), "classical")
@@ -1274,18 +1278,16 @@ def verify_duality(k: int, parity: str, n: int,
     (:func:`_algebra_rank`).  At every point S^{ox n} is semisimple, so the
     commutant is the sum of squared highest-weight multiplicities
     (:func:`commutant_dim_oracle`).  Each point then takes both counts mod
-    the prime of :func:`certificate_prime` from the highest-weight kernels
-    HW_{p,lambda} (:func:`_hw_closure`).  Each is invariant, as
-    [X, Delta^n(E_i)] and [X, t^{ox n}] vanish as Laurent identities, and
-    restricting to it only lowers ranks, as does reduction mod p, while
-    kernels only grow: L <= gen_p <= gen <= comm <= comm_p, so L = comm_p =
-    the branching count proves all equal.  Any other outcome -- a failed
-    inclusion, a mismatch, a value with no image mod p -- takes both counts
-    exactly at the point, the generated algebra on all of S^{ox n} when the
-    inclusion failed.  The report is the same either
-    way, and a certified point does no exact-field arithmetic.  Before any
-    rank, :func:`_guard_duality`, the one guard of both counts, refuses a
-    power past MAX_ORACLE_UNKNOWNS weight-preserving matrix entries.
+    the prime of :func:`certificate_prime` on the highest-weight kernels
+    HW_{p,lambda} (:func:`_hw_closure`), invariant as [X, Delta^n(E_i)] and
+    [X, t^{ox n}] vanish as Laurent identities.  Restriction to them and
+    reduction mod p only lower ranks, and kernels only grow mod p, so
+    L <= gen_p <= gen <= comm <= comm_p, and L = comm_p = the branching
+    count proves all equal.  Any other outcome takes both counts exactly at
+    the point (words on all of S^{ox n} if the inclusion failed), with the
+    same report; a certified point does no exact-field arithmetic.  Before
+    any rank, :func:`_guard_duality`, the one guard of both counts, refuses
+    a power past MAX_ORACLE_UNKNOWNS weight-preserving matrix entries.
     """
     _guard_duality(k, n)
     rd = RootData("D" if parity == "even" else "B", k)

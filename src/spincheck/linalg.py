@@ -16,7 +16,7 @@ span.  Pivot rows are normalized once on insertion, so the inner
 elimination loop multiplies but never divides -- a significant saving when
 coefficients are rational functions.  Incoming rows are reduced against
 pivots in insertion order; since every pivot row is fully reduced against
-all earlier pivots, a single pass suffices.  :func:`kernel_basis` runs on
+all earlier pivots, a single pass suffices.  :func:`reduced_kernel` runs on
 either, and callers that append tag columns to solve for coordinates in a
 basis run on it.
 """
@@ -303,17 +303,20 @@ class ModRowReducer:
 
 
 def kernel_basis(mat: SparseMat, one, red=None) -> list[dict[int, Any]]:
-    """A basis of the right null space {x : mat @ x = 0} over the field of
-    ``red``, an empty reducer (default: a new :class:`RowReducer`).
-
-    Returns one vector per free column, deterministically ordered by the free
-    column index.  Each vector's first key is its free column, where it is
-    ``one``, the unit of the field; it is zero at every other free column.
-    """
-    # Forward pass: echelon pivots in insertion order.
+    """{x : mat @ x = 0} as :func:`reduced_kernel` gives it, once the rows of
+    ``mat`` enter ``red``, empty, in key order (default: a RowReducer)."""
     red = RowReducer() if red is None else red
     for _, row in sorted(mat.rows.items()):
         red.add_row(row)
+    return reduced_kernel(red, mat.ncols, one)
+
+
+def reduced_kernel(red, ncols: int, one) -> list[dict[int, Any]]:
+    """A basis of the right null space of the ``ncols``-wide rows held by
+    ``red``, a :class:`RowReducer` or :class:`ModRowReducer`, over its field
+    (reducing ``red`` in place): one vector per free column, in column
+    order.  Each vector's first key is its free column, where it is ``one``,
+    the unit of the field; it is zero at every other free column."""
     # Backward pass: full Jordan reduction, so each pivot row involves only
     # its own pivot column plus free columns.  A pivot row can only contain
     # pivot columns inserted after itself, so reducing in reverse insertion
@@ -330,7 +333,7 @@ def kernel_basis(mat: SparseMat, one, red=None) -> list[dict[int, Any]]:
         if p:
             order[i] = c_i, {j: x for j, v in row_i.items() if (x := v % p)}
     pivot_cols = {c: row for c, row in order}
-    free_cols = [j for j in range(mat.ncols) if j not in pivot_cols]
+    free_cols = [j for j in range(ncols) if j not in pivot_cols]
     basis = []
     for fc in free_cols:
         vec = {fc: one}

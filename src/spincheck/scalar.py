@@ -643,10 +643,7 @@ def _is_prime(n: int) -> bool:
     while not d & 1:
         d >>= 1
         s += 1
-    for b in _MR_BASES:
-        b %= n
-        if not b:
-            continue
+    for b in filter(None, (b % n for b in _MR_BASES)):
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue

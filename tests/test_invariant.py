@@ -1346,8 +1346,9 @@ def test_generated_count_without_inclusion_runs_on_full_space(monkeypatch):
 
 
 def _hw_multiplicities(g, n, wt, block, at) -> list[int]:
-    """The dimensions of the highest-weight spaces of ``_hw_kernels``."""
-    return [len(hw) for hw in invariant._hw_kernels(g, n, wt, block, at)]
+    """The dimensions of the highest-weight spaces of ``_hw_reducers``."""
+    return [len(block) - red.rank
+            for red in invariant._hw_reducers(g, n, wt, block, at)]
 
 
 @pytest.mark.parametrize("k,n,with_flip,without_flip", [(1, 2, 3, 6),
@@ -1565,8 +1566,8 @@ def _reference_duality_counts(gens, n, rd, at):
 @pytest.mark.parametrize("k,parity,n", [(2, "even", 2), (1, "odd", 3)])
 def test_identity_pair_closure_falls_back(monkeypatch, k, parity, n):
     # the identity lies in the commutant, so the inclusion holds, but its
-    # words span the scalars alone: L = 1 < comm_p, and gen_p comes from the
-    # words on D, with the report of the reference path
+    # words span the scalars alone: L = 1 < comm_p, and the point takes both
+    # counts exactly, with the report of the reference path
     monkeypatch.setattr(invariant, "_duality_pair", lambda k, parity: (
         SparseMat.identity(4 ** k, ONE), 2 ** k))
     closures, ranks = [], []
@@ -1585,7 +1586,8 @@ def test_identity_pair_closure_falls_back(monkeypatch, k, parity, n):
     rep = verify_duality(k, parity, n)
     expected = rep.params["branching_dimension"]
     assert closures == [(1, expected)] * 3
-    assert [type(at) for at in ranks] == [ModPoint, EvalPoint] * 3
+    assert ranks == [EvalPoint.from_q(Fraction(3, 2)),
+                     EvalPoint.from_q(Fraction(5, 2)), CLASSICAL]
     assert not rep.passed
     assert f"generated 1 != commutant {expected}" in json.dumps(rep.as_json())
     monkeypatch.setattr(invariant, "_duality_counts",
@@ -1597,35 +1599,41 @@ def test_identity_pair_closure_falls_back(monkeypatch, k, parity, n):
 def test_hw_closure_image_leaving_its_space_falls_back(monkeypatch):
     # mod p, each highest-weight basis is swapped for the unit vectors at
     # its free columns: the same dimensions, but a space the generators do
-    # not keep, so the closure gives L = 0 and gen_p comes from the words
-    # on D; the counts still certify every point, with the same report
+    # not keep, so the closure gives L = 0 and each point takes both counts
+    # exactly, with the same report
     want = json.dumps(verify_duality(2, "even", 3).as_json())
-    kernels, closure = invariant._hw_kernels, invariant._hw_closure
-    closures, ranks = [], []
+    kernel, closure = invariant.reduced_kernel, invariant._hw_closure
+    closures = []
 
-    def unit_kernels(g, n, wt, block, at):
-        return [[{next(iter(v)): 1} for v in hw]
-                for hw in kernels(g, n, wt, block, at)]
+    def unit_kernel(red, ncols, one):
+        return [{next(iter(v)): 1} for v in kernel(red, ncols, one)]
 
     def spy_closure(gens, n, at):
-        monkeypatch.setattr(invariant, "_hw_kernels", unit_kernels)
+        monkeypatch.setattr(invariant, "reduced_kernel", unit_kernel)
         closures.append(closure(gens, n, at))
-        monkeypatch.setattr(invariant, "_hw_kernels", kernels)
+        monkeypatch.setattr(invariant, "reduced_kernel", kernel)
         return closures[-1]
 
-    algebra_rank = invariant._algebra_rank
-
-    def spy_rank(gens, n, at):
-        ranks.append(at)
-        return algebra_rank(gens, n, at)
-
     monkeypatch.setattr(invariant, "_hw_closure", spy_closure)
-    monkeypatch.setattr(invariant, "_algebra_rank", spy_rank)
     calls = _spy_exact_counts(monkeypatch)
     rep = verify_duality(2, "even", 3)
     assert closures == [(0, 35)] * 3
-    assert [type(at) for at in ranks] == [ModPoint] * 3 and calls == []
+    assert calls == [EvalPoint.from_q(Fraction(3, 2)),
+                     EvalPoint.from_q(Fraction(5, 2)), CLASSICAL]
     assert json.dumps(rep.as_json()) == want
+
+
+def test_mod_p_counts_without_inclusion_skip_the_closure(monkeypatch):
+    # the closure's bound L <= gen_p needs the inclusion: without it the
+    # mod-p counts are the words on all of S^{ox n} and the oracle
+    monkeypatch.setattr(invariant, "_pair_in_commutant",
+                        lambda mat, g: False)
+    monkeypatch.setattr(invariant, "_hw_closure", None)
+    rd = RootData("B", 1)
+    gens = invariant._generators(rd, "odd", 3)
+    assert gens.basis is None
+    assert invariant._duality_counts(gens, 3, rd, _modular_classical()) == (
+        5, 5)
 
 
 @pytest.mark.parametrize("k,parity,n,want", [
