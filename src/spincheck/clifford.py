@@ -8,9 +8,9 @@ A basis monomial e_{i_1} e_{i_2} ... e_{i_r} with i_1 < ... < i_r is encoded
 as the bitmask with bit (i_j - 1) set; the generator index convention is
 1-based in all public signatures, matching the usual mathematical notation,
 while bit positions are 0-based.  A :class:`CliffordElement` is a dict from
-bitmask to coefficient.  Coefficients are duck-typed; plain
-:class:`fractions.Fraction` is the default.  Where complexified spectra
-appear, values lie in the Gaussian rationals Q(i), an
+bitmask to coefficient.  Coefficients are duck-typed: plain ints where
+they are integral, :class:`fractions.Fraction` where they are not.  Where
+complexified spectra appear, values lie in the Gaussian rationals Q(i), an
 :class:`~spincheck.scalar.Ext` over :data:`~spincheck.scalar.GAUSSIAN`.
 Polynomials are ascending coefficient tuples, evaluated by :func:`horner`.
 
@@ -39,14 +39,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from .errors import DomainError
 from .linalg import SparseMat
 from .report import VerificationReport
 from .scalar import GAUSSIAN, Ext, _lmul
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
@@ -66,7 +65,7 @@ class CliffordElement:
 
     __slots__ = ("ambient", "terms")
 
-    def __init__(self, ambient: int, terms: dict[int, Fraction] | None = None):
+    def __init__(self, ambient: int, terms: dict | None = None):
         if ambient < 0:
             raise DomainError(f"ambient dimension {ambient} is negative")
         self.ambient = ambient
@@ -80,17 +79,17 @@ class CliffordElement:
 
     @staticmethod
     def one(ambient: int) -> "CliffordElement":
-        return CliffordElement(ambient, {0: _F1})
+        return CliffordElement(ambient, {0: 1})
 
     @staticmethod
     def generator(i: int, ambient: int) -> "CliffordElement":
         """e_i (1-based)."""
         if not 1 <= i <= ambient:
             raise DomainError(f"generator e_{i} outside Cl({ambient})")
-        return CliffordElement(ambient, {1 << (i - 1): _F1})
+        return CliffordElement(ambient, {1 << (i - 1): 1})
 
     @staticmethod
-    def monomial(indices: tuple[int, ...], ambient: int, coeff=_F1) -> "CliffordElement":
+    def monomial(indices: tuple[int, ...], ambient: int, coeff=1) -> "CliffordElement":
         """e_{i_1} ... e_{i_r} for strictly increasing 1-based indices."""
         mask = 0
         for i in indices:
@@ -161,7 +160,7 @@ def cl_mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
     """Product in Cl(M); both factors must share the ambient size."""
     if a.ambient != b.ambient:
         raise DomainError(f"ambient mismatch Cl({a.ambient}) vs Cl({b.ambient})")
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int | Fraction] = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             c = ca * cb
@@ -181,7 +180,7 @@ def volume_element(m: int, M: int) -> CliffordElement:
     """f_m = e_1 e_2 ... e_m inside Cl(M); f_0 = 1."""
     if not 0 <= m <= M:
         raise DomainError(f"volume element f_{m} outside Cl({M})")
-    return CliffordElement(M, {(1 << m) - 1: _F1})
+    return CliffordElement(M, {(1 << m) - 1: 1})
 
 
 def phi_embed(j: int, x: CliffordElement, N: int, l: int) -> CliffordElement:
@@ -303,18 +302,18 @@ def horner(coeffs, x, one):
     return acc
 
 
-def p_poly(N: int, m: int) -> tuple[Fraction, ...]:
+def p_poly(N: int, m: int) -> tuple[int, ...]:
     """The three-term family P_0 = 1, P_1 = x,
     P_{m+1} = x P_m + m(N+1-m) P_{m-1}, as ascending coefficients."""
     if m < 0:
         raise DomainError("polynomial index must be nonnegative")
-    prev = [_F1]           # P_0
+    prev = [1]             # P_0
     if m == 0:
         return tuple(prev)
-    cur = [_F0, _F1]       # P_1 = x
+    cur = [0, 1]           # P_1 = x
     for j in range(1, m):
-        factor = Fraction(j * (N + 1 - j))
-        nxt = [_F0] + cur                      # x * P_j
+        factor = j * (N + 1 - j)
+        nxt = [0] + cur                        # x * P_j
         for i, c in enumerate(prev):
             nxt[i] += factor * c               # + j(N+1-j) P_{j-1}
         prev, cur = cur, nxt
@@ -325,7 +324,7 @@ def pair_element(i: int, N: int) -> CliffordElement:
     """y_i = e_i e_{N+i} in Cl(2N); these square to -1 and commute pairwise."""
     if not 1 <= i <= N:
         raise DomainError(f"pair index {i} outside 1..{N}")
-    return CliffordElement(2 * N, {(1 << (i - 1)) | (1 << (N + i - 1)): _F1})
+    return CliffordElement(2 * N, {(1 << (i - 1)) | (1 << (N + i - 1)): 1})
 
 
 def c_tilde(N: int, m: int) -> CliffordElement:
@@ -337,16 +336,13 @@ def c_tilde(N: int, m: int) -> CliffordElement:
     """
     if not 0 <= m <= N + 1:
         raise DomainError(f"order {m} outside 0..{N + 1}")
-    fact = Fraction(1)
-    for j in range(2, m + 1):
-        fact *= j
     acc = CliffordElement.zero(2 * N)
     for subset in combinations(range(1, N + 1), m):
         prod = CliffordElement.one(2 * N)
         for i in subset:
             prod = cl_mul(prod, pair_element(i, N))
         acc = acc + prod
-    return acc.scale(fact)
+    return acc.scale(factorial(m))
 
 
 def commuting_family_check(N: int) -> VerificationReport:
@@ -379,7 +375,7 @@ def commuting_family_check(N: int) -> VerificationReport:
 
     def check_recursion():
         for m in range(1, N + 1):
-            coeff = Fraction(m * (N + 1 - m))
+            coeff = m * (N + 1 - m)
             want = family[m + 1] - family[m - 1].scale(coeff)
             if cl_mul(c1, family[m]) != want:
                 return f"recursion fails at m = {m}"
@@ -389,7 +385,7 @@ def commuting_family_check(N: int) -> VerificationReport:
 
     def check_plus_variant():
         for m in range(1, N + 1):
-            coeff = Fraction(m * (N + 1 - m))
+            coeff = m * (N + 1 - m)
             if cl_mul(c1, family[m]) == family[m + 1] + family[m - 1].scale(coeff):
                 return f"plus-sign variant unexpectedly holds at m = {m}"
         return True
@@ -432,7 +428,7 @@ def classical_spectrum_check(N: int) -> VerificationReport:
     rep = VerificationReport("classical_spectrum", {"N": N})
     E, F = lowering_raising_pair(N)
     A = E - F
-    lambdas = [(N - 2 * r) * Ext(GAUSSIAN, (_F0, _F1)) for r in range(N + 1)]
+    lambdas = [Ext(GAUSSIAN, (Fraction(0), Fraction(N - 2 * r))) for r in range(N + 1)]
     fact = [Fraction(1)]
     for j in range(1, N + 1):
         fact.append(fact[-1] * j)
@@ -440,7 +436,7 @@ def classical_spectrum_check(N: int) -> VerificationReport:
 
     def check_right():
         for lam in lambdas:
-            x = {s: (fact[N - s] * horner(polys[s], lam, _F1)) / fact[N]
+            x = {s: (fact[N - s] * horner(polys[s], lam, 1)) / fact[N]
                  for s in range(N + 1)}
             Ax = A.apply_to({s: v for s, v in x.items() if v})
             want = {s: lam * v for s, v in x.items() if lam * v}
@@ -451,7 +447,7 @@ def classical_spectrum_check(N: int) -> VerificationReport:
     def check_left():
         At = A.transpose()
         for lam in lambdas:
-            y = {s: horner(polys[s], lam, _F1) / fact[s] for s in range(N + 1)}
+            y = {s: horner(polys[s], lam, 1) / fact[s] for s in range(N + 1)}
             yA = At.apply_to({s: v for s, v in y.items() if v})
             want = {s: -lam * v for s, v in y.items() if lam * v}
             if yA != want:
@@ -459,15 +455,15 @@ def classical_spectrum_check(N: int) -> VerificationReport:
         return True
 
     def check_annihilation():
-        img = horner(polys[N + 1], A, SparseMat.identity(N + 1, _F1))
+        img = horner(polys[N + 1], A, SparseMat.identity(N + 1, 1))
         return img.is_zero() or "P_{N+1}(N, E-F) != 0"
 
     def check_roots():
         # {exponent: coefficient} products; _lmul only adds and multiplies,
         # so it takes the Ext roots as coefficients
-        expanded = {0: _F1}
+        expanded = {0: 1}
         for lam in lambdas:
-            expanded = _lmul(expanded, {0: -lam, 1: _F1})
+            expanded = _lmul(expanded, {0: -lam, 1: 1})
         want = {e: c for e, c in enumerate(polys[N + 1]) if c}
         return ({e: c for e, c in expanded.items() if c} == want
                 or "root product differs from P_{N+1}")

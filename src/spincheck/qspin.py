@@ -46,10 +46,9 @@ from typing import Iterable
 from .errors import DomainError
 from .linalg import SparseMat
 from .report import VerificationReport
-from .scalar import ONE, SYMBOLIC, Specialization, qbinom, qpow
+from .scalar import ONE, SYMBOLIC, Scalar, Specialization, qbinom, qpow
 from .weights import RootData, inner
 
-_F0 = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
@@ -60,9 +59,9 @@ class GeneratorAction:
     ``emap[i]`` (1-based simple-root index i) sends a basis column index to
     its image row under E_i; every E_i column has at most one nonzero entry,
     always with coefficient 1, so a plain dict is the whole matrix.  ``fmap``
-    is the transpose.  ``k_exp[i][b] = <mu_b, alpha_i>`` gives K_i.
-    ``t_perm`` is the flip permutation, or None when the flip does not act on
-    this model (the undoubled type B block).
+    is the transpose.  K_i^(1/2) is v^``v_exp[i][b]`` on basis b, with
+    v_exp = 2 <mu_b, alpha_i>.  ``t_perm`` is the flip permutation, or None
+    when the flip does not act on this model (the undoubled type B block).
     """
 
     rd: RootData
@@ -71,7 +70,7 @@ class GeneratorAction:
     weights: list[tuple[Fraction, ...]]
     emap: dict[int, dict[int, int]]
     fmap: dict[int, dict[int, int]]
-    k_exp: dict[int, list[Fraction]]
+    v_exp: dict[int, list[int]]
     t_perm: list[int] | None
 
     @property
@@ -128,7 +127,7 @@ def spin_rep(rd: RootData, odd_doubled: bool = False) -> GeneratorAction:
         emap[i] = col_to_row
 
     fmap = {i: {r: c for c, r in m.items()} for i, m in emap.items()}
-    k_exp = {i: [inner(weights[b], simple[i - 1]) for b in range(dim)]
+    v_exp = {i: [int(2 * inner(weights[b], simple[i - 1])) for b in range(dim)]
              for i in range(1, len(simple) + 1)}
     t_perm: list[int] | None
     if rd.family == "B" and not odd_doubled:
@@ -136,7 +135,7 @@ def spin_rep(rd: RootData, odd_doubled: bool = False) -> GeneratorAction:
     else:
         t_perm = [b ^ 1 for b in range(dim)]
     return GeneratorAction(rd, odd_doubled and rd.family == "B", dim,
-                           weights, emap, fmap, k_exp, t_perm)
+                           weights, emap, fmap, v_exp, t_perm)
 
 
 def block_lift(x: int, k: int) -> int:
@@ -187,14 +186,13 @@ def tensor_action(g: GeneratorAction, gid: tuple[str, int], n: int, *,
         return out
 
     if kind in ("K", "Khalf"):
-        if i not in g.k_exp:
+        if i not in g.v_exp:
             raise DomainError(f"no simple root with index {i}")
-        exps = g.k_exp[i]
-        half = Fraction(1, 2) if kind == "Khalf" else Fraction(1)
+        exps, unit = g.v_exp[i], 1 if kind == "Khalf" else 2
         out = SparseMat(size, size)
         for u in cols:
-            e = sum(exps[b] for b in _digits(u, d, n)) * half
-            out.set_entry(u, u, at.of(qpow(e)))
+            e = sum(exps[b] for b in _digits(u, d, n))
+            out.set_entry(u, u, at.of(Scalar.v_power(unit * e)))
         return out
 
     if kind not in ("E", "F"):
@@ -202,7 +200,7 @@ def tensor_action(g: GeneratorAction, gid: tuple[str, int], n: int, *,
     amap = g.emap.get(i) if kind == "E" else g.fmap.get(i)
     if amap is None:
         raise DomainError(f"no simple root with index {i}")
-    exps = g.k_exp[i]
+    exps = g.v_exp[i]
     out = SparseMat(size, size)
     for u in cols:
         digs = _digits(u, d, n)
@@ -211,13 +209,9 @@ def tensor_action(g: GeneratorAction, gid: tuple[str, int], n: int, *,
             if r_digit is None:
                 continue
             row = u + (r_digit - digs[t]) * stride[t]
-            e = _F0
-            for s in range(n):
-                if s < t:
-                    e += exps[digs[s]]
-                elif s > t:
-                    e -= exps[digs[s]]
-            out.add_to(row, u, at.of(qpow(e / 2)))
+            e = (sum(exps[b] for b in digs[:t])
+                 - sum(exps[b] for b in digs[t + 1:]))
+            out.add_to(row, u, at.of(Scalar.v_power(e)))
     return out
 
 

@@ -10,7 +10,9 @@ splitting between integer, half-integer and quarter-integer exponents is ever
 needed.  A :class:`Scalar` is a quotient of Laurent polynomials in v kept in a
 canonical form (gcd-reduced, denominator a true polynomial with constant
 term 1), so equality is plain structural comparison and a value is zero iff
-its numerator is empty.
+its numerator is empty.  Each coefficient is an ``int`` when it is integral
+and a ``Fraction`` only when it is not, and the gcd is taken over Z in
+w = v^g (see :func:`_canonical`).
 
 A :data:`Specialization` says where arithmetic happens: :data:`SYMBOLIC`
 (Q(v) itself) or an :class:`EvalPoint`, an exact rational q0 > 0.
@@ -30,9 +32,8 @@ three types: ``Fraction``, :class:`Scalar` and :class:`Ext`.  With d in
 for sigma: x -> -x, b = a * sigma(a) lies in Q[x^2] (in Q when d = 2);
 with w its conjugate under x^2 -> -x^2, b * w lies in Q, and
 a^-1 = sigma(a) * w / (b * w).  A nonzero a of norm zero shows x^d - c to
-be reducible.  Polynomials with rational coefficients are plain ascending
-coefficient sequences, and the dense-polynomial helpers below are their one
-implementation.
+be reducible.  Dense polynomials are plain ascending coefficient sequences;
+the helpers below take them with integer coefficients.
 
 A :class:`ModPoint` is a third kind of specialization: the reduction of a
 point's field modulo a large prime p (chosen by :func:`certificate_prime`),
@@ -54,7 +55,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from functools import cache
+from math import gcd, isqrt, lcm
 
 from .errors import DomainError, PoleError
 from .linalg import ModRowReducer, RowReducer, SparseMat
@@ -64,81 +66,95 @@ _F1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers (coefficient lists, index = degree), over Fraction
+# dense integer polynomial helpers (coefficient lists, index = degree)
 
-def _ptrim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
+def _primitive(p: list[int]) -> list[int]:
+    return p if (g := gcd(*p)) == 1 else [c // g for c in p]
 
 
-def _pdivmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    assert b, "division by the zero polynomial"
-    r = list(a)
-    q = [_F0] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        c = r[k + len(b) - 1] * inv
-        if c:
-            q[k] = c
-            for j, bj in enumerate(b):
-                if bj:
-                    r[k + j] -= c * bj
-    return _ptrim(q), _ptrim(r)
+def _pgcd(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd over Z of two nonzero integer polynomials ([1] when
+    coprime) by the primitive remainder sequence (Collins 1967): each
+    pseudo-remainder is cut to its primitive part."""
+    a, b = sorted((_primitive(a), _primitive(b)), key=len, reverse=True)
+    while len(b) > 1:
+        r, lb, n = list(a), b[-1], len(b) - 1
+        while r and (len(r) > n or not r[-1]):
+            c = r.pop()
+            if c:
+                h = gcd(c, lb)
+                s, t = lb // h, c // h
+                r = [s * x for x in r]
+                for j, y in enumerate(b[:-1], len(r) - n):
+                    r[j] -= t * y
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
 
 
-def _pgcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd by the Euclidean algorithm."""
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        if lead != 1:
-            a = [c / lead for c in a]
-    return a
+def _pquo(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials where b divides a over Z."""
+    r, n = list(a), len(b) - 1
+    q = [0] * (len(a) - n)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + n] // b[-1]
+        for j, y in enumerate(b[:-1], k):
+            r[j] -= c * y
+    return q
+
+
+def _div(c, d=1):
+    """c / d (ints or Fractions, d != 0) as an int when it is integral."""
+    if type(c) is int and type(d) is int and not c % d:
+        return c // d
+    c = Fraction(c, d)
+    return c.numerator if c.denominator == 1 else c
 
 
 # ---------------------------------------------------------------------------
 # the rational function field
 
+def _binary(op):
+    """op(self, other) with other made a Scalar, or NotImplemented."""
+    def method(self, other):
+        other = _as_scalar(other)
+        return NotImplemented if other is NotImplemented else op(self, other)
+    return method
+
+
 class Scalar:
     """An element of Q(v), canonically represented.
 
-    Internally a pair of Laurent-coefficient maps {exponent: Fraction}.  The
-    denominator always has minimal exponent 0 and constant coefficient 1, and
-    the pair is gcd-reduced, which makes ``==`` structural and ``bool`` a
-    zero test.
+    Internally a pair of Laurent-coefficient maps {exponent: coefficient},
+    each coefficient an ``int`` when it is integral and a ``Fraction`` only
+    when it is not.  The denominator always has minimal exponent 0 and
+    constant coefficient 1, and the pair is gcd-reduced, which makes ``==``
+    structural and ``bool`` a zero test.
     """
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, num: dict[int, Fraction], den: dict[int, Fraction] | None = None):
-        if den is None:
-            den = {0: _F1}
-        self._num, self._den = _canonical(num, den)
+    def __init__(self, num: dict, den: dict | None = None):
+        self._num, self._den = _canonical(num, {0: 1} if den is None else den)
 
     # construction helpers -------------------------------------------------
 
     @staticmethod
     def from_fraction(x) -> "Scalar":
-        x = Fraction(x)
-        return _scalar({0: x} if x else {}, {0: _F1})
+        x = _div(Fraction(x))
+        return _scalar({0: x} if x else {}, {0: 1})
 
     @staticmethod
     def v_power(e: int) -> "Scalar":
-        return _scalar({int(e): _F1}, {0: _F1})
+        return _scalar({int(e): 1}, {0: 1})
 
     # field structure -------------------------------------------------------
 
     def __bool__(self) -> bool:
         return bool(self._num)
 
-    def __eq__(self, other) -> bool:
-        other = _as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._num == other._num and self._den == other._den
+    __eq__ = _binary(lambda a, b: a._num == b._num and a._den == b._den)
 
     def __neg__(self) -> "Scalar":
         return _scalar({e: -c for e, c in self._num.items()}, self._den)
@@ -152,28 +168,18 @@ class Scalar:
         if not other._num:
             return self
         if self._den == other._den:
-            num = dict(self._num)
-            for e, c in other._num.items():
-                num[e] = num.get(e, _F0) + c
-            return Scalar(num, self._den)
-        num = _lmul(self._num, other._den)
-        for e, c in _lmul(other._num, self._den).items():
-            num[e] = num.get(e, _F0) + c
-        return Scalar(num, _lmul(self._den, other._den))
+            num, add, den = dict(self._num), other._num, self._den
+        else:
+            num, add = _lmul(self._num, other._den), _lmul(other._num, self._den)
+            den = _lmul(self._den, other._den)
+        for e, c in add.items():
+            num[e] = num.get(e, 0) + c
+        return Scalar(num, den)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = _as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+    __sub__ = _binary(lambda a, b: a + -b)
+    __rsub__ = _binary(lambda a, b: b + -a)
 
     def __mul__(self, other) -> "Scalar":
         """The product; c v^e is a unit and a canonical denominator has
@@ -187,27 +193,20 @@ class Scalar:
             self, other = other, self
         if len(self._num) == 1 and len(self._den) == 1:
             (e, c), = self._num.items()
-            return _scalar({e + f: c * x for f, x in other._num.items()}, other._den)
+            return _scalar({e + f: p if type(p := c * x) is int else _div(p)
+                            for f, x in other._num.items()}, other._den)
         return Scalar(_lmul(self._num, other._num), _lmul(self._den, other._den))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
+        """den/num, gcd-free as it stands: :func:`_unit_den` only."""
         if not self._num:
             raise ZeroDivisionError("inverse of the zero scalar")
-        return Scalar(dict(self._den), dict(self._num))
+        return _scalar(*_unit_den(self._den, self._num))
 
-    def __truediv__(self, other):
-        other = _as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _as_scalar(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+    __truediv__ = _binary(lambda a, b: a * b.inverse())
+    __rtruediv__ = _binary(lambda a, b: b * a.inverse())
 
     def __pow__(self, n: int) -> "Scalar":
         if not isinstance(n, int):
@@ -227,16 +226,16 @@ class Scalar:
 
     @property
     def is_laurent_polynomial(self) -> bool:
-        return self._den == {0: _F1}
+        return len(self._den) == 1
 
     def integer_coefficients(self) -> dict[int, int]:
         """{exponent of v: coefficient} of a Laurent polynomial with integer
         coefficients; DomainError for any other value."""
-        if (not self.is_laurent_polynomial
-                or any(c.denominator != 1 for c in self._num.values())):
+        if (len(self._den) > 1
+                or any(type(c) is not int for c in self._num.values())):
             raise DomainError(f"{self} is not a Laurent polynomial with "
                               f"integer coefficients")
-        return {e: c.numerator for e, c in self._num.items()}
+        return dict(self._num)
 
     def integer_parts(self) -> tuple["Scalar", "Scalar"]:
         """(n, d) with self = n / d, both with integer coefficients, n a
@@ -247,9 +246,10 @@ class Scalar:
                       for c in part.values()))
         if scale == 1 and self.is_laurent_polynomial:
             return self, ONE
-        num, den = ({e: c * scale for e, c in part.items()}
+        num, den = ({e: c.numerator * (scale // c.denominator)
+                     for e, c in part.items()}
                     for part in (self._num, self._den))
-        return _scalar(num, {0: _F1}), _scalar(den, {0: _F1})
+        return _scalar(num, {0: 1}), _scalar(den, {0: 1})
 
     def __str__(self) -> str:
         return render_q(self)
@@ -258,7 +258,7 @@ class Scalar:
         return f"Scalar({render_q(self)})"
 
 
-def _scalar(num: dict[int, Fraction], den: dict[int, Fraction]) -> Scalar:
+def _scalar(num: dict, den: dict) -> Scalar:
     """The Scalar of a pair already in canonical form."""
     s = Scalar.__new__(Scalar)
     s._num, s._den = num, den
@@ -273,8 +273,8 @@ def _as_scalar(x):
     return NotImplemented
 
 
-def _lmul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
+def _lmul(a: dict, b: dict) -> dict:
+    out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
@@ -283,38 +283,47 @@ def _lmul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]
     return out
 
 
-def _canonical(num: dict[int, Fraction], den: dict[int, Fraction]):
-    """Reduce num/den to the canonical pair: gcd-free, with the denominator
-    a polynomial of constant term 1.
+def _unit_den(num: dict, den: dict) -> tuple[dict, dict]:
+    """num/den, both without zero terms, over the least term c v^b of den."""
+    b, c = min(den.items())
+    if c == 1 and not b:
+        return num, den
+    return ({e - b: _div(x, c) for e, x in num.items()},
+            {e - b: _div(x, c) for e, x in den.items()})
 
-    A denominator that is a single monomial c*v^b is a unit of the Laurent
-    ring, so the numerator is only shifted by -b and scaled by 1/c, and the
-    polynomial gcd is skipped.
-    """
-    num = {e: c for e, c in num.items() if c}
-    den = {e: c for e, c in den.items() if c}
+
+def _canonical(num: dict, den: dict):
+    """Reduce num/den to the canonical pair: gcd-free, with the denominator
+    a polynomial of constant term 1 and integral coefficients as ints.
+
+    One term on either side is coprime to the other once shifted by
+    :func:`_unit_den`.  Otherwise, in w = v^g for the gcd g of every
+    exponent gap, with the coefficient denominators cleared by their lcm, a
+    primitive gcd over Z divides both sides exactly (Gauss's lemma)."""
+    num = {e: c if type(c) is int else _div(c) for e, c in num.items() if c}
+    den = {e: c if type(c) is int else _div(c) for e, c in den.items() if c}
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, {0: _F1}
-    if len(den) == 1:
-        (b, lead), = den.items()
-        if lead == 1:
-            return ({e - b: c for e, c in num.items()} if b else num), {0: _F1}
-        return {e - b: c / lead for e, c in num.items()}, {0: _F1}
-    amin, amax = min(num), max(num)
-    bmin, bmax = min(den), max(den)
-    npoly = [num.get(amin + i, _F0) for i in range(amax - amin + 1)]
-    dpoly = [den.get(bmin + i, _F0) for i in range(bmax - bmin + 1)]
-    g = _pgcd(npoly, dpoly)
-    if len(g) > 1:
-        npoly = _pdivmod(npoly, g)[0]
-        dpoly = _pdivmod(dpoly, g)[0]
-    lead = dpoly[0]
-    shift = amin - bmin
-    cnum = {shift + i: c / lead for i, c in enumerate(npoly) if c}
-    cden = {i: c / lead for i, c in enumerate(dpoly) if c}
-    return cnum, cden
+        return {}, {0: 1}
+    if len(num) == 1 or len(den) == 1:
+        return _unit_den(num, den)
+    amin, bmin = min(num), min(den)
+    g = gcd(*(e - amin for e in num), *(e - bmin for e in den))
+    scale = lcm(*(c.denominator for part in (num, den) for c in part.values()))
+
+    def dense(part, low):
+        poly = [0] * ((max(part) - low) // g + 1)
+        for e, c in part.items():
+            poly[(e - low) // g] = c.numerator * (scale // c.denominator)
+        return poly
+
+    npoly, dpoly = dense(num, amin), dense(den, bmin)
+    common = _pgcd(npoly, dpoly)
+    if len(common) > 1:
+        npoly, dpoly = _pquo(npoly, common), _pquo(dpoly, common)
+    return _unit_den({amin + g * i: c for i, c in enumerate(npoly) if c},
+                     {bmin + g * i: c for i, c in enumerate(dpoly) if c})
 
 
 ZERO = Scalar.from_fraction(0)
@@ -347,12 +356,12 @@ def qint(n, c=1) -> Scalar:
     m, t = 2 * Fraction(n), 4 * abs(Fraction(c))
     if m.denominator != 1:
         raise DomainError(f"[{n}] needs 2n integral")
-    odd, top, sign = m.numerator % 2, abs(m.numerator), _F1 if m > 0 else -_F1
+    odd, top, sign = m.numerator % 2, abs(m.numerator), 1 if m > 0 else -1
     if m and (not t or (t / (1 + odd)).denominator != 1):
         raise DomainError(f"q**({c * n}) is not a monomial in v")
     return _scalar({int(t) * e // 2: sign
                     for e in range(top - 2 + 2 * odd, -top, 2 * odd - 4)},
-                   {0: _F1, int(t): _F1} if odd else {0: _F1})
+                   {0: 1, int(t): 1} if odd else {0: 1})
 
 
 def curly(i) -> Scalar:
@@ -382,7 +391,7 @@ def qint_ratio(pairs, c=1) -> Scalar:
         if any(poly[:b]):
             raise DomainError(f"{pairs} in base q^({c}) does not divide")
         del poly[:b]
-    return Scalar({shift + i: Fraction(x) for i, x in enumerate(poly)})
+    return Scalar({shift + i: x for i, x in enumerate(poly)})
 
 
 def qbinom(n: int, m: int, c=1) -> Scalar:
@@ -656,11 +665,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@cache
 def certificate_prime(point: EvalPoint) -> int:
     """The largest prime p = 3 (mod 4) below 2^61 in which the point's
     radicand c is a unit, and also a square when the degree is 2 or 4.
 
     Then x^degree = c has a root in F_p (see :meth:`ModPoint.reducing`).
+    The search runs once per point: the result is cached.
     """
     a, b = point.radicand.numerator, point.radicand.denominator
     p = (1 << 61) - 1
@@ -717,18 +728,17 @@ class ModPoint:
             raise PoleError(f"denominator vanishes mod {p}")
         return self._laurent(s._num) * pow(den, -1, p) % p
 
-    def _laurent(self, coeffs: dict[int, Fraction]) -> int:
+    def _laurent(self, coeffs: dict[int, int | Fraction]) -> int:
         p, v0 = self.p, self.v0
         acc = 0
         for e, c in coeffs.items():
             if e < 0 and not v0:
                 raise PoleError(f"v = 0 mod {p} is a pole of v^{e}")
-            term = c.numerator * pow(v0, e, p)
-            if c.denominator != 1:
+            if type(c) is not int:
                 if not c.denominator % p:
                     raise PoleError(f"coefficient {c} has a pole mod {p}")
-                term *= pow(c.denominator, -1, p)
-            acc += term
+                c = c.numerator * pow(c.denominator, -1, p)
+            acc += c * pow(v0, e, p)
         return acc % p
 
     def reducer(self) -> ModRowReducer:

@@ -53,6 +53,18 @@ def test_report_matches_golden(golden, job):
     assert texts == grid.expected_texts(golden, job)
 
 
+def test_duality_grid_searches_three_certificate_primes():
+    # the grid's points are 3/2, 5/2 and q = 1: one prime search each, and
+    # every later request at the same point reads the cached prime
+    jobs = [job for job in JOBS if job.name.startswith("duality:")]
+    spincheck.scalar.certificate_prime.cache_clear()
+    for job in jobs:
+        job.run()
+    info = spincheck.scalar.certificate_prime.cache_info()
+    assert len(jobs) == 10
+    assert (info.misses, info.currsize) == (3, 3) and info.hits
+
+
 def test_coideal_jobs_multiply_plain_ints(monkeypatch):
     # the coideal relations and the commutators with the quantum group are
     # decided at the integer point, or mod p for the nonzero coideal claims

@@ -344,6 +344,14 @@ def test_odd_checks_run_no_polynomial_gcd(gcd_calls, run):
     assert not gcd_calls
 
 
+def test_gcd_spy_sees_the_third_power_gauss_jordan(gcd_calls):
+    # positive control of the two tests above: the Q(v) row reduction of
+    # third_power_profile still reduces quotients by a gcd, so an empty
+    # spy there is not vacuous
+    assert third_power_profile(1).passed
+    assert gcd_calls
+
+
 def test_spectrum_even_rank_one():
     rep = spectrum_check(build_c_even(1))
     assert rep.passed, rep.summary()

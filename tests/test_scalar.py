@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from spincheck import scalar
 from spincheck.errors import DomainError, PoleError
 from spincheck.scalar import (CLASSICAL, GAUSSIAN, ONE, SYMBOLIC, ZERO,
-                              EvalPoint, Ext, ModPoint, Radical, Scalar,
-                              _lmul, certificate_prime, curly, eval_scalar,
-                              qbinom, qint, qint_ratio, qpow, render_q)
+                              EvalPoint, Ext, IntPoint, ModPoint, Radical,
+                              Scalar, _canonical, _lmul, certificate_prime,
+                              curly, eval_scalar, qbinom, qint, qint_ratio,
+                              qpow, render_q)
 
 _0 = Fraction(0)
 
@@ -140,10 +141,16 @@ def reference_qint(n, c=1) -> Scalar:
                               [qpow(c) - qpow(-c)])
 
 
+def normal_coefficient(x) -> bool:
+    """The normal form of a Scalar coefficient: an int exactly when it is
+    integral, never a float and never an integral Fraction."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
 def same_canonical_form(got: Scalar, want: Scalar) -> bool:
     return (got._num == want._num and got._den == want._den
-            and all(type(x) is Fraction
-                    for x in [*got._num.values(), *got._den.values()])
+            and all(map(normal_coefficient,
+                        [*got._num.values(), *got._den.values()]))
             and render_q(got) == render_q(want))
 
 
@@ -219,6 +226,129 @@ def test_integer_parts_run_no_polynomial_gcd(gcd_calls):
     assert parts[2][0] is values[2] and parts[2][1] == ONE
     for x in values:
         _assert_integer_parts(x)
+
+
+# ---------------------------------------------------------------------------
+# the reference canonical form: a monic gcd over Q by the Euclidean
+# algorithm on dense Fraction lists in v, with no shortcut
+
+def _ref_pdivmod(a: list[Fraction], b: list[Fraction]):
+    r = list(a)
+    q = [_0] * max(0, len(a) - len(b) + 1)
+    for k in range(len(a) - len(b), -1, -1):
+        c = q[k] = r[k + len(b) - 1] / b[-1]
+        for j, bj in enumerate(b):
+            r[k + j] -= c * bj
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _ref_pgcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    while b:
+        a, b = b, _ref_pdivmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def reference_canonical(num: dict, den: dict) -> tuple[dict, dict]:
+    num = {e: Fraction(c) for e, c in num.items() if c}
+    den = {e: Fraction(c) for e, c in den.items() if c}
+    if not num:
+        return {}, {0: 1}
+    amin, bmin = min(num), min(den)
+    npoly = [num.get(e, _0) for e in range(amin, max(num) + 1)]
+    dpoly = [den.get(e, _0) for e in range(bmin, max(den) + 1)]
+    g = _ref_pgcd(npoly, dpoly)
+    npoly, dpoly = _ref_pdivmod(npoly, g)[0], _ref_pdivmod(dpoly, g)[0]
+
+    def normal(c: Fraction):
+        c /= dpoly[0]
+        return c.numerator if c.denominator == 1 else c
+
+    return ({amin - bmin + i: normal(c) for i, c in enumerate(npoly) if c},
+            {i: normal(c) for i, c in enumerate(dpoly) if c})
+
+
+nonzero_coeffs = st.one_of(
+    st.integers(-6, 6), st.fractions(-3, 3, max_denominator=4)).filter(bool)
+
+
+@st.composite
+def quotients(draw):
+    """(num, den) maps, not canonicalized, with int and Fraction
+    coefficients: the exponents of each factor spaced by one stride, a
+    common factor on both sides half the time, and a content on each side
+    (an integral Fraction among them); some numerators are one term."""
+    stride = draw(st.sampled_from((1, 2, 3, 4)))
+
+    def laurent(terms):
+        shift = draw(st.integers(-3, 3))
+        return {shift + stride * draw(st.integers(0, 4)): draw(nonzero_coeffs)
+                for _ in range(terms)}
+
+    contents = st.sampled_from((1, -1, 2, 6, Fraction(3, 5), Fraction(4)))
+    num = _lmul(laurent(draw(st.sampled_from((1, 1, 2, 3)))),
+                {0: draw(contents)})
+    den = _lmul(laurent(draw(st.integers(1, 3))), {0: draw(contents)})
+    if draw(st.booleans()):
+        common = laurent(draw(st.integers(1, 3)))
+        num, den = _lmul(num, common), _lmul(den, common)
+    return num, den
+
+
+@given(quotients())
+@settings(max_examples=200, deadline=None)
+def test_canonical_matches_the_fraction_euclid(pair):
+    num, den = pair
+    assume(any(den.values()))
+    got = _canonical(dict(num), dict(den))
+    assert got == reference_canonical(num, den)
+    assert all(map(normal_coefficient, [*got[0].values(), *got[1].values()]))
+
+
+def test_canonical_compresses_to_the_common_stride(gcd_calls):
+    # (2 v^6 - 2) / (v^3 - 1) = (2 w^2 - 2) / (w - 1) = 2 w + 2 in w = v^3,
+    # with one gcd over Z on lists of length 3 and 2 in w
+    s = Scalar({6: 2, 0: -2}, {3: 1, 0: -1})
+    assert (s._num, s._den) == ({3: 2, 0: 2}, {0: 1})
+    assert [(len(a), len(b)) for a, b in gcd_calls] == [(3, 2)]
+    assert all(type(c) is int for a, b in gcd_calls for c in a + b)
+    # a one-term numerator is coprime to a denominator of nonzero
+    # constant term, so it runs no gcd
+    gcd_calls.clear()
+    s = Scalar({5: Fraction(6)}, {2: 4, 4: 2})
+    assert (s._num, s._den) == ({3: Fraction(3, 2)}, {0: 1, 2: Fraction(1, 2)})
+    assert not gcd_calls
+
+
+@given(quotients(), quotients())
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_and_values_are_never_floats(p, r):
+    assume(any(p[1].values()) and any(r[1].values()))
+    a, b = Scalar(*p), Scalar(*r)
+    results = [a + b, a - b, a * b, -a, a * 3, 3 * a, a - 2, a + Fraction(1, 2),
+               2 / b if b else ZERO, b / 2, a.inverse() if a else ONE,
+               a / b if b else ZERO, *a.integer_parts()]
+    for x in results:
+        assert all(map(normal_coefficient, [*x._num.values(), *x._den.values()]))
+    for q0 in (Fraction(16), Fraction(9, 4), Fraction(3, 2), 1):
+        point = CLASSICAL if q0 == 1 else EvalPoint.from_q(q0)
+        mod = ModPoint.reducing(point, certificate_prime(point))
+        for x in results:
+            try:
+                value = point.of(x)
+            except PoleError:
+                continue
+            assert type(value) is Fraction or (
+                type(value) is Ext
+                and all(type(c) is Fraction for c in value.coeffs))
+            assert type(mod.of(x)) is int
+    num = a.integer_parts()[0]
+    for g in (1, 2, 4):
+        if all(e % g == 0 for e in num._num):
+            value = IntPoint(7, g).of(num)
+            assert type(value) is (Fraction if min(num._num, default=0) < 0
+                                   else int)
 
 
 @pytest.mark.parametrize("e", [-5, 0, 3])
