@@ -27,7 +27,8 @@ On top of the plain algebra this module builds:
   distinct factors commute;
 - the quadratic elements C_rs = (1/2) sum_i e_{(r-1)N+i} e_{(s-1)N+i}
   (with the last summand dropped in the primed variant) and the bracket
-  relations that make them a family of orthogonal-type generators;
+  relations that make them a family of orthogonal-type generators, decided
+  on D_rs = 2 C_rs, so that every coefficient the brackets see is an int;
 - the commuting family y_i = e_i e_{N+i} inside Cl(2N), the symmetrized
   elementary products built from it, their three-term recursion and the
   annihilating polynomial with purely imaginary integer spectrum; and
@@ -221,11 +222,9 @@ def phi_embed(j: int, x: CliffordElement, N: int, l: int) -> CliffordElement:
     return out
 
 
-def c_rs(N: int, l: int, r: int, s: int, primed: bool = False) -> CliffordElement:
-    """C_rs = (1/2) sum_{i=1}^{N} e_{(r-1)N+i} e_{(s-1)N+i} in Cl(Nl).
-
-    The primed variant sums only to N-1 and therefore needs N >= 2.
-    """
+def _d_rs(N: int, l: int, r: int, s: int, primed: bool = False) -> CliffordElement:
+    """D_rs = sum_{i=1}^{N} e_{(r-1)N+i} e_{(s-1)N+i} = 2 C_rs in Cl(Nl),
+    with int coefficients (see :func:`c_rs`)."""
     if not (1 <= r <= l and 1 <= s <= l and r != s):
         raise DomainError(f"need distinct slot indices in 1..{l}, got ({r},{s})")
     top = N - 1 if primed else N
@@ -237,7 +236,15 @@ def c_rs(N: int, l: int, r: int, s: int, primed: bool = False) -> CliffordElemen
         a = CliffordElement.generator((r - 1) * N + i, M)
         b = CliffordElement.generator((s - 1) * N + i, M)
         acc = acc + cl_mul(a, b)
-    return acc.scale(_HALF)
+    return acc
+
+
+def c_rs(N: int, l: int, r: int, s: int, primed: bool = False) -> CliffordElement:
+    """C_rs = (1/2) sum_{i=1}^{N} e_{(r-1)N+i} e_{(s-1)N+i} in Cl(Nl).
+
+    The primed variant sums only to N-1 and therefore needs N >= 2.
+    """
+    return _d_rs(N, l, r, s, primed).scale(_HALF)
 
 
 def verify_so_relations(N: int, l: int, primed: bool = False) -> VerificationReport:
@@ -245,17 +252,19 @@ def verify_so_relations(N: int, l: int, primed: bool = False) -> VerificationRep
 
     For all admissible index pairs: elements on disjoint slot pairs commute,
     and [C_ab, C_bc] = C_ac for distinct a, b, c (with the antisymmetric
-    convention C_ba = -C_ab).
+    convention C_ba = -C_ab).  Both are decided on D = 2C with int
+    coefficients: [D_ab, D_pq] = 0 and [D_ab, D_bc] = 2 D_ac hold exactly
+    when the relations for C do.
     """
     rep = VerificationReport(
         "so_relations", {"N": N, "l": l, "primed": primed})
     if primed and N < 2:
         raise DomainError("primed elements need N >= 2")
     pairs = list(combinations(range(1, l + 1), 2))
-    elements = {(r, s): c_rs(N, l, r, s, primed) for r, s in pairs}
+    elements = {(r, s): _d_rs(N, l, r, s, primed) for r, s in pairs}
 
-    def c_signed(a: int, b: int) -> CliffordElement:
-        """Antisymmetric extension: C_ab for a < b, -C_ba for a > b."""
+    def d_signed(a: int, b: int) -> CliffordElement:
+        """Antisymmetric extension: D_ab for a < b, -D_ba for a > b."""
         return elements[(a, b)] if a < b else -elements[(b, a)]
 
     def check_disjoint():
@@ -273,8 +282,8 @@ def verify_so_relations(N: int, l: int, primed: bool = False) -> VerificationRep
                 for c in range(1, l + 1):
                     if len({a, b, c}) < 3:
                         continue
-                    lhs = c_signed(a, b).commutator(c_signed(b, c))
-                    rhs = c_signed(a, c)
+                    lhs = d_signed(a, b).commutator(d_signed(b, c))
+                    rhs = d_signed(a, c).scale(2)
                     if lhs != rhs:
                         return f"[C_{a}{b}, C_{b}{c}] != C_{a}{c}"
         return True

@@ -5,9 +5,13 @@ keys are zero.  Stored values are always truthy (canonically nonzero), which
 the mutation helpers enforce; this makes equality a structural comparison.
 Coefficients are duck-typed -- anything with field-like ``+ - * /``, a
 truthiness zero test and ``==`` works.  The program uses four: ``int``
-(values at an integer point, and residues mod p),
-:class:`fractions.Fraction`, :class:`spincheck.scalar.Scalar` and
-:class:`spincheck.scalar.Ext` (which covers the Gaussian rationals too).
+(values at an integer point, and residues mod p, which a product leaves
+unreduced), :class:`fractions.Fraction`, :class:`spincheck.scalar.Scalar`
+and :class:`spincheck.scalar.Ext` (which covers the Gaussian rationals too).
+
+A product (``*`` and :meth:`SparseMat.apply_to`) adds each term a * b into
+its output entry as soon as it forms it, in the key order of the operands,
+and drops the entries that sum to zero once a row is done.
 
 There is one field eliminator, :class:`RowReducer`, and its F_p twin
 :class:`ModRowReducer` for plain ints.  Reduction is incremental: rows
@@ -16,9 +20,11 @@ span.  Pivot rows are normalized once on insertion, so the inner
 elimination loop multiplies but never divides -- a significant saving when
 coefficients are rational functions.  Incoming rows are reduced against
 pivots in insertion order; since every pivot row is fully reduced against
-all earlier pivots, a single pass suffices.  :func:`reduced_kernel` runs on
-either, and callers that append tag columns to solve for coordinates in a
-basis run on it.
+all earlier pivots, a single pass suffices.  :func:`reduced_kernel` is the
+one back-substitution and runs on either reducer, filled by its caller;
+:func:`kernel_basis` fills a :class:`RowReducer` with a matrix's rows and
+calls it.  Callers that append tag columns to solve for coordinates in a
+basis run on the reducer directly.
 """
 
 from __future__ import annotations
@@ -154,20 +160,15 @@ class SparseMat:
                               f"{other.nrows}x{other.ncols} matrices")
         out = SparseMat(self.nrows, other.ncols)
         for i, arow in self.rows.items():
-            terms: dict[int, list] = {}
+            acc: dict[int, Any] = {}
             for k, a in arow.items():
                 brow = other.rows.get(k)
                 if brow is None:
                     continue
                 for j, b in brow.items():
-                    pairs = terms.get(j)
-                    if pairs is None:
-                        terms[j] = [(a, b)]
-                    else:
-                        pairs.append((a, b))
-            acc = {j: v for j, pairs in terms.items()
-                   if (v := _sum_of_products(pairs))}
-            if acc:
+                    cur = acc.get(j)
+                    acc[j] = a * b if cur is None else cur + a * b
+            if acc := {j: v for j, v in acc.items() if v}:
                 out.rows[i] = acc
         return out
 
@@ -194,9 +195,12 @@ class SparseMat:
         """Matrix times column vector (vector = {index: coeff})."""
         acc: dict[int, Any] = {}
         for i, r in self.rows.items():
-            pairs = [(v, x) for j, v in r.items()
-                     if (x := vec.get(j)) is not None]
-            if pairs and (total := _sum_of_products(pairs)):
+            total = None
+            for j, v in r.items():
+                x = vec.get(j)
+                if x is not None:
+                    total = v * x if total is None else total + v * x
+            if total:
                 acc[i] = total
         return acc
 
@@ -205,15 +209,6 @@ class SparseMat:
 
     def __repr__(self) -> str:
         return f"SparseMat({self.nrows}x{self.ncols}, nnz={self.nnz()})"
-
-
-def _sum_of_products(pairs: list) -> Any:
-    """``sum(a * b for a, b in pairs)``, accumulated term by term."""
-    total = None
-    for a, b in pairs:
-        p = a * b
-        total = p if total is None else total + p
-    return total
 
 
 def vec_sub_scaled(vec: dict[int, Any], factor, other: dict[int, Any]) -> None:
@@ -302,10 +297,10 @@ class ModRowReducer:
         return True
 
 
-def kernel_basis(mat: SparseMat, one, red=None) -> list[dict[int, Any]]:
+def kernel_basis(mat: SparseMat, one) -> list[dict[int, Any]]:
     """{x : mat @ x = 0} as :func:`reduced_kernel` gives it, once the rows of
-    ``mat`` enter ``red``, empty, in key order (default: a RowReducer)."""
-    red = RowReducer() if red is None else red
+    ``mat`` enter a :class:`RowReducer` in key order."""
+    red = RowReducer()
     for _, row in sorted(mat.rows.items()):
         red.add_row(row)
     return reduced_kernel(red, mat.ncols, one)

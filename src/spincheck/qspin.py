@@ -266,11 +266,11 @@ def verify_serre(rd: RootData, odd_doubled: bool = False) -> VerificationReport:
                     if not comm.is_zero():
                         return f"[E_{i}, F_{j}] != 0"
                     continue
+                # [E_i, F_i] (q_i - q_i^-1) = K_i - K_i^-1 is the same test,
+                # as q_i - q_i^-1 != 0, and forms no Q(v) quotient, no gcd
                 ci = inner(simple[i - 1], simple[i - 1]) / 2
-                denom = qpow(ci) - qpow(-ci)
-                rhs = (Kmat[i] - Kmat[i].map_values(
-                    lambda s: ONE / s)).scale(ONE / denom)
-                if comm != rhs:
+                lhs = comm.scale(qpow(ci) - qpow(-ci))
+                if lhs != Kmat[i] - Kmat[i].map_values(lambda s: ONE / s):
                     return f"[E_{i}, F_{i}] != (K_i - K_i^-1)/(q_i - q_i^-1)"
         return True
 

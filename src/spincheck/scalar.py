@@ -116,9 +116,10 @@ def _div(c, d=1):
 # the rational function field
 
 def _binary(op):
-    """op(self, other) with other made a Scalar, or NotImplemented."""
+    """op(self, other) with other coerced to the type of self (its
+    ``_coerce``), or NotImplemented when it cannot be."""
     def method(self, other):
-        other = _as_scalar(other)
+        other = self._coerce(other)
         return NotImplemented if other is NotImplemented else op(self, other)
     return method
 
@@ -151,6 +152,15 @@ class Scalar:
 
     # field structure -------------------------------------------------------
 
+    @staticmethod
+    def _coerce(x):
+        """x as a Scalar, or NotImplemented."""
+        if isinstance(x, Scalar):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return Scalar.from_fraction(x)
+        return NotImplemented
+
     def __bool__(self) -> bool:
         return bool(self._num)
 
@@ -160,7 +170,7 @@ class Scalar:
         return _scalar({e: -c for e, c in self._num.items()}, self._den)
 
     def __add__(self, other) -> "Scalar":
-        other = _as_scalar(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if not self._num:
@@ -184,7 +194,7 @@ class Scalar:
     def __mul__(self, other) -> "Scalar":
         """The product; c v^e is a unit and a canonical denominator has
         constant term 1, so c v^e * n/d = (c v^e n)/d is gcd-reduced as is."""
-        other = _as_scalar(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if not self._num or not other._num:
@@ -263,14 +273,6 @@ def _scalar(num: dict, den: dict) -> Scalar:
     s = Scalar.__new__(Scalar)
     s._num, s._den = num, den
     return s
-
-
-def _as_scalar(x):
-    if isinstance(x, Scalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Scalar.from_fraction(x)
-    return NotImplemented
 
 
 def _lmul(a: dict, b: dict) -> dict:
@@ -405,28 +407,11 @@ def qbinom(n: int, m: int, c=1) -> Scalar:
 # ---------------------------------------------------------------------------
 # evaluation points and radical extensions
 
-def _nth_root(x: Fraction, n: int) -> Fraction | None:
-    """Exact positive n-th root of a positive rational, or None."""
-    if x <= 0:
-        return None
-
-    def iroot(a: int) -> int | None:
-        if n == 2:
-            r = isqrt(a)
-            return r if r * r == a else None
-        r = isqrt(isqrt(a))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** n == a:
-                return cand
-        return None
-
-    p = iroot(x.numerator)
-    if p is None:
-        return None
-    q = iroot(x.denominator)
-    if q is None:
-        return None
-    return Fraction(p, q)
+def _sqrt(x: Fraction) -> Fraction | None:
+    """The positive rational square root of x > 0, or None: in lowest terms
+    x has one exactly when its numerator and denominator are squares."""
+    a, b = isqrt(x.numerator), isqrt(x.denominator)
+    return Fraction(a, b) if a * a == x.numerator and b * b == x.denominator else None
 
 
 @dataclass(frozen=True)
@@ -453,13 +438,11 @@ class EvalPoint:
         q0 = Fraction(q0)
         if q0 <= 0 or q0 == 1:
             raise DomainError(f"q0 = {q0} must be a positive rational other than 1")
-        t = _nth_root(q0, 4)
-        if t is not None:
-            return EvalPoint(q0, 1, t)
-        s = _nth_root(q0, 2)
-        if s is not None:
-            return EvalPoint(q0, 2, s)
-        return EvalPoint(q0, 4, q0)
+        s = _sqrt(q0)
+        if s is None:
+            return EvalPoint(q0, 4, q0)
+        t = _sqrt(s)
+        return EvalPoint(q0, 2, s) if t is None else EvalPoint(q0, 1, t)
 
     def of(self, s: Scalar):
         """The value of ``s`` at this point (see :func:`eval_scalar`)."""
@@ -504,13 +487,8 @@ class Ext:
     def __bool__(self) -> bool:
         return any(self.coeffs)
 
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def _coerce(self, other):
+        """other as an element of this field, or NotImplemented."""
         if isinstance(other, Ext):
             if other.field != self.field:
                 raise DomainError("mixing elements of different extensions")
@@ -524,30 +502,15 @@ class Ext:
     def __neg__(self):
         return Ext(self.field, tuple(-c for c in self.coeffs))
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Ext(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
+    __eq__ = _binary(lambda a, b: a.coeffs == b.coeffs)
+    __add__ = _binary(lambda a, b: Ext(a.field, tuple(
+        x + y for x, y in zip(a.coeffs, b.coeffs))))
     __radd__ = __add__
+    __sub__ = _binary(lambda a, b: Ext(a.field, tuple(
+        x - y for x, y in zip(a.coeffs, b.coeffs))))
+    __rsub__ = _binary(lambda a, b: b - a)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Ext(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _mul(self, other):
         d = self.field.degree
         c = self.field.radicand
         out = [_F0] * d
@@ -564,7 +527,7 @@ class Ext:
                     out[k - d] += a * b * c
         return Ext(self.field, tuple(out))
 
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = _binary(_mul)
 
     def inverse(self):
         """The inverse by conjugate norms (see the module docstring)."""
@@ -583,22 +546,16 @@ class Ext:
             raise DomainError(f"x^{d} - {self.field.radicand} is reducible")
         return num / norm.coeffs[0]
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a rational divisor scales the coefficients; no inverse needed
-            if not other:
-                raise ZeroDivisionError("division of a field element by zero")
-            return Ext(self.field, tuple(c / other for c in self.coeffs))
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+    def _quotient(self, other):
+        """self / other; a rational divisor scales the coefficients (zero
+        raises ZeroDivisionError there), and only an irrational one is
+        inverted."""
+        if any(other.coeffs[1:]):
+            return self * other.inverse()
+        return Ext(self.field, tuple(c / other.coeffs[0] for c in self.coeffs))
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+    __truediv__ = _binary(_quotient)
+    __rtruediv__ = _binary(lambda a, b: b * a.inverse())
 
     def __repr__(self):
         return f"Ext{self.coeffs}"
@@ -625,7 +582,7 @@ def eval_scalar(s: Scalar, p: EvalPoint):
     num, den = lift(s._num), lift(s._den)
     if not den:
         raise PoleError(f"pole at q0 = {p.q0}")
-    val = num / (den if any(den.coeffs[1:]) else den.coeffs[0])
+    val = num / den
     return val if any(val.coeffs[1:]) else val.coeffs[0]
 
 

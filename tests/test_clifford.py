@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spincheck
+from spincheck import clifford
 from spincheck.clifford import (CliffordElement, c_rs, c_tilde, cl_mul,
                                 classical_spectrum_check,
                                 commuting_family_check, horner, p_poly,
@@ -97,6 +98,22 @@ def test_dressed_and_plain_pairs_generate_alike(N):
 def test_so_relations(N, l, primed):
     rep = verify_so_relations(N, l, primed)
     assert rep.passed, rep.summary()
+
+
+@pytest.mark.parametrize("N,l,primed", [(1, 3, False), (2, 4, True),
+                                         (3, 4, False)])
+def test_bracket_checks_see_only_int_coefficients(monkeypatch, N, l, primed):
+    # the relations are decided on D = 2C, so no product meets a Fraction
+    seen = []
+
+    def spy(a, b):
+        out = cl_mul(a, b)
+        seen.extend(type(c) for x in (a, b, out) for c in x.terms.values())
+        return out
+
+    monkeypatch.setattr(clifford, "cl_mul", spy)
+    assert verify_so_relations(N, l, primed).passed
+    assert seen and set(seen) == {int}
 
 
 def test_primed_needs_a_pair():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import spincheck
 from spincheck.errors import DomainError
 from spincheck.linalg import (ModRowReducer, RowReducer, SparseMat,
-                              kernel_basis)
-from spincheck.scalar import ZERO, Scalar, curly, qint
+                              kernel_basis, reduced_kernel)
+from spincheck.scalar import ModPoint, Scalar, curly, qint
 
 ONE = Fraction(1)
 
@@ -119,9 +119,18 @@ def test_add_to_accumulates_and_cancels():
     assert m.is_zero()
 
 
+def _mod_kernel(m: SparseMat, p: int) -> list[dict[int, int]]:
+    """The kernel of ``m`` over F_p: its rows, in key order, fill a
+    ModRowReducer, and reduced_kernel back-substitutes."""
+    red = ModRowReducer(p)
+    for _, row in sorted(m.rows.items()):
+        red.add_row(row)
+    return reduced_kernel(red, m.ncols, 1)
+
+
 def test_kernel_of_identity_is_trivial():
     assert kernel_basis(SparseMat.identity(4, ONE), ONE) == []
-    assert kernel_basis(SparseMat.identity(4, 1), 1, ModRowReducer(7)) == []
+    assert _mod_kernel(SparseMat.identity(4, 1), 7) == []
 
 
 @given(matrices())
@@ -137,7 +146,7 @@ def test_mod_p_kernel_matches_rational_kernel(m):
         return x.numerator * pow(x.denominator, -1, p) % p
 
     exact = kernel_basis(m, ONE)
-    mod = kernel_basis(m.map_values(image), 1, ModRowReducer(p))
+    mod = _mod_kernel(m.map_values(image), p)
     assert mod == [{j: image(x) for j, x in v.items()} for v in exact]
     free = [next(iter(v)) for v in mod]
     for v, fc in zip(mod, free):
@@ -149,8 +158,8 @@ def test_mod_p_kernel_matches_rational_kernel(m):
 def test_mod_p_kernel_grows_past_a_divisor_of_a_minor():
     # det [[1, 1], [1, 4]] = 3: no kernel over Q, a line mod 3
     m = SparseMat(2, 2, {0: {0: 1, 1: 1}, 1: {0: 1, 1: 4}})
-    assert kernel_basis(m, 1, ModRowReducer(5)) == []
-    assert kernel_basis(m, 1, ModRowReducer(3)) == [{1: 1, 0: 2}]
+    assert _mod_kernel(m, 5) == []
+    assert _mod_kernel(m, 3) == [{1: 1, 0: 2}]
 
 
 def test_shape_mismatch_raises_under_optimize():
@@ -182,7 +191,7 @@ def test_shape_mismatch_raises_under_optimize():
 
 
 # ---------------------------------------------------------------------------
-# products over Q(v) against a term-by-term reference
+# entries in Q(v)
 
 _V = Scalar.v_power
 _ODD = Scalar.from_fraction(1) / curly(Fraction(1, 2))
@@ -196,57 +205,96 @@ _POOL += [Fraction(1, 2), 2]                         # coerced inside Q(v)
 q_entries = st.one_of(st.none(), st.sampled_from(_POOL))
 
 
-@st.composite
-def q_matrices(draw, nrows, ncols):
-    m = SparseMat(nrows, ncols)
-    for i in range(nrows):
-        for j in range(ncols):
-            v = draw(q_entries)
-            if v is not None:
-                m.set_entry(i, j, v)
-    return m
+# ---------------------------------------------------------------------------
+# products over every entry type against an entrywise reference
+
+_P = 2**61 - 1
+# residues mod p as products leave them: unreduced, so that some cancel
+# only mod p
+_RESIDUES = [1, -1, 2, _P - 1, _P + 1, 1 - _P, 2 * _P - 3, 3 - 2 * _P, _P**2]
+_ENTRIES = {
+    "int": st.integers(-3, 3).filter(bool),
+    "Fraction": entries.filter(bool),
+    "Scalar": st.sampled_from(_POOL),
+    "residue": st.sampled_from(_RESIDUES),
+}
 
 
 @st.composite
-def q_products(draw):
+def typed_products(draw):
+    kind = draw(st.sampled_from(sorted(_ENTRIES)))
+    values = st.one_of(st.none(), _ENTRIES[kind])
     n, m, p = (draw(st.integers(1, 3)) for _ in range(3))
-    a, b = draw(q_matrices(n, m)), draw(q_matrices(m, p))
-    x = {j: v for j in range(m) if (v := draw(q_entries)) is not None}
-    return a, b, x
+    a, b = (SparseMat(r, c, {i: {j: v for j in range(c)
+                                 if (v := draw(values)) is not None}
+                             for i in range(r)})
+            for r, c in ((n, m), (m, p)))
+    x = {j: v for j in range(m) if (v := draw(values)) is not None}
+    return kind, a, b, x
 
 
-def _ref_dot(terms) -> Scalar:
-    total = ZERO
-    for a, b in terms:
-        total = total + a * b
+def _entrywise_sum(terms):
+    """The sum of ``terms`` left to right, or None when there are none."""
+    total = None
+    for t in terms:
+        total = t if total is None else total + t
     return total
 
 
-@given(q_products())
-@settings(max_examples=60, deadline=None)
-@example((SparseMat(1, 2, {0: {0: _ODD, 1: _ODD}}),      # cancels in column 0
+def _reduced(rows: dict, p: int) -> dict:
+    return {i: red for i, row in rows.items()
+            if (red := {j: x for j, v in row.items() if (x := v % p)})}
+
+
+# row 0 of the product and of the image cancel, and so does entry (1, 0)
+_ROW_CANCELS = (SparseMat(2, 3, {0: {0: 1, 1: 1}, 1: {0: 1, 2: 1}}),
+                SparseMat(3, 2, {0: {0: 1, 1: 2}, 1: {0: -1, 1: -2},
+                                 2: {0: -1, 1: 3}}),
+                {0: 1, 1: -1, 2: 1})
+
+
+@given(typed_products())
+@settings(max_examples=160, deadline=None)
+@example(("int", *_ROW_CANCELS))
+@example(("Fraction",
+          *(SparseMat(r.nrows, r.ncols, {i: {j: Fraction(v, 2)
+                                             for j, v in row.items()}
+                                         for i, row in r.rows.items()})
+            for r in _ROW_CANCELS[:2]),
+          {0: Fraction(1, 3), 1: Fraction(-1, 3), 2: Fraction(1, 3)}))
+@example(("residue",                           # zero mod p, not over Z
+          SparseMat(1, 2, {0: {0: 1, 1: 1}}),
+          SparseMat(2, 2, {0: {0: _P - 1, 1: 2}, 1: {0: 1, 1: -2}}),
+          {0: _P + 1, 1: -1}))
+@example(("Scalar",
+          SparseMat(1, 2, {0: {0: _ODD, 1: _ODD}}),
           SparseMat(2, 2, {0: {0: _V(3), 1: 2},
                            1: {0: -_V(3), 1: Fraction(1, 2)}}),
           {0: _V(3), 1: -_V(3)}))
-def test_scalar_products_match_termwise_reference(case):
-    a, b, x = case
-    want: dict[int, dict[int, Scalar]] = {}
+def test_products_match_entrywise_reference(case):
+    kind, a, b, x = case
+    before = a.copy(), b.copy(), dict(x)
+    want = {}
     for i in range(a.nrows):
         for j in range(b.ncols):
-            v = _ref_dot((a.entry(i, k), b.entry(k, j)) for k in range(a.ncols)
-                         if a.entry(i, k) is not None
-                         and b.entry(k, j) is not None)
+            v = _entrywise_sum(a.entry(i, k) * b.entry(k, j)
+                               for k in range(a.ncols)
+                               if a.entry(i, k) is not None
+                               and b.entry(k, j) is not None)
             if v:
                 want.setdefault(i, {})[j] = v
-    prod = a * b
-    assert prod.rows == want
-    assert all(v for row in prod.rows.values() for v in row.values())
-    img = a.apply_to(x)
     want_img = {i: v for i in range(a.nrows)
-                if (v := _ref_dot((a.entry(i, j), x[j]) for j in x
-                                  if a.entry(i, j) is not None))}
-    assert img == want_img
+                if (v := _entrywise_sum(a.entry(i, j) * x[j] for j in x
+                                        if a.entry(i, j) is not None))}
+    prod, img = a * b, a.apply_to(x)
+    assert prod.rows == want and img == want_img
+    assert all(row and all(row.values()) for row in prod.rows.values())
     assert all(img.values())
+    if kind == "residue":
+        mod = ModPoint(_P, 1).product(a, b)
+        assert mod.rows == _reduced(want, _P)
+        assert all(0 < v < _P for row in mod.rows.values() for v in row.values())
+    assert (a, b, x) == before
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from spincheck.errors import DomainError
 from spincheck.linalg import SparseMat
 from spincheck.qspin import block_lift, spin_rep, tensor_action, verify_serre
-from spincheck.scalar import CLASSICAL, ONE, qpow
+from spincheck.scalar import CLASSICAL, ONE, Scalar, qpow
 from spincheck.weights import RootData, inner
 
 
@@ -18,6 +18,27 @@ from spincheck.weights import RootData, inner
 def test_serre_relations(fam, k, doubled):
     rep = verify_serre(RootData(fam, k), odd_doubled=doubled)
     assert rep.passed, rep.summary()
+
+
+@pytest.mark.parametrize("fam,doubled", [
+    ("D", False), ("B", False), ("B", True)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_serre_runs_no_polynomial_gcd(gcd_calls, fam, k, doubled):
+    # [E_i, F_i] is compared with K_i - K_i^-1 after multiplying by
+    # q_i - q_i^-1, so no check forms a Q(v) quotient
+    assert verify_serre(RootData(fam, k), odd_doubled=doubled).passed
+    assert not gcd_calls
+
+
+@pytest.mark.parametrize("fam,k,doubled", [
+    ("D", 2, False), ("B", 1, True), ("B", 3, False)])
+def test_serre_catches_a_wrong_sign_on_k_inverse(monkeypatch, fam, k, doubled):
+    # the mutant K_i^-1 -> -K_i^-1 leaves every other relation standing
+    inverse = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse", lambda s: -inverse(s))
+    rep = verify_serre(RootData(fam, k), odd_doubled=doubled)
+    assert {c.name: c.witness for c in rep.checks if not c.passed} == {
+        "ef_commutator": "[E_1, F_1] != (K_i - K_i^-1)/(q_i - q_i^-1)"}
 
 
 def test_doubled_module_is_type_b_only():

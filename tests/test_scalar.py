@@ -75,6 +75,51 @@ def test_eval_point_validation():
     assert EvalPoint.from_q(Fraction(3, 2)).degree == 4
 
 
+# every root a rational q0 = a/b with a, b <= 30 can have: numerator and
+# denominator are at most sqrt(30)
+_SQUARES = {Fraction(c, d) ** 2: Fraction(c, d)
+            for c in range(1, 31) for d in range(1, 31)}
+_FOURTHS = {x ** 2: r for x, r in _SQUARES.items()}
+_SMALL_POINTS = sorted({Fraction(a, b) for a in range(1, 31)
+                        for b in range(1, 31)} - {1})
+
+
+def _brute_point(q0: Fraction) -> tuple[int, Fraction]:
+    """(degree, radicand) by table lookup: a rational fourth root, else a
+    rational square root, else q0 itself."""
+    if q0 in _FOURTHS:
+        return 1, _FOURTHS[q0]
+    return (2, _SQUARES[q0]) if q0 in _SQUARES else (4, q0)
+
+
+def test_from_q_matches_brute_force_on_small_points():
+    degrees = set()
+    for q0 in _SMALL_POINTS + sorted(set(_SQUARES) - {1}):
+        p = EvalPoint.from_q(q0)
+        assert (p.degree, p.radicand) == _brute_point(q0), q0
+        degrees.add(p.degree)
+    assert degrees == {1, 2, 4}
+
+
+_BIG = 2**127 - 1                   # a prime, so no square
+_R = Fraction(10**30 + 7, 3**50)
+
+
+@pytest.mark.parametrize("q0,degree,radicand", [
+    (_R ** 4, 1, _R),
+    (1 / _R ** 4, 1, 1 / _R),
+    (Fraction(_BIG, 3**61) ** 2, 2, Fraction(_BIG, 3**61)),
+    (_R ** 2 * Fraction(_BIG), 4, _R ** 2 * Fraction(_BIG)),
+    (Fraction((10**40) ** 2 + 1), 4, Fraction((10**40) ** 2 + 1)),
+    (Fraction(10**20 - 1) ** 2, 2, Fraction(10**20 - 1)),
+    (Fraction(10**40, 3**80 + 2), 4, Fraction(10**40, 3**80 + 2)),
+])
+def test_from_q_on_large_numerators_and_denominators(q0, degree, radicand):
+    p = EvalPoint.from_q(q0)
+    assert (p.degree, p.radicand) == (degree, radicand)
+    assert p.radicand > 0 and p.radicand ** (4 // degree) == q0
+
+
 @pytest.mark.parametrize("n", range(-6, 7))
 def test_qint_specializes_to_integer(n):
     assert CLASSICAL.of(qint(n)) == n
@@ -440,6 +485,35 @@ def test_norm_inverse(field, coeffs):
     assume(a)
     assert a * a.inverse() == 1
     assert a.inverse().inverse() == a
+
+
+_EXT_OPERATORS = ["__eq__", "__add__", "__radd__", "__sub__", "__rsub__",
+                  "__mul__", "__rmul__", "__truediv__", "__rtruediv__"]
+
+
+@pytest.mark.parametrize("foreign", [ONE, "1", 1.0, None],
+                         ids=["Scalar", "str", "float", "None"])
+@pytest.mark.parametrize("field", INVERSE_FIELDS)
+def test_ext_operators_leave_foreign_types_to_python(field, foreign):
+    a = Ext(field, (Fraction(1, 2),) + (_0,) * (field.degree - 1))
+    for name in _EXT_OPERATORS:
+        assert getattr(a, name)(foreign) is NotImplemented, name
+    assert a != foreign
+    with pytest.raises(TypeError):
+        a + foreign
+
+
+@pytest.mark.parametrize("field", INVERSE_FIELDS)
+def test_ext_reflected_operators_coerce_the_rational(field):
+    a = Ext(field, tuple(Fraction(i + 1, 3) for i in range(field.degree)))
+    two = Ext(field, (Fraction(2),) + (_0,) * (field.degree - 1))
+    assert 2 + a == two + a and 2 - a == two - a and 2 * a == two * a
+    assert 2 / a == two / a and (2 / a) * a == 2
+    assert 2 - a == -(a - 2) != a - 2
+    with pytest.raises(ZeroDivisionError):
+        a / 0
+    with pytest.raises(ZeroDivisionError):
+        2 / (a - a)
 
 
 def test_zero_norm_means_reducible():
